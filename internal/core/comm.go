@@ -76,16 +76,19 @@ func (c *Comm) Abort(code int) error { return c.ptp.Abort(code) }
 type Request struct {
 	inner *mpjdev.Request
 
-	// Receive-side unpack state.
+	// wire is the pooled message buffer of a typed Isend/Irecv; it goes
+	// back to the pool when completion is first observed. For a receive
+	// (recv set) it is unpacked into recvBuf before that.
+	wire    *mpjbuf.Buffer
+	recv    bool
 	recvBuf any
 	offset  int
 	count   int
 	dt      *Datatype
-	wire    *mpjbuf.Buffer
 
-	unpackOnce sync.Once
-	elems      int
-	unpackErr  error
+	wireOnce  sync.Once
+	elems     int
+	unpackErr error
 
 	// onComplete, if set, runs exactly once when completion is
 	// observed (used by buffered sends to release pool space).
@@ -94,9 +97,12 @@ type Request struct {
 }
 
 func (r *Request) finish(st mpjdev.Status) (*Status, error) {
-	if r.recvBuf != nil || r.wire != nil {
-		r.unpackOnce.Do(func() {
-			r.elems, r.unpackErr = unpack(r.wire, r.recvBuf, r.offset, r.count, r.dt)
+	if r.wire != nil {
+		r.wireOnce.Do(func() {
+			if r.recv {
+				r.elems, r.unpackErr = unpack(r.wire, r.recvBuf, r.offset, r.count, r.dt)
+			}
+			devcore.PutBuffer(r.wire)
 		})
 	}
 	if r.onComplete != nil {
@@ -207,30 +213,31 @@ func (c *Comm) Sendrecv(
 
 // ---- non-blocking point-to-point ----
 
+// isend packs into a pooled wire buffer and starts it with the given
+// device-level send; the request hands the buffer back on completion.
+func isend(start func(*mpjbuf.Buffer, int, int) (*mpjdev.Request, error),
+	buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
+	b := devcore.GetBuffer()
+	err := packInto(b, buf, offset, count, dt)
+	var r *mpjdev.Request
+	if err == nil {
+		r, err = start(b, dst, tag)
+	}
+	if err != nil {
+		devcore.PutBuffer(b)
+		return nil, err
+	}
+	return &Request{inner: r, wire: b}, nil
+}
+
 // Isend starts a standard-mode non-blocking send.
 func (c *Comm) Isend(buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
-	b, err := pack(buf, offset, count, dt)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.ptp.Isend(b, dst, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{inner: r}, nil
+	return isend(c.ptp.Isend, buf, offset, count, dt, dst, tag)
 }
 
 // Issend starts a synchronous-mode non-blocking send.
 func (c *Comm) Issend(buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
-	b, err := pack(buf, offset, count, dt)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.ptp.Issend(b, dst, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{inner: r}, nil
+	return isend(c.ptp.Issend, buf, offset, count, dt, dst, tag)
 }
 
 // Irsend starts a ready-mode non-blocking send (standard realization).
@@ -269,12 +276,13 @@ func (c *Comm) Ibsend(buf any, offset, count int, dt *Datatype, dst, tag int) (*
 // Irecv starts a non-blocking receive of up to count items of dt into
 // buf at offset.
 func (c *Comm) Irecv(buf any, offset, count int, dt *Datatype, src, tag int) (*Request, error) {
-	b := mpjbuf.New(0)
+	b := devcore.GetBuffer()
 	r, err := c.ptp.Irecv(b, src, tag)
 	if err != nil {
+		devcore.PutBuffer(b)
 		return nil, err
 	}
-	return &Request{inner: r, recvBuf: buf, offset: offset, count: count, dt: dt, wire: b}, nil
+	return &Request{inner: r, wire: b, recv: true, recvBuf: buf, offset: offset, count: count, dt: dt}, nil
 }
 
 // Probe blocks until a matching message is available and returns its

@@ -157,6 +157,21 @@ func TestPackUnpackVectorColumn(t *testing.T) {
 			t.Fatalf("column = %v", out)
 		}
 	}
+	// The strided kernels gather into and scatter out of the section
+	// itself: no scratch slice either way.
+	var boxed any = matrix
+	if allocs := testing.AllocsPerRun(20, func() {
+		rb.Clear()
+		if err := packInto(rb, boxed, 0, 1, col); err != nil {
+			t.Fatal(err)
+		}
+		rb.Commit()
+		if _, err := unpack(rb, boxed, 0, 1, col); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("vector pack+unpack allocates %.0f times", allocs)
+	}
 }
 
 func TestPackUnpackScatterBack(t *testing.T) {
@@ -204,6 +219,50 @@ func TestPackStructRoundTrip(t *testing.T) {
 		if dst[i] != src[i] {
 			t.Fatalf("dst = %v", dst)
 		}
+	}
+	// Packing a field block stages through the stack: no slice per field.
+	wire := mpjbuf.New(256)
+	var boxed any = src
+	if allocs := testing.AllocsPerRun(20, func() {
+		wire.Clear()
+		if err := packInto(wire, boxed, 0, 2, d); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("packing a struct of small fields allocates %.0f times", allocs)
+	}
+}
+
+// TestPackStructWideField covers a field block wider than the stack
+// staging area.
+func TestPackStructWideField(t *testing.T) {
+	const wide = fieldStack + 8
+	d, err := Struct([]int{wide, 1}, []int{0, wide}, []*Datatype{LONG, BOOLEAN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]any, wide+1)
+	for i := 0; i < wide; i++ {
+		src[i] = int64(i) - 3
+	}
+	src[wide] = true
+	b, err := pack(src, 0, 1, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Commit()
+	dst := make([]any, wide+1)
+	if n, err := unpack(b, dst, 0, 1, d); err != nil || n != wide+1 {
+		t.Fatalf("unpack = %d, %v", n, err)
+	}
+	for i := range src {
+		if dst[i] != src[i] {
+			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], src[i])
+		}
+	}
+	src[3] = "not an int64"
+	if _, err := pack(src, 0, 1, d); err == nil {
+		t.Error("mistyped field value accepted")
 	}
 }
 

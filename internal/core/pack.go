@@ -7,10 +7,11 @@ import (
 )
 
 // This file bridges typed user arrays and the mpjbuf wire buffers: the
-// "packing and unpacking" overhead the paper's §V-E analyses. Derived
-// datatypes gather their elements into a contiguous scratch area before
-// packing (paper §IV-C: "the first column is copied to a contiguous
-// area, which is used for the actual send").
+// "packing and unpacking" overhead the paper's §V-E analyses. A
+// contiguous primitive layout packs as one memmove; a derived datatype
+// gathers its elements straight into the wire section (the paper's
+// §IV-C copies "the first column ... to a contiguous area, which is used
+// for the actual send" — here that area is the send buffer itself).
 
 // bufferElems reports the length of a supported message buffer.
 func bufferElems(buf any) (int, error) {
@@ -39,8 +40,6 @@ func bufferElems(buf any) (int, error) {
 	return 0, fmt.Errorf("core: unsupported buffer type %T", buf)
 }
 
-// span returns the number of elements an operation of count items
-// touches, and validates the range against the buffer length.
 // span validates an (offset, count) range against the buffer length.
 // op is a constant verb; dt.name joins it only in the error formats, so
 // the hot path never concatenates strings.
@@ -73,60 +72,69 @@ func (d *Datatype) spanOne() int {
 	return max
 }
 
-// checkBase verifies the buffer's element type against the datatype.
-func checkBase(dt *Datatype, want mpjbuf.Type, buf any) error {
-	if dt.fields != nil {
-		if want != mpjbuf.ObjectType {
-			return fmt.Errorf("core: struct datatype requires []any buffer, have %T", buf)
-		}
-		return nil
-	}
-	if dt.base != want {
-		return fmt.Errorf("core: datatype %s incompatible with buffer %T", dt.name, buf)
-	}
-	return nil
+// baseErr reports a buffer whose element type is not dt's base type.
+func baseErr(dt *Datatype, buf any) error {
+	return fmt.Errorf("core: datatype %s incompatible with buffer %T", dt.name, buf)
 }
 
-func gatherPack[T any](
-	write func([]T, int, int) error,
-	src []T, offset, count int, dt *Datatype,
-) error {
-	if dt.IsContiguous() {
-		return write(src, offset, count*dt.extent)
+// packPrim packs a primitive-typed buffer as one section: a single
+// memmove-speed write for a contiguous layout, a strided gather
+// straight into the section otherwise.
+func packPrim[T mpjbuf.Elem](b *mpjbuf.Buffer, src []T, offset, count int, dt *Datatype) error {
+	if dt.base != mpjbuf.TypeOf[T]() {
+		return baseErr(dt, src)
 	}
-	scratch := make([]T, 0, count*len(dt.disps))
+	if dt.IsContiguous() {
+		return mpjbuf.Write(b, src, offset, count*dt.extent)
+	}
+	return mpjbuf.Gather(b, src, offset, count, dt.extent, dt.disps)
+}
+
+// unpackPrim reverses packPrim.
+func unpackPrim[T mpjbuf.Elem](b *mpjbuf.Buffer, dst []T, offset, count int, dt *Datatype) (int, error) {
+	if dt.base != mpjbuf.TypeOf[T]() {
+		return 0, baseErr(dt, dst)
+	}
+	if dt.IsContiguous() {
+		return mpjbuf.Read(b, dst, offset, count*dt.extent)
+	}
+	return mpjbuf.Scatter(b, dst, offset, count, dt.extent, dt.disps)
+}
+
+// packObjects packs an object buffer. Objects are serialized one by
+// one, so a derived layout just gathers the references first.
+func packObjects(b *mpjbuf.Buffer, src []any, offset, count int, dt *Datatype) error {
+	if dt.base != mpjbuf.ObjectType {
+		return baseErr(dt, src)
+	}
+	if dt.IsContiguous() {
+		return b.WriteObjects(src, offset, count*dt.extent)
+	}
+	scratch := make([]any, 0, count*len(dt.disps))
 	for i := 0; i < count; i++ {
 		base := offset + i*dt.extent
 		for _, disp := range dt.disps {
 			scratch = append(scratch, src[base+disp])
 		}
 	}
-	return write(scratch, 0, len(scratch))
+	return b.WriteObjects(scratch, 0, len(scratch))
 }
 
-func scatterUnpack[T any](
-	read func([]T, int, int) (int, error),
-	dst []T, offset, count int, dt *Datatype,
-) (int, error) {
-	if dt.IsContiguous() {
-		return read(dst, offset, count*dt.extent)
+// unpackObjects reverses packObjects.
+func unpackObjects(b *mpjbuf.Buffer, dst []any, offset, count int, dt *Datatype) (int, error) {
+	if dt.base != mpjbuf.ObjectType {
+		return 0, baseErr(dt, dst)
 	}
-	scratch := make([]T, count*len(dt.disps))
-	n, err := read(scratch, 0, len(scratch))
+	if dt.IsContiguous() {
+		return b.ReadObjects(dst, offset, count*dt.extent)
+	}
+	scratch := make([]any, count*len(dt.disps))
+	n, err := b.ReadObjects(scratch, 0, len(scratch))
 	if err != nil {
 		return 0, err
 	}
-	k := 0
-scatter:
-	for i := 0; i < count; i++ {
-		base := offset + i*dt.extent
-		for _, disp := range dt.disps {
-			if k >= n {
-				break scatter
-			}
-			dst[base+disp] = scratch[k]
-			k++
-		}
+	for k := 0; k < n; k++ {
+		dst[offset+k/len(dt.disps)*dt.extent+dt.disps[k%len(dt.disps)]] = scratch[k]
 	}
 	return n, nil
 }
@@ -144,9 +152,9 @@ func pack(buf any, offset, count int, dt *Datatype) (*mpjbuf.Buffer, error) {
 // packInto serializes count items of dt from buf (starting at offset)
 // into b, which must be fresh or Reset — the blocking paths reuse
 // pooled buffers through here. The section payload size is known up
-// front, so the buffer is presized exactly: a pooled buffer whose
-// retained capacity is too small (or a message past mpjbuf's retention
-// bound) costs one allocation, not a doubling overshoot.
+// front, so the buffer is presized: a pooled buffer whose own backing
+// is too small takes one slab of the right class from the byte store,
+// not a doubling overshoot.
 func packInto(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) error {
 	if dt == nil {
 		return fmt.Errorf("core: nil datatype")
@@ -168,78 +176,27 @@ func packInto(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) error 
 	}
 	switch s := buf.(type) {
 	case []byte:
-		err = errOr(checkBase(dt, mpjbuf.ByteType, buf), func() error {
-			return gatherPack(b.WriteBytes, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []bool:
-		err = errOr(checkBase(dt, mpjbuf.BooleanType, buf), func() error {
-			return gatherPack(b.WriteBooleans, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []uint16:
-		err = errOr(checkBase(dt, mpjbuf.CharType, buf), func() error {
-			return gatherPack(b.WriteChars, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []int16:
-		err = errOr(checkBase(dt, mpjbuf.ShortType, buf), func() error {
-			return gatherPack(b.WriteShorts, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []int32:
-		err = errOr(checkBase(dt, mpjbuf.IntType, buf), func() error {
-			return gatherPack(b.WriteInts, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []int64:
-		err = errOr(checkBase(dt, mpjbuf.LongType, buf), func() error {
-			return gatherPack(b.WriteLongs, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []float32:
-		err = errOr(checkBase(dt, mpjbuf.FloatType, buf), func() error {
-			return gatherPack(b.WriteFloats, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []float64:
-		err = errOr(checkBase(dt, mpjbuf.DoubleType, buf), func() error {
-			return gatherPack(b.WriteDoubles, s, offset, count, dt)
-		})
+		return packPrim(b, s, offset, count, dt)
 	case []any:
-		err = errOr(checkBase(dt, mpjbuf.ObjectType, buf), func() error {
-			return gatherPack(b.WriteObjects, s, offset, count, dt)
-		})
-	case nil:
-		// Zero-element message: pack an empty section of the base type.
-		err = packEmpty(b, dt)
-	default:
-		err = fmt.Errorf("core: unsupported buffer type %T", buf)
+		return packObjects(b, s, offset, count, dt)
 	}
-	return err
-}
-
-func packEmpty(b *mpjbuf.Buffer, dt *Datatype) error {
-	switch dt.base {
-	case mpjbuf.ByteType:
-		return b.WriteBytes(nil, 0, 0)
-	case mpjbuf.BooleanType:
-		return b.WriteBooleans(nil, 0, 0)
-	case mpjbuf.CharType:
-		return b.WriteChars(nil, 0, 0)
-	case mpjbuf.ShortType:
-		return b.WriteShorts(nil, 0, 0)
-	case mpjbuf.IntType:
-		return b.WriteInts(nil, 0, 0)
-	case mpjbuf.LongType:
-		return b.WriteLongs(nil, 0, 0)
-	case mpjbuf.FloatType:
-		return b.WriteFloats(nil, 0, 0)
-	case mpjbuf.DoubleType:
-		return b.WriteDoubles(nil, 0, 0)
-	default:
-		return b.WriteObjects(nil, 0, 0)
-	}
-}
-
-func errOr(err error, fn func() error) error {
-	if err != nil {
-		return err
-	}
-	return fn()
+	// nil buffer (bufferElems rejected every other type): a zero-element
+	// message packs an empty section of the base type.
+	return b.WriteEmpty(dt.base)
 }
 
 // unpack deserializes a received wire buffer into count items of dt in
@@ -254,14 +211,10 @@ func unpack(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) (int, er
 	}
 	if buf == nil {
 		// Zero-element receive: consume and discard the section.
-		_, cnt, ok := b.PeekSection()
-		if ok && cnt == 0 {
-			return 0, nil
+		if _, cnt, ok := b.PeekSection(); ok && cnt != 0 {
+			return 0, fmt.Errorf("core: nil receive buffer for non-empty message (%d elements)", cnt)
 		}
-		if !ok {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("core: nil receive buffer for non-empty message (%d elements)", cnt)
+		return 0, nil
 	}
 	if err := span(dt, offset, count, n, "unpack"); err != nil {
 		return 0, err
@@ -275,52 +228,23 @@ func unpack(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) (int, er
 	}
 	switch s := buf.(type) {
 	case []byte:
-		if err := checkBase(dt, mpjbuf.ByteType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadBytes, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []bool:
-		if err := checkBase(dt, mpjbuf.BooleanType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadBooleans, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []uint16:
-		if err := checkBase(dt, mpjbuf.CharType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadChars, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []int16:
-		if err := checkBase(dt, mpjbuf.ShortType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadShorts, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []int32:
-		if err := checkBase(dt, mpjbuf.IntType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadInts, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []int64:
-		if err := checkBase(dt, mpjbuf.LongType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadLongs, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []float32:
-		if err := checkBase(dt, mpjbuf.FloatType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadFloats, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	case []float64:
-		if err := checkBase(dt, mpjbuf.DoubleType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadDoubles, s, offset, count, dt)
-	case []any:
-		if err := checkBase(dt, mpjbuf.ObjectType, buf); err != nil {
-			return 0, err
-		}
-		return scatterUnpack(b.ReadObjects, s, offset, count, dt)
+		return unpackPrim(b, s, offset, count, dt)
 	}
-	return 0, fmt.Errorf("core: unsupported buffer type %T", buf)
+	return unpackObjects(b, buf.([]any), offset, count, dt)
 }
 
 // packStruct packs count items of a struct datatype from an []any
@@ -338,68 +262,56 @@ func packStruct(b *mpjbuf.Buffer, src []any, offset, count int, dt *Datatype) er
 	return nil
 }
 
+// fieldStack is the block length up to which a struct field's typed
+// staging area lives on the stack.
+const fieldStack = 32
+
+// packField unboxes one field block into a typed staging area and
+// packs it as a section.
+func packField[T mpjbuf.Elem](b *mpjbuf.Buffer, vals []any) error {
+	var stack [fieldStack]T
+	s := stack[:0]
+	if len(vals) > fieldStack {
+		s = make([]T, 0, len(vals))
+	}
+	for _, v := range vals {
+		x, ok := v.(T)
+		if !ok {
+			return fmt.Errorf("field value %T, want %T", v, x)
+		}
+		s = append(s, x)
+	}
+	return mpjbuf.Write(b, s, 0, len(s))
+}
+
+// unpackField reverses packField.
+func unpackField[T mpjbuf.Elem](b *mpjbuf.Buffer, out []any) (int, error) {
+	var stack [fieldStack]T
+	s := stack[:]
+	if len(out) > fieldStack {
+		s = make([]T, len(out))
+	}
+	n, err := mpjbuf.Read(b, s, 0, len(out))
+	for i := 0; i < n; i++ {
+		out[i] = s[i]
+	}
+	return n, err
+}
+
 func packStructField(b *mpjbuf.Buffer, vals []any, f structField) error {
 	switch f.typ.base {
 	case mpjbuf.IntType:
-		s := make([]int32, len(vals))
-		for i, v := range vals {
-			x, ok := v.(int32)
-			if !ok {
-				return fmt.Errorf("field value %T, want int32", v)
-			}
-			s[i] = x
-		}
-		return b.WriteInts(s, 0, len(s))
+		return packField[int32](b, vals)
 	case mpjbuf.LongType:
-		s := make([]int64, len(vals))
-		for i, v := range vals {
-			x, ok := v.(int64)
-			if !ok {
-				return fmt.Errorf("field value %T, want int64", v)
-			}
-			s[i] = x
-		}
-		return b.WriteLongs(s, 0, len(s))
+		return packField[int64](b, vals)
 	case mpjbuf.FloatType:
-		s := make([]float32, len(vals))
-		for i, v := range vals {
-			x, ok := v.(float32)
-			if !ok {
-				return fmt.Errorf("field value %T, want float32", v)
-			}
-			s[i] = x
-		}
-		return b.WriteFloats(s, 0, len(s))
+		return packField[float32](b, vals)
 	case mpjbuf.DoubleType:
-		s := make([]float64, len(vals))
-		for i, v := range vals {
-			x, ok := v.(float64)
-			if !ok {
-				return fmt.Errorf("field value %T, want float64", v)
-			}
-			s[i] = x
-		}
-		return b.WriteDoubles(s, 0, len(s))
+		return packField[float64](b, vals)
 	case mpjbuf.ByteType:
-		s := make([]byte, len(vals))
-		for i, v := range vals {
-			x, ok := v.(byte)
-			if !ok {
-				return fmt.Errorf("field value %T, want byte", v)
-			}
-			s[i] = x
-		}
-		return b.WriteBytes(s, 0, len(s))
+		return packField[byte](b, vals)
 	case mpjbuf.BooleanType:
-		s := make([]bool, len(vals))
-		for i, v := range vals {
-			x, ok := v.(bool)
-			if !ok {
-				return fmt.Errorf("field value %T, want bool", v)
-			}
-			s[i] = x
-		}
-		return b.WriteBooleans(s, 0, len(s))
+		return packField[bool](b, vals)
 	default:
 		return b.WriteObjects(vals, 0, len(vals))
 	}
@@ -425,47 +337,17 @@ func unpackStruct(b *mpjbuf.Buffer, dst []any, offset, count int, dt *Datatype) 
 func unpackStructField(b *mpjbuf.Buffer, out []any, f structField) (int, error) {
 	switch f.typ.base {
 	case mpjbuf.IntType:
-		s := make([]int32, len(out))
-		n, err := b.ReadInts(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[int32](b, out)
 	case mpjbuf.LongType:
-		s := make([]int64, len(out))
-		n, err := b.ReadLongs(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[int64](b, out)
 	case mpjbuf.FloatType:
-		s := make([]float32, len(out))
-		n, err := b.ReadFloats(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[float32](b, out)
 	case mpjbuf.DoubleType:
-		s := make([]float64, len(out))
-		n, err := b.ReadDoubles(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[float64](b, out)
 	case mpjbuf.ByteType:
-		s := make([]byte, len(out))
-		n, err := b.ReadBytes(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[byte](b, out)
 	case mpjbuf.BooleanType:
-		s := make([]bool, len(out))
-		n, err := b.ReadBooleans(s, 0, len(s))
-		for i := 0; i < n; i++ {
-			out[i] = s[i]
-		}
-		return n, err
+		return unpackField[bool](b, out)
 	default:
 		return b.ReadObjects(out, 0, len(out))
 	}

@@ -265,9 +265,9 @@ func TestSlicePoolRoundTrip(t *testing.T) {
 		a[i] = 0xAA
 	}
 	PutSlice(a)
-	b := GetSlice(70)
-	if cap(b) < 128 {
-		t.Fatalf("expected class capacity >= 128, got %d", cap(b))
+	b := GetSlice(130)
+	if cap(b) != cap(a) {
+		t.Fatalf("expected class capacity %d, got %d", cap(a), cap(b))
 	}
 }
 

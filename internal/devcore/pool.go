@@ -1,78 +1,24 @@
 package devcore
 
 import (
-	"math/bits"
 	"sync"
 
 	"mpj/internal/mpjbuf"
 )
 
 // Per-message transient allocations — frame headers, eager staging
-// areas, wire-form copies — dominate the device hot paths' garbage.
-// They are pooled here in power-of-two size classes. The pools store
-// *[]byte boxes; the boxes themselves cycle through a side pool so a
-// steady-state Get/Put pair allocates nothing.
+// areas, wire-form copies — come from mpjbuf's size-classed byte store,
+// the one message buffers draw their backing from, so a slab freed by
+// one layer is the next layer's allocation.
 
-const (
-	minClassBits = 6  // 64 B: smaller slices are cheaper to allocate than to pool
-	maxClassBits = 20 // 1 MiB: larger slices go straight to the allocator
-)
+// GetSlice returns a byte slice of length n from the byte store.
+// Contents are unspecified; the caller must overwrite every byte it
+// reads back.
+func GetSlice(n int) []byte { return mpjbuf.GetBytes(n) }
 
-var slicePools [maxClassBits + 1]sync.Pool
-
-var boxPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// classFor returns the size-class index whose capacity (1<<class)
-// holds n bytes, or -1 when n is outside the pooled range.
-func classFor(n int) int {
-	if n <= 0 || n > 1<<maxClassBits {
-		return -1
-	}
-	c := bits.Len(uint(n - 1))
-	if c < minClassBits {
-		c = minClassBits
-	}
-	return c
-}
-
-// GetSlice returns a byte slice of length n, drawn from the pools when
-// n fits a size class. Contents are unspecified; the caller must
-// overwrite every byte it reads back.
-func GetSlice(n int) []byte {
-	c := classFor(n)
-	if c < 0 {
-		if n < 0 {
-			n = 0
-		}
-		return make([]byte, n)
-	}
-	if v := slicePools[c].Get(); v != nil {
-		box := v.(*[]byte)
-		b := *box
-		*box = nil
-		boxPool.Put(box)
-		return b[:n]
-	}
-	return make([]byte, n, 1<<c)
-}
-
-// PutSlice recycles a slice previously returned by GetSlice. Slices
-// whose capacity is not an exact pooled size class (including any
-// slice GetSlice fell back to allocating) are dropped for the garbage
-// collector. The caller must not retain any reference to b.
-func PutSlice(b []byte) {
-	c := cap(b)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	cls := bits.Len(uint(c)) - 1
-	if cls < minClassBits || cls > maxClassBits {
-		return
-	}
-	box := boxPool.Get().(*[]byte)
-	*box = b[:0]
-	slicePools[cls].Put(box)
-}
+// PutSlice recycles a slice previously returned by GetSlice. The caller
+// must not retain any reference to b.
+func PutSlice(b []byte) { mpjbuf.PutBytes(b) }
 
 // WireCopy returns b's wire encoding in a pooled slice. The caller
 // owns the result and should hand it back through PutSlice once the

@@ -1,0 +1,24 @@
+//go:build 386 || amd64 || arm || arm64 || loong64 || mips64le || mipsle || ppc64le || riscv64 || wasm
+
+package mpjbuf
+
+import "unsafe"
+
+// The native element kernel for little-endian hosts: a typed slice's
+// memory is already its wire encoding, so packing and unpacking are one
+// memmove each.
+
+// raw views s as its in-memory bytes.
+func raw[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
+}
+
+func putElems[T Elem](dst []byte, src []T) { copy(dst, raw(src)) }
+
+func getElems[T Elem](dst []T, src []byte) {
+	if bools, ok := any(dst).([]bool); ok {
+		getPortable(bools, src)
+		return
+	}
+	copy(raw(dst), src)
+}

@@ -5,8 +5,8 @@
 // HPC Messaging", ICCS 2006):
 //
 //   - a static section holding packed primitive data, written and read
-//     as typed sections (a one-byte type tag, an element count, then the
-//     big-endian packed elements);
+//     as typed sections (a one-byte type tag, a big-endian element
+//     count, then the elements packed little-endian);
 //   - a dynamic section holding serialized objects (the Java original
 //     used JDK serialization; we use encoding/gob).
 //
@@ -16,6 +16,14 @@
 // dynamic byte slices, the Go analogue of handing a direct ByteBuffer to
 // the transport (avoiding, in the original, the JNI copy between JVM
 // heap and OS memory).
+//
+// Element encoding is little-endian, full stop: every rank of a job is
+// the same binary, so there is nothing to negotiate and no
+// receiver-makes-right flag. A little-endian host packs with one
+// memmove (kernel_le.go, the only file that imports unsafe), a
+// big-endian one with encoding/binary (kernel.go); build tags choose.
+// Static backing comes from the size-classed byte store (store.go) and
+// returns to it on Reset, so large messages reuse a few slabs.
 //
 // A Buffer is not safe for concurrent use; each message uses its own
 // Buffer, and the enclosing library serializes access per message.
@@ -27,7 +35,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Type tags a packed section in the static part of a buffer.
@@ -109,10 +116,9 @@ type Buffer struct {
 // New returns a Buffer whose static section has the given initial
 // capacity in bytes. The section grows as needed; capacity is a hint.
 func New(capacity int) *Buffer {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Buffer{static: make([]byte, 0, capacity)}
+	b := &Buffer{}
+	b.Grow(capacity)
+	return b
 }
 
 // StaticLen reports the number of packed bytes in the static section.
@@ -135,39 +141,42 @@ func (b *Buffer) Clear() {
 	b.mode = writing
 }
 
-// maxRetain bounds the backing memory a Reset buffer keeps: a buffer
-// that carried an unusually large message once should not pin that
-// much capacity while it sits in a reuse pool.
-const maxRetain = 1 << 20
+// keepCap is the largest static backing (and dynamic capacity) a Reset
+// buffer holds on to. Smaller backing stays with the Buffer, so the
+// small-message path never visits the store; larger backing belongs to
+// the store between messages, where any Buffer, wire copy or staging
+// slice of that class can reuse it.
+const keepCap = 1<<15 + classSlack
 
-// Reset prepares the buffer for reuse as if freshly allocated: like
-// Clear it empties both sections and returns to write mode retaining
-// the static section's capacity, but it additionally releases
-// oversized backing arrays (beyond 1 MiB per section) so a pooled
-// buffer's footprint stays bounded. This is the reuse entry point for
-// send/receive paths that would otherwise allocate a new Buffer per
-// message.
+// Reset prepares the buffer for reuse as if freshly allocated — the
+// entry point of the send/receive paths that pool Buffers. Like Clear
+// it empties both sections and returns to write mode, but static
+// backing above keepCap goes back to the byte store, so a pooled
+// buffer's footprint stays bounded while the slab stays in circulation.
+// The caller must hold no slice obtained from Segments.
 func (b *Buffer) Reset() {
-	if cap(b.static) > maxRetain {
+	if cap(b.static) > keepCap {
+		PutBytes(b.static)
 		b.static = nil
 	}
-	if b.dynamic.Cap() > maxRetain {
+	if b.dynamic.Cap() > keepCap {
 		b.dynamic = bytes.Buffer{}
 	}
 	b.Clear()
 }
 
 // Grow ensures the static section can absorb n more bytes without
-// reallocating. Unlike the doubling growth of the write path, Grow
-// allocates exactly the requested capacity: callers pass a
-// message-size hint up front so a large pack costs one allocation
-// instead of a geometric overshoot.
+// reallocating: callers pass a message-size hint up front so a large
+// pack takes one slab of the right class from the store. Backing it
+// outgrows goes back to the store.
 func (b *Buffer) Grow(n int) {
-	if n <= 0 || len(b.static)+n <= cap(b.static) {
+	l := len(b.static)
+	if n <= 0 || l+n <= cap(b.static) {
 		return
 	}
-	ns := make([]byte, len(b.static), len(b.static)+n)
+	ns := GetBytes(l + n)[:l]
 	copy(ns, b.static)
+	PutBytes(b.static)
 	b.static = ns
 }
 
@@ -180,31 +189,16 @@ func (b *Buffer) Commit() {
 	b.dec = nil
 }
 
-func (b *Buffer) ensureWriting(op string) error {
-	if b.mode != writing {
-		return fmt.Errorf("mpjbuf: %s on committed buffer", op)
-	}
-	return nil
-}
-
-func (b *Buffer) ensureReading(op string) error {
-	if b.mode != reading {
-		return fmt.Errorf("mpjbuf: %s on uncommitted buffer", op)
-	}
-	return nil
-}
-
 // grow extends the static section by n bytes and returns the slice
-// covering the new region.
+// covering the new region. It at least doubles the capacity when it
+// must reallocate, so appends stay amortised O(1) past the largest
+// store class.
 func (b *Buffer) grow(n int) []byte {
 	l := len(b.static)
-	if l+n <= cap(b.static) {
-		b.static = b.static[:l+n]
-	} else {
-		ns := make([]byte, l+n, (l+n)*2)
-		copy(ns, b.static)
-		b.static = ns
+	if l+n > cap(b.static) {
+		b.Grow(max(n, cap(b.static)))
 	}
+	b.static = b.static[:l+n]
 	return b.static[l:]
 }
 
@@ -256,109 +250,130 @@ func (b *Buffer) PeekSection() (t Type, count int, ok bool) {
 
 // ---- primitive writers ----
 
-// WriteBytes packs count bytes from src starting at off.
-func (b *Buffer) WriteBytes(src []byte, off, count int) error {
-	if err := b.checkRange("write byte", len(src), off, count); err != nil {
+// Elem is the set of element types a static section can hold.
+type Elem interface {
+	byte | bool | uint16 | int16 | int32 | int64 | float32 | float64
+}
+
+// TypeOf returns the section tag of element type T.
+func TypeOf[T Elem]() Type {
+	switch any(*new(T)).(type) {
+	case byte:
+		return ByteType
+	case bool:
+		return BooleanType
+	case uint16:
+		return CharType
+	case int16:
+		return ShortType
+	case int32:
+		return IntType
+	case int64:
+		return LongType
+	case float32:
+		return FloatType
+	}
+	return DoubleType
+}
+
+// Write packs count elements of src starting at off as one section.
+func Write[T Elem](b *Buffer, src []T, off, count int) error {
+	return write(b, TypeOf[T](), src, off, count)
+}
+
+func write[T Elem](b *Buffer, t Type, src []T, off, count int) error {
+	if err := b.checkRange(t, len(src), off, count); err != nil {
 		return err
 	}
-	dst := b.putHeader(ByteType, count)
-	copy(dst, src[off:off+count])
+	putElems(b.putHeader(t, count), src[off:off+count])
 	return nil
+}
+
+// WriteEmpty packs a section of type t holding no elements: the wire
+// form of a zero-count message.
+func (b *Buffer) WriteEmpty(t Type) error {
+	if err := b.checkRange(t, 0, 0, 0); err != nil {
+		return err
+	}
+	b.putHeader(t, 0)
+	return nil
+}
+
+// gatherChunk is the element count of the stack window the strided
+// kernels stage through: the typed gather/scatter loop runs against it
+// and each full window moves to or from the section in one kernel call.
+const gatherChunk = 256
+
+// Gather packs count items of src as one section, item i contributing
+// the elements src[off+i*extent+d] for each d of disps in order — the
+// layout of a derived datatype — without an intermediate slice.
+func Gather[T Elem](b *Buffer, src []T, off, count, extent int, disps []int) error {
+	t := TypeOf[T]()
+	if err := b.checkRange(t, len(src), off, 0); err != nil {
+		return err
+	}
+	dst, sz := b.putHeader(t, count*len(disps)), t.Size()
+	var win [gatherChunk]T
+	k := 0
+	for i := 0; i < count; i++ {
+		base := off + i*extent
+		for _, d := range disps {
+			win[k] = src[base+d]
+			if k++; k == gatherChunk {
+				putElems(dst, win[:])
+				dst, k = dst[gatherChunk*sz:], 0
+			}
+		}
+	}
+	putElems(dst, win[:k])
+	return nil
+}
+
+// WriteBytes packs count bytes from src starting at off.
+func (b *Buffer) WriteBytes(src []byte, off, count int) error {
+	return write(b, ByteType, src, off, count)
 }
 
 // WriteBooleans packs count booleans from src starting at off.
 func (b *Buffer) WriteBooleans(src []bool, off, count int) error {
-	if err := b.checkRange("write boolean", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(BooleanType, count)
-	for i := 0; i < count; i++ {
-		if src[off+i] {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
-	return nil
+	return write(b, BooleanType, src, off, count)
 }
 
 // WriteChars packs count chars (uint16, as in Java) from src at off.
 func (b *Buffer) WriteChars(src []uint16, off, count int) error {
-	if err := b.checkRange("write char", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(CharType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint16(dst[2*i:], src[off+i])
-	}
-	return nil
+	return write(b, CharType, src, off, count)
 }
 
-// WriteShorts packs count int16 elements from src at off.
+// WriteShorts packs count int16 elements from src starting at off.
 func (b *Buffer) WriteShorts(src []int16, off, count int) error {
-	if err := b.checkRange("write short", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(ShortType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint16(dst[2*i:], uint16(src[off+i]))
-	}
-	return nil
+	return write(b, ShortType, src, off, count)
 }
 
-// WriteInts packs count int32 elements from src at off.
+// WriteInts packs count int32 elements from src starting at off.
 func (b *Buffer) WriteInts(src []int32, off, count int) error {
-	if err := b.checkRange("write int", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(IntType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint32(dst[4*i:], uint32(src[off+i]))
-	}
-	return nil
+	return write(b, IntType, src, off, count)
 }
 
-// WriteLongs packs count int64 elements from src at off.
+// WriteLongs packs count int64 elements from src starting at off.
 func (b *Buffer) WriteLongs(src []int64, off, count int) error {
-	if err := b.checkRange("write long", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(LongType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint64(dst[8*i:], uint64(src[off+i]))
-	}
-	return nil
+	return write(b, LongType, src, off, count)
 }
 
-// WriteFloats packs count float32 elements from src at off.
+// WriteFloats packs count float32 elements from src starting at off.
 func (b *Buffer) WriteFloats(src []float32, off, count int) error {
-	if err := b.checkRange("write float", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(FloatType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint32(dst[4*i:], math.Float32bits(src[off+i]))
-	}
-	return nil
+	return write(b, FloatType, src, off, count)
 }
 
-// WriteDoubles packs count float64 elements from src at off.
+// WriteDoubles packs count float64 elements from src starting at off.
 func (b *Buffer) WriteDoubles(src []float64, off, count int) error {
-	if err := b.checkRange("write double", len(src), off, count); err != nil {
-		return err
-	}
-	dst := b.putHeader(DoubleType, count)
-	for i := 0; i < count; i++ {
-		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(src[off+i]))
-	}
-	return nil
+	return write(b, DoubleType, src, off, count)
 }
 
 // WriteObjects serializes count elements of src (starting at off) into
 // the dynamic section using gob, recording an ObjectType section marker
 // in the static section. src must be a slice of a gob-encodable type.
 func (b *Buffer) WriteObjects(src []any, off, count int) error {
-	if err := b.checkRange("write object", len(src), off, count); err != nil {
+	if err := b.checkRange(ObjectType, len(src), off, count); err != nil {
 		return err
 	}
 	b.putHeader(ObjectType, count)
@@ -374,151 +389,116 @@ func (b *Buffer) WriteObjects(src []any, off, count int) error {
 	return nil
 }
 
-func (b *Buffer) checkRange(op string, n, off, count int) error {
-	if err := b.ensureWriting(op); err != nil {
-		return err
+func (b *Buffer) checkRange(t Type, n, off, count int) error {
+	if b.mode != writing {
+		return fmt.Errorf("mpjbuf: write %s on committed buffer", t)
 	}
 	if off < 0 || count < 0 || off+count > n {
-		return fmt.Errorf("mpjbuf: %s: range [%d,%d) out of bounds for slice of %d", op, off, off+count, n)
+		return fmt.Errorf("mpjbuf: write %s: range [%d,%d) out of bounds for slice of %d", t, off, off+count, n)
 	}
 	return nil
 }
 
 // ---- primitive readers ----
 
-func checkDst(op string, n, off, count int) error {
+// nextSection validates the destination range and consumes the next
+// section header, returning the packed element region and count.
+func (b *Buffer) nextSection(t Type, n, off, count int) ([]byte, int, error) {
 	if off < 0 || count < 0 || off+count > n {
-		return fmt.Errorf("mpjbuf: %s: range [%d,%d) out of bounds for slice of %d", op, off, off+count, n)
+		return nil, 0, fmt.Errorf("mpjbuf: read %s: range [%d,%d) out of bounds for slice of %d", t, off, off+count, n)
 	}
-	return nil
+	return b.nextHeader(t, count)
 }
 
-// ReadBytes unpacks the next byte section into dst at off. It returns
-// the number of elements read, which may be less than count when the
-// sender packed fewer elements.
-func (b *Buffer) ReadBytes(dst []byte, off, count int) (int, error) {
-	if err := checkDst("read byte", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(ByteType, count)
+// Read unpacks the next section into dst at off. It returns the number
+// of elements read, which may be less than count when the sender packed
+// fewer elements.
+func Read[T Elem](b *Buffer, dst []T, off, count int) (int, error) {
+	return read(b, TypeOf[T](), dst, off, count)
+}
+
+func read[T Elem](b *Buffer, t Type, dst []T, off, count int) (int, error) {
+	src, n, err := b.nextSection(t, len(dst), off, count)
 	if err != nil {
 		return 0, err
 	}
-	copy(dst[off:], src[:n])
+	getElems(dst[off:off+n], src)
 	return n, nil
+}
+
+// Scatter is the inverse of Gather: it unpacks the next section into
+// up to count items of dst, element k of the section landing at
+// dst[off+(k/len(disps))*extent+disps[k%len(disps)]].
+func Scatter[T Elem](b *Buffer, dst []T, off, count, extent int, disps []int) (int, error) {
+	t := TypeOf[T]()
+	src, n, err := b.nextHeader(t, count*len(disps))
+	if err != nil {
+		return 0, err
+	}
+	sz := t.Size()
+	var win [gatherChunk]T
+	k, fill := 0, 0
+	for i, left := 0, n; left > 0; i++ {
+		base := off + i*extent
+		for _, d := range disps[:min(left, len(disps))] {
+			if k == fill {
+				fill = min(left, gatherChunk)
+				getElems(win[:fill], src)
+				src, k = src[fill*sz:], 0
+			}
+			dst[base+d] = win[k]
+			k++
+			left--
+		}
+	}
+	return n, nil
+}
+
+// ReadBytes unpacks the next byte section into dst at off. Like every
+// typed reader it returns the number of elements read, which may be
+// less than count when the sender packed fewer.
+func (b *Buffer) ReadBytes(dst []byte, off, count int) (int, error) {
+	return read(b, ByteType, dst, off, count)
 }
 
 // ReadBooleans unpacks the next boolean section into dst at off.
 func (b *Buffer) ReadBooleans(dst []bool, off, count int) (int, error) {
-	if err := checkDst("read boolean", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(BooleanType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = src[i] != 0
-	}
-	return n, nil
+	return read(b, BooleanType, dst, off, count)
 }
 
 // ReadChars unpacks the next char section into dst at off.
 func (b *Buffer) ReadChars(dst []uint16, off, count int) (int, error) {
-	if err := checkDst("read char", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(CharType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = binary.BigEndian.Uint16(src[2*i:])
-	}
-	return n, nil
+	return read(b, CharType, dst, off, count)
 }
 
 // ReadShorts unpacks the next short section into dst at off.
 func (b *Buffer) ReadShorts(dst []int16, off, count int) (int, error) {
-	if err := checkDst("read short", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(ShortType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = int16(binary.BigEndian.Uint16(src[2*i:]))
-	}
-	return n, nil
+	return read(b, ShortType, dst, off, count)
 }
 
 // ReadInts unpacks the next int section into dst at off.
 func (b *Buffer) ReadInts(dst []int32, off, count int) (int, error) {
-	if err := checkDst("read int", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(IntType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = int32(binary.BigEndian.Uint32(src[4*i:]))
-	}
-	return n, nil
+	return read(b, IntType, dst, off, count)
 }
 
 // ReadLongs unpacks the next long section into dst at off.
 func (b *Buffer) ReadLongs(dst []int64, off, count int) (int, error) {
-	if err := checkDst("read long", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(LongType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = int64(binary.BigEndian.Uint64(src[8*i:]))
-	}
-	return n, nil
+	return read(b, LongType, dst, off, count)
 }
 
 // ReadFloats unpacks the next float section into dst at off.
 func (b *Buffer) ReadFloats(dst []float32, off, count int) (int, error) {
-	if err := checkDst("read float", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(FloatType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
-	}
-	return n, nil
+	return read(b, FloatType, dst, off, count)
 }
 
 // ReadDoubles unpacks the next double section into dst at off.
 func (b *Buffer) ReadDoubles(dst []float64, off, count int) (int, error) {
-	if err := checkDst("read double", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	src, n, err := b.nextHeader(DoubleType, count)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		dst[off+i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
-	}
-	return n, nil
+	return read(b, DoubleType, dst, off, count)
 }
 
 // ReadObjects deserializes the next object section into dst at off.
 func (b *Buffer) ReadObjects(dst []any, off, count int) (int, error) {
-	if err := checkDst("read object", len(dst), off, count); err != nil {
-		return 0, err
-	}
-	_, n, err := b.nextHeader(ObjectType, count)
+	_, n, err := b.nextSection(ObjectType, len(dst), off, count)
 	if err != nil {
 		return 0, err
 	}
@@ -579,8 +559,9 @@ func (b *Buffer) EncodeWire(dst []byte) int {
 
 // LoadWireFrom reads a wire encoding of exactly wireLen bytes directly
 // from r into the buffer's sections, avoiding an intermediate staging
-// copy (the direct-ByteBuffer receive path). The buffer is left
-// committed for reading.
+// copy (the direct-ByteBuffer receive path); static backing the buffer
+// lacks comes from the byte store. The buffer is left committed for
+// reading.
 func (b *Buffer) LoadWireFrom(r io.Reader, wireLen int) error {
 	if wireLen < wireHeaderLen {
 		return fmt.Errorf("mpjbuf: wire form too short (%d bytes)", wireLen)
@@ -596,12 +577,7 @@ func (b *Buffer) LoadWireFrom(r io.Reader, wireLen int) error {
 			sl, dl, wireLen-wireHeaderLen)
 	}
 	b.Clear()
-	if cap(b.static) < sl {
-		b.static = make([]byte, sl)
-	} else {
-		b.static = b.static[:sl]
-	}
-	if _, err := io.ReadFull(r, b.static); err != nil {
+	if _, err := io.ReadFull(r, b.grow(sl)); err != nil {
 		return fmt.Errorf("mpjbuf: read static section: %w", err)
 	}
 	if dl > 0 {
@@ -627,7 +603,7 @@ func (b *Buffer) LoadWire(wire []byte) error {
 			sl, dl, len(wire)-wireHeaderLen)
 	}
 	b.Clear()
-	b.static = append(b.static[:0], wire[wireHeaderLen:wireHeaderLen+sl]...)
+	copy(b.grow(sl), wire[wireHeaderLen:])
 	b.dynamic.Write(wire[wireHeaderLen+sl:])
 	b.Commit()
 	return nil

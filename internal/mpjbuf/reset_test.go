@@ -28,18 +28,6 @@ func TestResetReuse(t *testing.T) {
 	}
 }
 
-func TestResetDropsOversizedBacking(t *testing.T) {
-	b := New(0)
-	big := make([]byte, maxRetain+1)
-	if err := b.WriteBytes(big, 0, len(big)); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if cap(b.static) > maxRetain {
-		t.Fatalf("Reset retained %d bytes of static backing", cap(b.static))
-	}
-}
-
 func TestEncodeWireMatchesWire(t *testing.T) {
 	b := New(0)
 	if err := b.WriteBytes([]byte("abcdef"), 0, 6); err != nil {

@@ -12,11 +12,15 @@ import (
 	"mpj/internal/xdev"
 )
 
-// runJob starts n devices wired through an in-process transport and
-// runs fn for each rank on its own goroutine, as n "processes".
+// runJob starts n devices wired through an in-process transport
+// (opts.Dialer when set) and runs fn for each rank on its own
+// goroutine, as n "processes".
 func runJob(t *testing.T, n int, opts xdev.Config, fn func(d *Device, rank int, pids []xdev.ProcessID)) {
 	t.Helper()
-	tr := transport.NewInProc(0)
+	tr := opts.Dialer
+	if tr == nil {
+		tr = transport.NewInProc(0)
+	}
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("rank-%d", i)

@@ -705,13 +705,31 @@ func (d *Device) noteCorrupt(src uint32, err error) {
 	_ = err
 }
 
-// checkPayload verifies a streamed payload's CRC after the read.
-func checkPayload(crc bool, sum uint32, h header) error {
-	if !crc || sum == h.payCRC {
+// checkPayload verifies a payload's CRC against the frame header's.
+func checkPayload(sum uint32, h header) error {
+	if sum == h.payCRC {
 		return nil
 	}
 	return fmt.Errorf("niodev: payload checksum mismatch (got %#x want %#x): %w",
 		sum, h.payCRC, xdev.ErrCorruptFrame)
+}
+
+// recvInto streams h's payload from conn straight into buf (Fig. 5's
+// receive into the user buffer). Only a connection whose hello
+// negotiated checksums pays for one: the stream then passes through a
+// crcReader so even the zero-copy path is integrity checked.
+func (d *Device) recvInto(buf *mpjbuf.Buffer, conn io.Reader, h header, crc bool) error {
+	if !crc {
+		return buf.LoadWireFrom(conn, int(h.wireLen))
+	}
+	cr := &crcReader{r: conn}
+	err := buf.LoadWireFrom(cr, int(h.wireLen))
+	if err == nil {
+		if err = checkPayload(cr.sum, h); err != nil {
+			d.noteCorrupt(h.src, err)
+		}
+	}
+	return err
 }
 
 func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
@@ -719,17 +737,8 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 	st := xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}
 
 	if req, ok := d.core.MatchPosted(env, h.seq); ok {
-		// Matched: receive directly into the user buffer (Fig. 5). The
-		// crcReader checksums the stream on the way through so even the
-		// zero-copy path is integrity checked.
-		cr := &crcReader{r: conn}
-		err := req.Buf.LoadWireFrom(cr, int(h.wireLen))
-		if err == nil {
-			err = checkPayload(crc, cr.sum, h)
-			if err != nil {
-				d.noteCorrupt(h.src, err)
-			}
-		}
+		// Matched: receive directly into the user buffer.
+		err := d.recvInto(req.Buf, conn, h, crc)
 		if err != nil {
 			// Torn or corrupt frame: the peer is about to be declared
 			// dead (the read loop exits on the returned error), so this
@@ -759,10 +768,12 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 		devcore.PutSlice(data)
 		return err
 	}
-	if err := checkPayload(crc, crc32.Checksum(data, castagnoli), h); err != nil {
-		devcore.PutSlice(data)
-		d.noteCorrupt(h.src, err)
-		return err
+	if crc {
+		if err := checkPayload(crc32.Checksum(data, castagnoli), h); err != nil {
+			devcore.PutSlice(data)
+			d.noteCorrupt(h.src, err)
+			return err
+		}
 	}
 	arr := &devcore.Arrival{
 		Src: uint64(h.src), Tag: h.tag, Ctx: h.ctx, Seq: h.seq,
@@ -857,14 +868,7 @@ func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
 		// Protocol violation: data for an unknown rendezvous.
 		return fmt.Errorf("niodev: rendezvous data for unknown seq %d from slot %d", h.seq, h.src)
 	}
-	cr := &crcReader{r: conn}
-	err := req.Buf.LoadWireFrom(cr, int(h.wireLen))
-	if err == nil {
-		err = checkPayload(crc, cr.sum, h)
-		if err != nil {
-			d.noteCorrupt(h.src, err)
-		}
-	}
+	err := d.recvInto(req.Buf, conn, h, crc)
 	if err != nil {
 		// The rendezvous data stream died or failed its checksum: the
 		// read loop exits on the returned error and declares the peer
