@@ -7,11 +7,14 @@ import (
 )
 
 // TestLargeMessageSteadyStateAllocs pins the large-message path's
-// storage: once the byte store holds a slab of the message's class, a
-// 1 MiB or 4 MiB DOUBLE ping-pong — blocking, and Isend/Irecv/Wait —
-// allocates under 4 KiB per op over the shared-memory device and over
-// niodev's rendezvous protocol. Both ranks share the process, so the
-// figure covers sender and receiver.
+// storage: a 1 MiB or 4 MiB DOUBLE ping-pong — blocking, and
+// Isend/Irecv/Wait — allocates under 4 KiB per op over the
+// shared-memory device and over niodev's rendezvous protocol. The
+// contiguous exchanges move between the user arrays and need no
+// message-sized storage at all; the strided one takes the packed path,
+// which must find its slab in the byte store once that holds one of the
+// message's class. Both ranks share the process, so the figure covers
+// sender and receiver.
 func TestLargeMessageSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -59,6 +62,27 @@ func TestLargeMessageSteadyStateAllocs(t *testing.T) {
 		return err
 	}
 
+	// Every other element of the arrays: gathered into, and scattered out
+	// of, a packed section of half the size.
+	vecs := map[int]*Datatype{}
+	for _, n := range []int{1 << 17, 1 << 19} {
+		vecs[n], _ = DOUBLE.Vector(n/2, 1, 2)
+	}
+	strided := func(w *Intracomm, out, in []float64, peer int) error {
+		vec := vecs[len(out)]
+		if w.Rank() == 0 {
+			if err := w.Send(out, 0, 1, vec, peer, 3); err != nil {
+				return err
+			}
+			_, err := w.Recv(in, 1, 1, vec, peer, 3)
+			return err
+		}
+		if _, err := w.Recv(in, 1, 1, vec, peer, 3); err != nil {
+			return err
+		}
+		return w.Send(out, 0, 1, vec, peer, 3)
+	}
+
 	worlds := map[string]func(func(p *Process, w *Intracomm)){
 		"smpdev": func(fn func(p *Process, w *Intracomm)) { runWorld(t, 2, fn) },
 		"niodev": func(fn func(p *Process, w *Intracomm)) { runWorldNio(t, 2, 0, fn) },
@@ -66,7 +90,7 @@ func TestLargeMessageSteadyStateAllocs(t *testing.T) {
 	for dev, world := range worlds {
 		for _, elems := range []int{1 << 17, 1 << 19} {
 			for name, op := range map[string]func(*Intracomm, []float64, []float64, int) error{
-				"SendRecv": blocking, "IsendIrecvWait": nonblocking,
+				"SendRecv": blocking, "IsendIrecvWait": nonblocking, "SendRecvVector": strided,
 			} {
 				world(func(p *Process, w *Intracomm) {
 					peer := 1 - w.Rank()
@@ -98,7 +122,7 @@ func TestLargeMessageSteadyStateAllocs(t *testing.T) {
 					if perOp >= 4<<10 {
 						t.Errorf("%s %s %d MiB: %.0f B/op in steady state, want < 4 KiB", dev, name, elems>>17, perOp)
 					}
-					if in[elems-1] != float64(elems-1+peer) {
+					if in[elems-1] != float64(elems-2+peer) && in[elems-1] != float64(elems-1+peer) {
 						t.Errorf("%s %s: payload corrupted", dev, name)
 					}
 				})

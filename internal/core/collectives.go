@@ -62,7 +62,8 @@ func (c *Comm) collSend(buf any, offset, count int, dt *Datatype, dst, tag int) 
 
 // collIsend packs into a pooled wire buffer and starts the send. The
 // caller must hand the returned buffer to putSendBuf after the
-// request's Wait succeeds (the device may still read it before then).
+// request's Wait succeeds; the device may still read it — and the
+// region of buf it borrowed — before then.
 func (c *Comm) collIsend(buf any, offset, count int, dt *Datatype, dst, tag int) (*mpjdev.Request, *mpjbuf.Buffer, error) {
 	b := devcore.GetBuffer()
 	if err := packInto(b, buf, offset, count, dt); err != nil {
@@ -80,6 +81,7 @@ func (c *Comm) collIsend(buf any, offset, count int, dt *Datatype, dst, tag int)
 func (c *Comm) collRecv(buf any, offset, count int, dt *Datatype, src, tag int) error {
 	b := devcore.GetBuffer()
 	defer devcore.PutBuffer(b)
+	land(b, buf, offset, count, dt)
 	if _, err := c.coll.Recv(b, src, tag); err != nil {
 		return err
 	}

@@ -116,7 +116,9 @@ func contiguousView(buf any, offset, count int, dt *Datatype, needBack bool) (vi
 
 // sendStream pushes segments of a contiguous payload to one
 // destination through a bounded window of Isends. Wire buffers are
-// pooled and recycled as the window drains.
+// pooled and recycled as the window drains; segments are sent from the
+// payload in place (see packInto), so it must stay unmodified until
+// drain returns.
 type sendStream struct {
 	c    *Comm
 	dst  int
@@ -189,9 +191,11 @@ func (c *Comm) newRecvStream(src int, bdt *Datatype) *recvStream {
 	return &recvStream{c: c, src: src, bdt: bdt, win: mpjdev.NewWindow(collCfg.window)}
 }
 
-// post starts the receive of one segment destined for dst[off:off+n].
+// post starts the receive of one segment destined for dst[off:off+n],
+// which is offered to the device as the segment's landing zone.
 func (r *recvStream) post(dst any, off, n, tag int) error {
 	b := devcore.GetBuffer()
+	land(b, dst, off, n, r.bdt)
 	req, err := r.c.coll.Irecv(b, r.src, tag)
 	if err != nil {
 		putSendBuf(b)
@@ -214,9 +218,12 @@ func (r *recvStream) deliver() error {
 	return err
 }
 
-// deliverKeep is deliver, except the packed segment buffer is handed
-// to the caller instead of recycled — a forwarding rank re-sends it to
-// its children as-is, skipping the unpack→repack round trip.
+// deliverKeep is deliver, except the segment buffer is handed to the
+// caller instead of recycled — a forwarding rank re-sends it to its
+// children as-is, skipping the unpack→repack round trip. A segment that
+// landed in its target region is forwarded from there: the buffer then
+// holds only the section header and aliases the region, which must stay
+// unmodified until the forwards complete.
 func (r *recvStream) deliverKeep() (*mpjbuf.Buffer, error) {
 	if _, err := r.win.WaitOldest(); err != nil {
 		return nil, err
@@ -352,11 +359,12 @@ func (c *Intracomm) bcastPipeTree(buf any, offset, count int, dt *Datatype, pare
 	}
 	plan := planSegments(count*dt.Size(), max(dt.Base().Size(), 1), 1)
 
-	// One packed wire buffer per segment, shared by every child send:
-	// the root packs each segment exactly once, and every other rank
-	// forwards the buffer it received as-is — per message, the whole
-	// tree packs once and each rank unpacks once, where the flat tree
-	// repacks on every edge.
+	// One wire buffer per segment, shared by every child send: the root
+	// sends each segment from the user's array, and every other rank
+	// forwards the buffer it received as-is — which, for a segment that
+	// landed in the user's array, again sends from there. Per message no
+	// rank packs or unpacks a contiguous payload at all, where the flat
+	// tree repacks on every edge.
 	fwd := newFwdWindow()
 	if parent < 0 {
 		for s := 0; s < plan.segs; s++ {

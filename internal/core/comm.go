@@ -137,9 +137,11 @@ func (r *Request) Test() (*Status, bool, error) {
 // ---- blocking point-to-point ----
 
 // Send performs a blocking standard-mode send of count items of dt
-// from buf starting at offset. The wire buffer is pooled: the blocking
-// call does not return until the device is done with it, so it can be
-// recycled immediately after.
+// from buf starting at offset. The wire buffer is pooled, and a large
+// contiguous buf is sent from in place rather than copied into it: the
+// blocking call does not return until the device is done with both, so
+// the buffer is recycled — and buf is the caller's again — immediately
+// after.
 func (c *Comm) Send(buf any, offset, count int, dt *Datatype, dst, tag int) error {
 	b := devcore.GetBuffer()
 	defer devcore.PutBuffer(b)
@@ -175,10 +177,13 @@ func (c *Comm) Bsend(buf any, offset, count int, dt *Datatype, dst, tag int) err
 }
 
 // Recv blocks until a matching message arrives and unpacks up to count
-// items of dt into buf at offset.
+// items of dt into buf at offset. A large contiguous message is
+// received straight into buf; if the receive then fails, buf's contents
+// are undefined, as MPI has it.
 func (c *Comm) Recv(buf any, offset, count int, dt *Datatype, src, tag int) (*Status, error) {
 	b := devcore.GetBuffer()
 	defer devcore.PutBuffer(b)
+	land(b, buf, offset, count, dt)
 	st, err := c.ptp.Recv(b, src, tag)
 	if err != nil {
 		return nil, err
@@ -215,6 +220,8 @@ func (c *Comm) Sendrecv(
 
 // isend packs into a pooled wire buffer and starts it with the given
 // device-level send; the request hands the buffer back on completion.
+// Until then buf may be lent to the device (see packInto): the caller
+// must not modify it between Isend and Wait/Test reporting completion.
 func isend(start func(*mpjbuf.Buffer, int, int) (*mpjdev.Request, error),
 	buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
 	b := devcore.GetBuffer()
@@ -274,9 +281,12 @@ func (c *Comm) Ibsend(buf any, offset, count int, dt *Datatype, dst, tag int) (*
 }
 
 // Irecv starts a non-blocking receive of up to count items of dt into
-// buf at offset.
+// buf at offset. buf belongs to the library until Wait/Test reports
+// completion: the device may write a matched message into it at any
+// point before then.
 func (c *Comm) Irecv(buf any, offset, count int, dt *Datatype, src, tag int) (*Request, error) {
 	b := devcore.GetBuffer()
+	land(b, buf, offset, count, dt)
 	r, err := c.ptp.Irecv(b, src, tag)
 	if err != nil {
 		devcore.PutBuffer(b)

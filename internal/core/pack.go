@@ -7,11 +7,27 @@ import (
 )
 
 // This file bridges typed user arrays and the mpjbuf wire buffers: the
-// "packing and unpacking" overhead the paper's §V-E analyses. A
-// contiguous primitive layout packs as one memmove; a derived datatype
-// gathers its elements straight into the wire section (the paper's
-// §IV-C copies "the first column ... to a contiguous area, which is used
-// for the actual send" — here that area is the send buffer itself).
+// "packing and unpacking" overhead the paper's §V-E analyses, and the
+// escape its conclusion names — hand the device the application's
+// memory. A contiguous primitive layout of at least mpjbuf's borrow
+// threshold does not move at all: packInto borrows the user's array as
+// the buffer's external region (the device transmits from it) and land
+// registers the receive array as the buffer's landing zone (the device
+// loads into it, and unpack finds the data in place). Below the
+// threshold the same call is one memmove into the section; a derived
+// datatype gathers its elements straight into the wire section (the
+// paper's §IV-C copies "the first column ... to a contiguous area, which
+// is used for the actual send" — here that area is the send buffer
+// itself). Everything else — []bool, objects, structs, a type or count
+// that does not fit, big-endian hosts — is the packed path too: one
+// implementation, selected by what the message is.
+//
+// The ownership rule is MPI's: memory lent by packInto is read until
+// the send request completes (a blocking Send returning means it is
+// reusable), memory registered by land is written only while the device
+// loads the matched message, before it completes the request. pack, the
+// copying variant, serves the calls whose contract is "captured on
+// return" (Bsend, Pack, Sendrecv_replace).
 
 // bufferElems reports the length of a supported message buffer.
 func bufferElems(buf any) (int, error) {
@@ -77,17 +93,54 @@ func baseErr(dt *Datatype, buf any) error {
 	return fmt.Errorf("core: datatype %s incompatible with buffer %T", dt.name, buf)
 }
 
-// packPrim packs a primitive-typed buffer as one section: a single
-// memmove-speed write for a contiguous layout, a strided gather
-// straight into the section otherwise.
+// packPrim packs a primitive-typed buffer as one section: a contiguous
+// layout is borrowed in place (or, when small, written with a single
+// memmove), anything else is a strided gather straight into the section.
 func packPrim[T mpjbuf.Elem](b *mpjbuf.Buffer, src []T, offset, count int, dt *Datatype) error {
 	if dt.base != mpjbuf.TypeOf[T]() {
 		return baseErr(dt, src)
 	}
 	if dt.IsContiguous() {
-		return mpjbuf.Write(b, src, offset, count*dt.extent)
+		return mpjbuf.Borrow(b, src, offset, count*dt.extent)
 	}
 	return mpjbuf.Gather(b, src, offset, count, dt.extent, dt.disps)
+}
+
+// landPrim registers dst[offset:offset+count*extent] as b's landing
+// zone when dt lays that range out contiguously as T. A range or type
+// that does not qualify registers nothing: the message then loads
+// packed and unpack reports whatever is wrong with the call.
+func landPrim[T mpjbuf.Elem](b *mpjbuf.Buffer, dst []T, offset, count int, dt *Datatype) {
+	n := count * dt.extent
+	if dt.base == mpjbuf.TypeOf[T]() && dt.IsContiguous() && offset >= 0 && n >= 0 && offset+n <= len(dst) {
+		mpjbuf.Land(b, dst[offset:offset+n])
+	}
+}
+
+// land is the receive-side twin of packInto: called before a receive
+// is posted with b, it offers the user's array to the loader so a large
+// contiguous message lands in it directly (see mpjbuf.Land). It only
+// stores a slice header; whether anything lands is decided per message.
+func land(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) {
+	if dt == nil {
+		return
+	}
+	switch s := buf.(type) {
+	case []byte:
+		landPrim(b, s, offset, count, dt)
+	case []uint16:
+		landPrim(b, s, offset, count, dt)
+	case []int16:
+		landPrim(b, s, offset, count, dt)
+	case []int32:
+		landPrim(b, s, offset, count, dt)
+	case []int64:
+		landPrim(b, s, offset, count, dt)
+	case []float32:
+		landPrim(b, s, offset, count, dt)
+	case []float64:
+		landPrim(b, s, offset, count, dt)
+	}
 }
 
 // unpackPrim reverses packPrim.
@@ -140,26 +193,29 @@ func unpackObjects(b *mpjbuf.Buffer, dst []any, offset, count int, dt *Datatype)
 }
 
 // pack serializes count items of dt from buf (starting at offset) into
-// a fresh wire buffer.
+// a fresh wire buffer that owns its bytes: buf is captured when pack
+// returns, whatever packInto borrowed.
 func pack(buf any, offset, count int, dt *Datatype) (*mpjbuf.Buffer, error) {
 	b := mpjbuf.New(0)
 	if err := packInto(b, buf, offset, count, dt); err != nil {
 		return nil, err
 	}
+	b.Detach()
 	return b, nil
 }
 
 // packInto serializes count items of dt from buf (starting at offset)
 // into b, which must be fresh or Reset — the blocking paths reuse
-// pooled buffers through here. The section payload size is known up
-// front, so the buffer is presized: a pooled buffer whose own backing
-// is too small takes one slab of the right class from the byte store,
-// not a doubling overshoot.
+// pooled buffers through here. A large contiguous primitive range is
+// lent to b rather than copied (see packPrim): the caller keeps it
+// unmodified until the message has left. A section that is copied
+// sizes its own room exactly, so a pooled buffer whose backing is too
+// small takes one slab of the right class from the byte store, not a
+// doubling overshoot.
 func packInto(b *mpjbuf.Buffer, buf any, offset, count int, dt *Datatype) error {
 	if dt == nil {
 		return fmt.Errorf("core: nil datatype")
 	}
-	b.Grow(count*dt.Size()*max(dt.base.Size(), 1) + 16)
 	n, err := bufferElems(buf)
 	if err != nil {
 		return err

@@ -39,6 +39,11 @@ type Request struct {
 	SendTag int32
 	SendCtx int32
 
+	// RndvLen is, on a receive that answered a rendezvous announcement,
+	// the wire length the announcement promised; the data frame must
+	// repeat it.
+	RndvLen int
+
 	// Pin is the slot a receive is pinned on when that is not
 	// expressible in the match pattern (mxsim's IRecvFrom advisory,
 	// where match bits and sender identity are independent); -1 when

@@ -18,6 +18,50 @@ import (
 // own goroutine, with initialized devices. It must clean up afterwards.
 type JobRunner func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID))
 
+// Runner is the JobRunner every in-process device test uses: each job
+// gets n fresh devices from newDev, initialised concurrently with the
+// per-rank configs job(t, n) returns (job runs once per job, so it can
+// name a fresh group or reserve addresses for all ranks), then fn runs
+// once per rank, each on its own goroutine, and the devices are
+// finished.
+func Runner(newDev func() xdev.Device, job func(t *testing.T, n int) func(rank int) xdev.Config) JobRunner {
+	return func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
+		t.Helper()
+		config := job(t, n)
+		devs := make([]xdev.Device, n)
+		pidLists := make([][]xdev.ProcessID, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			devs[i] = newDev()
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				pidLists[rank], errs[rank] = devs[rank].Init(config(rank))
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d init: %v", i, err)
+			}
+		}
+		defer func() {
+			for _, d := range devs {
+				d.Finish()
+			}
+		}()
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				fn(devs[rank], rank, pidLists[rank])
+			}(i)
+		}
+		wg.Wait()
+	}
+}
+
 // Options tailors the suite to device capabilities.
 type Options struct {
 	// HasPeek enables the completion-queue peek test.

@@ -2,7 +2,6 @@ package hybriddev
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -37,52 +36,23 @@ func interleaved(n int) []int {
 // conformanceRunner adapts the shared device suite: an in-process
 // colocated job with the given placement.
 func conformanceRunner(nodes mapper) devtest.JobRunner {
-	return func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
-		t.Helper()
-		dialer := transport.NewInProc(0)
-		job := jobCounter.Add(1)
-		addrs := make([]string, n)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("hyb-conf-%d-rank-%d", job, i)
-		}
-		group := fmt.Sprintf("hyb-conf-%d", job)
-		nodeOf := nodes(n)
-		devs := make([]*Device, n)
-		pidLists := make([][]xdev.ProcessID, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			devs[i] = New()
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				pidLists[rank], errs[rank] = devs[rank].Init(xdev.Config{
+	return devtest.Runner(func() xdev.Device { return New() },
+		func(t *testing.T, n int) func(int) xdev.Config {
+			dialer := transport.NewInProc(0)
+			job := jobCounter.Add(1)
+			addrs := make([]string, n)
+			for i := range addrs {
+				addrs[i] = fmt.Sprintf("hyb-conf-%d-rank-%d", job, i)
+			}
+			group := fmt.Sprintf("hyb-conf-%d", job)
+			nodeOf := nodes(n)
+			return func(rank int) xdev.Config {
+				return xdev.Config{
 					Rank: rank, Size: n, Addrs: addrs, Dialer: dialer,
 					Group: group, NodeOf: nodeOf, Colocated: true,
-				})
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d init: %v", i, err)
+				}
 			}
-		}
-		defer func() {
-			for _, d := range devs {
-				d.Finish()
-			}
-		}()
-		var jobWG sync.WaitGroup
-		for i := 0; i < n; i++ {
-			jobWG.Add(1)
-			go func(rank int) {
-				defer jobWG.Done()
-				fn(devs[rank], rank, pidLists[rank])
-			}(i)
-		}
-		jobWG.Wait()
-	}
+		})
 }
 
 // TestConformanceSingleNode: placement says one node, so the suite
@@ -130,4 +100,17 @@ func TestNodeMapValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("Init accepted a node map shorter than the job")
 	}
+}
+
+// User memory: node-local peers move a posted message in smpdev's one
+// copy, remote ones in none; ANY_SOURCE receives are dual-posted with
+// the landing zone riding on the shared request's buffer.
+func TestUserMemoryConformanceSingleNode(t *testing.T) {
+	devtest.RunUserMemory(t, conformanceRunner(singleNode),
+		devtest.UserMemOptions{PostedCopies: 1, StoreBalance: true})
+}
+
+func TestUserMemoryConformanceTwoNodes(t *testing.T) {
+	devtest.RunUserMemory(t, conformanceRunner(interleaved),
+		devtest.UserMemOptions{PostedCopies: 0, StoreBalance: true})
 }

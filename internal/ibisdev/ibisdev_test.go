@@ -3,7 +3,6 @@ package ibisdev
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,42 +13,11 @@ import (
 
 var groupCounter atomic.Int64
 
-func runner(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
-	t.Helper()
-	group := fmt.Sprintf("ibisdev-test-%d", groupCounter.Add(1))
-	devs := make([]*Device, n)
-	pidLists := make([][]xdev.ProcessID, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		devs[i] = New()
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			pidLists[rank], errs[rank] = devs[rank].Init(xdev.Config{Rank: rank, Size: n, Group: group})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d init: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, d := range devs {
-			d.Finish()
-		}
-	}()
-	var jobWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		jobWG.Add(1)
-		go func(rank int) {
-			defer jobWG.Done()
-			fn(devs[rank], rank, pidLists[rank])
-		}(i)
-	}
-	jobWG.Wait()
-}
+var runner = devtest.Runner(func() xdev.Device { return New() },
+	func(t *testing.T, n int) func(int) xdev.Config {
+		group := fmt.Sprintf("ibisdev-test-%d", groupCounter.Add(1))
+		return func(rank int) xdev.Config { return xdev.Config{Rank: rank, Size: n, Group: group} }
+	})
 
 func TestConformance(t *testing.T) {
 	// RelaxedPostedOrder: receives are serviced by polling worker
@@ -178,4 +146,11 @@ func TestChaosConformance(t *testing.T) {
 // kill a rank mid-operation, then Revoke/Shrink/Agree/Restore.
 func TestRecoveryConformance(t *testing.T) {
 	devtest.RunRecovery(t, runner)
+}
+
+// TestUserMemoryConformance: a polling receive worker probes before it
+// receives, so no receive is ever posted ahead of its message and every
+// message takes smpdev's unexpected path: staged out, loaded in.
+func TestUserMemoryConformance(t *testing.T) {
+	devtest.RunUserMemory(t, runner, devtest.UserMemOptions{PostedCopies: 2})
 }

@@ -65,28 +65,39 @@ func fuzzSeeds(f *testing.F) {
 	b.WriteBooleans([]bool{true, false}, 0, 2)
 	b.WriteObjects([]any{"x", int64(7)}, 0, 2)
 	f.Add(b.Wire())
+	b.Clear()
+	b.WriteDoubles(make([]float64, borrowMin/8), 0, borrowMin/8) // large enough to land
+	f.Add(b.Wire())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 0, byte(IntType), 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 }
 
-// FuzzLoadWire feeds arbitrary bytes to both wire-form loaders.
+// FuzzLoadWire feeds arbitrary bytes to both wire-form loaders, and to
+// one with a landing zone registered: a zone may change where the bytes
+// go, never what the message is or whether it is accepted.
 func FuzzLoadWire(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		var a, b Buffer
+		var a, b, c Buffer
+		Land(&c, make([]float64, borrowMin/8))
 		errA := a.LoadWire(wire)
 		errB := b.LoadWireFrom(bytes.NewReader(wire), len(wire))
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("LoadWire: %v, LoadWireFrom: %v", errA, errB)
+		errC := c.LoadWireFrom(bytes.NewReader(wire), len(wire))
+		if (errA == nil) != (errB == nil) || (errA == nil) != (errC == nil) {
+			t.Fatalf("LoadWire: %v, LoadWireFrom: %v, with a landing zone: %v", errA, errB, errC)
 		}
 		checkBacking(t, &a, len(wire))
 		checkBacking(t, &b, len(wire))
+		checkBacking(t, &c, len(wire))
 		if errA != nil {
 			return
 		}
 		if !bytes.Equal(a.static, b.static) || !bytes.Equal(a.dynamic.Bytes(), b.dynamic.Bytes()) {
 			t.Fatal("the two loaders disagree on the sections")
+		}
+		if !bytes.Equal(c.Wire(), a.Wire()) {
+			t.Fatal("a landing zone changed the message")
 		}
 		drain(t, &a)
 	})

@@ -46,14 +46,23 @@ func GetBytes(n int) []byte {
 	if c < 0 {
 		return make([]byte, max(n, 0))
 	}
+	var b []byte
 	if v := classes[c].Get(); v != nil {
 		box := v.(*[]byte)
-		b := *box
+		b = (*box)[:n]
 		*box = nil
 		boxPool.Put(box)
-		return b[:n]
+	} else {
+		b = make([]byte, n, 1<<c+classSlack)
 	}
-	return make([]byte, n, 1<<c+classSlack)
+	stored(b, +1)
+	return b
+}
+
+func stored(b []byte, d int) {
+	if p := probe.Load(); p != nil && p.Store != nil {
+		p.Store(cap(b), d)
+	}
 }
 
 // PutBytes recycles a slice previously returned by GetBytes. Slices
@@ -69,6 +78,7 @@ func PutBytes(b []byte) {
 	if cls < minClassBits || cls > maxClassBits {
 		return
 	}
+	stored(b, -1)
 	box := boxPool.Get().(*[]byte)
 	*box = b[:0]
 	classes[cls].Put(box)

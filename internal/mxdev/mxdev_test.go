@@ -2,7 +2,6 @@ package mxdev
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,42 +11,11 @@ import (
 
 var groupCounter atomic.Int64
 
-func runner(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
-	t.Helper()
-	group := fmt.Sprintf("mxdev-test-%d", groupCounter.Add(1))
-	devs := make([]*Device, n)
-	pidLists := make([][]xdev.ProcessID, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		devs[i] = New()
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			pidLists[rank], errs[rank] = devs[rank].Init(xdev.Config{Rank: rank, Size: n, Group: group})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d init: %v", i, err)
-		}
-	}
-	defer func() {
-		for _, d := range devs {
-			d.Finish()
-		}
-	}()
-	var jobWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		jobWG.Add(1)
-		go func(rank int) {
-			defer jobWG.Done()
-			fn(devs[rank], rank, pidLists[rank])
-		}(i)
-	}
-	jobWG.Wait()
-}
+var runner = devtest.Runner(func() xdev.Device { return New() },
+	func(t *testing.T, n int) func(int) xdev.Config {
+		group := fmt.Sprintf("mxdev-test-%d", groupCounter.Add(1))
+		return func(rank int) xdev.Config { return xdev.Config{Rank: rank, Size: n, Group: group} }
+	})
 
 func TestConformance(t *testing.T) {
 	devtest.RunConformance(t, runner, devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
@@ -153,4 +121,10 @@ func TestChaosConformance(t *testing.T) {
 // kill a rank mid-operation, then Revoke/Shrink/Agree/Restore.
 func TestRecoveryConformance(t *testing.T) {
 	devtest.RunRecovery(t, runner)
+}
+
+// TestUserMemoryConformance: the simulated fabric gathers the segments
+// itself, so mpjbuf's one copy is the load into the landing zone.
+func TestUserMemoryConformance(t *testing.T) {
+	devtest.RunUserMemory(t, runner, devtest.UserMemOptions{PostedCopies: 1})
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
 
@@ -57,5 +58,43 @@ func TestWriteMsgAllocs(t *testing.T) {
 	})
 	if withPayload > 1 {
 		t.Errorf("segmented writeMsg allocates %.1f times per call, want <= 1", withPayload)
+	}
+}
+
+// TestSendPathMpjbufAllocs pins what a steady-state send asks of mpjbuf
+// — pack into a reused buffer (a copied section for an eager message, a
+// borrowed one for a rendezvous message), WireLen, the segment list into
+// the caller's array as isend and handleRTR build it, Reset — at zero
+// allocations: the wire header lives in the Buffer and the list on the
+// sender's stack.
+func TestSendPathMpjbufAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
+	}
+	small := make([]byte, 512)
+	large := make([]float64, 1<<17) // 1 MiB: above DefaultEagerLimit
+	var b mpjbuf.Buffer
+	for name, pack := range map[string]func() error{
+		"eager":      func() error { return mpjbuf.Borrow(&b, small, 0, len(small)) },
+		"rendezvous": func() error { return mpjbuf.Borrow(&b, large, 0, len(large)) },
+	} {
+		send := func() {
+			if err := pack(); err != nil {
+				t.Fatal(err)
+			}
+			var segs [4][]byte
+			wire := 0
+			for _, s := range b.AppendSegments(segs[:0]) {
+				wire += len(s)
+			}
+			if wire != b.WireLen() {
+				t.Fatalf("segments hold %d bytes, WireLen says %d", wire, b.WireLen())
+			}
+			b.Reset()
+		}
+		send() // warm: the eager section's backing is allocated once
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("%s send: mpjbuf allocates %.1f times per message, want 0", name, n)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package niodev
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -22,53 +21,22 @@ func conformanceRunner(tr func() xdev.Transport) devtest.JobRunner {
 // mutator, used to pin the send-engine mode (and any future tunable)
 // for a whole suite run.
 func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) devtest.JobRunner {
-	return func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
-		t.Helper()
-		dialer := tr()
-		job := jobCounter.Add(1)
-		addrs := make([]string, n)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("conf-%d-rank-%d", job, i)
-		}
-		devs := make([]*Device, n)
-		pidLists := make([][]xdev.ProcessID, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			devs[i] = New()
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				cfg := xdev.Config{
-					Rank: rank, Size: n, Addrs: addrs, Dialer: dialer,
-				}
+	return devtest.Runner(func() xdev.Device { return New() },
+		func(t *testing.T, n int) func(int) xdev.Config {
+			dialer := tr()
+			job := jobCounter.Add(1)
+			addrs := make([]string, n)
+			for i := range addrs {
+				addrs[i] = fmt.Sprintf("conf-%d-rank-%d", job, i)
+			}
+			return func(rank int) xdev.Config {
+				cfg := xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: dialer}
 				if mutate != nil {
 					mutate(&cfg)
 				}
-				pidLists[rank], errs[rank] = devs[rank].Init(cfg)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d init: %v", i, err)
+				return cfg
 			}
-		}
-		defer func() {
-			for _, d := range devs {
-				d.Finish()
-			}
-		}()
-		var jobWG sync.WaitGroup
-		for i := 0; i < n; i++ {
-			jobWG.Add(1)
-			go func(rank int) {
-				defer jobWG.Done()
-				fn(devs[rank], rank, pidLists[rank])
-			}(i)
-		}
-		jobWG.Wait()
-	}
+		})
 }
 
 func TestConformanceInProc(t *testing.T) {
@@ -102,54 +70,24 @@ func TestConformanceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback TCP suite skipped in -short mode")
 	}
-	devtest.RunConformance(t, func(t *testing.T, n int, fn func(d xdev.Device, rank int, pids []xdev.ProcessID)) {
-		t.Helper()
-		// Reserve ports by listening on :0 first, then closing;
-		// niodev's dial retry tolerates the small race.
-		addrs := make([]string, n)
-		for i := range addrs {
-			l, err := transport.TCP{}.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Skipf("loopback unavailable: %v", err)
+	devtest.RunConformance(t, devtest.Runner(func() xdev.Device { return New() },
+		func(t *testing.T, n int) func(int) xdev.Config {
+			// Reserve ports by listening on :0 first, then closing;
+			// niodev's dial retry tolerates the small race.
+			addrs := make([]string, n)
+			for i := range addrs {
+				l, err := transport.TCP{}.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Skipf("loopback unavailable: %v", err)
+				}
+				addrs[i] = l.Addr().String()
+				l.Close()
 			}
-			addrs[i] = l.Addr().String()
-			l.Close()
-		}
-		devs := make([]*Device, n)
-		pidLists := make([][]xdev.ProcessID, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			devs[i] = New()
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				pidLists[rank], errs[rank] = devs[rank].Init(xdev.Config{
-					Rank: rank, Size: n, Addrs: addrs, Dialer: transport.TCP{},
-				})
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d init: %v", i, err)
+			return func(rank int) xdev.Config {
+				return xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: transport.TCP{}}
 			}
-		}
-		defer func() {
-			for _, d := range devs {
-				d.Finish()
-			}
-		}()
-		var jobWG sync.WaitGroup
-		for i := 0; i < n; i++ {
-			jobWG.Add(1)
-			go func(rank int) {
-				defer jobWG.Done()
-				fn(devs[rank], rank, pidLists[rank])
-			}(i)
-		}
-		jobWG.Wait()
-	}, devtest.Options{HasPeek: true, LargeN: 60_000, RendezvousAt: DefaultEagerLimit})
+		}),
+		devtest.Options{HasPeek: true, LargeN: 60_000, RendezvousAt: DefaultEagerLimit})
 }
 
 // TestChaosConformanceInProc runs the shared failure-semantics suite:
@@ -165,4 +103,20 @@ func TestChaosConformanceInProc(t *testing.T) {
 func TestRecoveryConformanceInProc(t *testing.T) {
 	devtest.RunRecovery(t,
 		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }))
+}
+
+// TestUserMemoryConformanceInProc runs with checksums on (the runner's
+// default), so under -race the CRC pass — Go code reading the borrowed
+// array — would see a scribble before completion that a raw write hides.
+func TestUserMemoryConformanceInProc(t *testing.T) {
+	devtest.RunUserMemory(t,
+		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }),
+		devtest.UserMemOptions{PostedCopies: 0, StoreBalance: true})
+}
+
+func TestUserMemoryConformanceInProcDirect(t *testing.T) {
+	devtest.RunUserMemory(t,
+		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
+			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
+		devtest.UserMemOptions{PostedCopies: 0})
 }

@@ -330,7 +330,8 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 		if !sync {
 			freq = req
 		}
-		if err := d.send(slot, h, buf.Segments(), freq, xdev.Status{Source: d.self, Tag: tag, Bytes: wireLen}, true); err != nil {
+		var segs [4][]byte
+		if err := d.send(slot, h, buf.AppendSegments(segs[:0]), freq, xdev.Status{Source: d.self, Tag: tag, Bytes: wireLen}, true); err != nil {
 			if sync {
 				if _, mine := d.pendingSync.Take(devcore.PendingKey{Peer: uint64(slot), Seq: seq}); !mine {
 					// The peer-death drain already owned and completed
@@ -522,6 +523,7 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 		// Rendezvous announced but unmatched until now: the user thread
 		// (not the input handler) sends READY_TO_RECV, per Fig. 7.
 		k := devcore.PendingKey{Peer: arr.Src, Seq: arr.Seq}
+		req.RndvLen = arr.WireLen
 		if err := d.rndvIncoming.Add(k, req); err != nil {
 			// The announcing peer died (or the device closed) between the
 			// match and the registration; fail the receive the same way
@@ -662,8 +664,18 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 			}
 		}
 		h := decodeHeader(hdr)
+		if h.src != src {
+			// Every frame names its sender, and a connection carries one
+			// sender's frames: anything else would index past the rank
+			// table below.
+			return d.badFrame(src, "frame from slot %d on slot %d's connection", h.src, src)
+		}
 		switch h.typ {
 		case msgEager, msgEagerSync:
+			if h.wireLen > uint64(d.eagerLimit) {
+				// Checked before the length sizes a staging slice.
+				return d.badFrame(src, "eager frame of %d bytes exceeds the eager limit %d", h.wireLen, d.eagerLimit)
+			}
 			if err := d.handleEager(conn, h, crc); err != nil {
 				return err
 			}
@@ -691,9 +703,18 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 			return nil
 		default:
 			// Protocol error: drop the connection.
-			return fmt.Errorf("niodev: unknown message type %d from slot %d", h.typ, src)
+			return d.badFrame(src, "unknown message type %d", h.typ)
 		}
 	}
+}
+
+// badFrame counts and returns the typed error for a frame whose header
+// fields cannot be right, rejected before anything is allocated or read
+// on their strength.
+func (d *Device) badFrame(src uint32, format string, args ...any) error {
+	err := fmt.Errorf("niodev: "+format+": %w", append(args, xdev.ErrCorruptFrame)...)
+	d.noteCorrupt(src, err)
+	return err
 }
 
 // noteCorrupt records a frame rejected by the integrity check.
@@ -815,6 +836,7 @@ func (d *Device) handleRTS(h header) {
 	}
 	// Matched: the input handler answers READY_TO_RECV (Fig. 8).
 	k := devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq}
+	req.RndvLen = int(h.wireLen)
 	if err := d.rndvIncoming.Add(k, req); err != nil {
 		req.Complete(xdev.Status{}, err)
 		return
@@ -866,13 +888,19 @@ func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
 	req, ok := d.rndvIncoming.Take(devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq})
 	if !ok {
 		// Protocol violation: data for an unknown rendezvous.
-		return fmt.Errorf("niodev: rendezvous data for unknown seq %d from slot %d", h.seq, h.src)
+		return d.badFrame(h.src, "rendezvous data for unknown seq %d", h.seq)
 	}
-	err := d.recvInto(req.Buf, conn, h, crc)
+	var err error
+	if h.wireLen != uint64(req.RndvLen) {
+		err = d.badFrame(h.src, "rendezvous data of %d bytes for an announcement of %d", h.wireLen, req.RndvLen)
+	} else {
+		err = d.recvInto(req.Buf, conn, h, crc)
+	}
 	if err != nil {
-		// The rendezvous data stream died or failed its checksum: the
-		// read loop exits on the returned error and declares the peer
-		// dead, so the waiting receive fails in the same shape.
+		// The rendezvous data stream died, failed its checksum or broke
+		// its announcement: the read loop exits on the returned error and
+		// declares the peer dead, so the waiting receive fails in the
+		// same shape.
 		err = d.peerLost(int(h.src), err)
 	}
 	req.Complete(xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}, err)

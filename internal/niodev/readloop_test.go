@@ -1,0 +1,149 @@
+package niodev
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"net"
+	"runtime/metrics"
+	"sync"
+	"testing"
+
+	"mpj/internal/mpjbuf"
+	"mpj/internal/xdev"
+)
+
+// The frame reader's contract on arbitrary bytes: readLoop ends with a
+// typed error or at a clean end of stream, never in a panic, and no
+// length field in a frame header sizes an allocation or a read before it
+// has been checked against what the protocol allows.
+
+// sink is a write channel that swallows what the handlers answer.
+type sink struct{ net.Conn }
+
+func (sink) Write(p []byte) (int, error) { return len(p), nil }
+func (sink) Close() error                { return nil }
+
+// bareDevice is rank 0 of a two-rank job with no transport behind it:
+// enough for readLoop to run against a byte stream "from rank 1".
+func bareDevice() *Device {
+	d := New()
+	d.cfg = xdev.Config{Rank: 0, Size: 2}
+	d.pids = []xdev.ProcessID{{UUID: 0}, {UUID: 1}}
+	d.self = d.pids[0]
+	d.eagerLimit = DefaultEagerLimit
+	d.wmu = make([]sync.Mutex, 2)
+	d.wconn = []net.Conn{nil, sink{}}
+	d.initDone = true
+	return d
+}
+
+// frame encodes h (checksums off) followed by payload.
+func frame(h header, payload []byte) []byte {
+	out := make([]byte, headerLen, headerLen+len(payload))
+	h.encode(out)
+	return append(out, payload...)
+}
+
+// wireOf is the wire form of one section of n doubles.
+func wireOf(n int) []byte {
+	b := mpjbuf.New(0)
+	b.WriteDoubles(make([]float64, n), 0, n)
+	return b.Wire()
+}
+
+func TestReadLoopRejectsBadLengths(t *testing.T) {
+	eager := wireOf(4)
+	for _, c := range []struct {
+		name   string
+		stream func(d *Device) []byte
+	}{
+		{"eager frame longer than the eager limit", func(*Device) []byte {
+			return frame(header{typ: msgEager, src: 1, tag: 1, wireLen: DefaultEagerLimit + 1}, nil)
+		}},
+		{"eager frame with a 64-bit length", func(*Device) []byte {
+			return frame(header{typ: msgEagerSync, src: 1, tag: 1, wireLen: 1 << 62}, nil)
+		}},
+		{"frame naming another sender", func(*Device) []byte {
+			return frame(header{typ: msgEager, src: 7, tag: 1, wireLen: uint64(len(eager))}, eager)
+		}},
+		{"rendezvous data longer than its announcement", func(d *Device) []byte {
+			return append(frame(header{typ: msgRTS, src: 1, tag: 1, seq: 9, wireLen: 1 << 20}, nil),
+				frame(header{typ: msgRndvData, src: 1, tag: 1, seq: 9, wireLen: 1 << 40}, nil)...)
+		}},
+		{"rendezvous data shorter than its announcement", func(d *Device) []byte {
+			return append(frame(header{typ: msgRTS, src: 1, tag: 1, seq: 9, wireLen: 1 << 20}, nil),
+				frame(header{typ: msgRndvData, src: 1, tag: 1, seq: 9, wireLen: uint64(len(eager))}, eager)...)
+		}},
+	} {
+		d := bareDevice()
+		// A posted receive, so the rendezvous cases get as far as the data.
+		rb := mpjbuf.New(0)
+		req, err := d.IRecv(rb, d.pids[1], 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.readLoop(bytes.NewReader(c.stream(d)), 1, false)
+		if !errors.Is(err, xdev.ErrCorruptFrame) {
+			t.Errorf("%s: readLoop returned %v, want ErrCorruptFrame", c.name, err)
+		}
+		if n := d.Stats().FramesCorrupt; n != 1 {
+			t.Errorf("%s: FramesCorrupt = %d, want 1", c.name, n)
+		}
+		if _, done, _ := req.Test(); done {
+			// Only the rendezvous cases consume the receive, and they must
+			// fail it in the peer-lost shape.
+			if _, _, rerr := req.Test(); !errors.Is(rerr, xdev.ErrCorruptFrame) || !errors.Is(rerr, xdev.ErrPeerLost) {
+				t.Errorf("%s: matched receive completed with %v", c.name, rerr)
+			}
+		}
+	}
+	// The limit itself is legal.
+	d := bareDevice()
+	ok := make([]byte, DefaultEagerLimit)
+	binary.BigEndian.PutUint32(ok[0:4], uint32(len(ok)-8))
+	if err := d.readLoop(bytes.NewReader(frame(header{typ: msgEager, src: 1, wireLen: uint64(len(ok))}, ok)), 1, false); err != io.EOF {
+		t.Errorf("eager frame of exactly the eager limit: %v", err)
+	}
+}
+
+func heapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// FuzzReadLoop feeds an arbitrary byte stream to the frame reader of a
+// device with nothing posted: every frame is unexpected or unknown.
+func FuzzReadLoop(f *testing.F) {
+	eager := wireOf(4)
+	f.Add(frame(header{typ: msgEager, src: 1, tag: 3, wireLen: uint64(len(eager))}, eager), false)
+	f.Add(frame(header{typ: msgEagerSync, src: 1, tag: 3, seq: 2, wireLen: uint64(len(eager))}, eager), false)
+	f.Add(append(frame(header{typ: msgRTS, src: 1, seq: 5, wireLen: 1 << 20}, nil),
+		frame(header{typ: msgRndvData, src: 1, seq: 5, wireLen: 1 << 20}, nil)...), false)
+	f.Add(frame(header{typ: msgRTR, src: 1, seq: 5}, nil), false)
+	f.Add(frame(header{typ: msgAck, src: 1, seq: 5}, nil), false)
+	f.Add(frame(header{typ: msgRevoke, src: 1, ctx: 4}, nil), false)
+	f.Add(frame(header{typ: msgAbort, src: 1, tag: 3}, nil), false)
+	f.Add(frame(header{typ: msgBye, src: 1}, nil), false)
+	f.Add(frame(header{typ: msgEager, src: 1, wireLen: 1 << 63}, nil), false)
+	f.Add(frame(header{typ: msgEager, src: 1, flags: hdrFlagCRC, wireLen: uint64(len(eager))}, eager), true)
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, stream []byte, crc bool) {
+		d := bareDevice()
+		before := heapAllocBytes()
+		err := d.readLoop(bytes.NewReader(stream), 1, crc)
+		grew := heapAllocBytes() - before
+		// nil: an abort or bye frame ended the connection in protocol.
+		if err != nil && err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, xdev.ErrCorruptFrame) {
+			t.Fatalf("readLoop ended with an untyped error: %v", err)
+		}
+		// One staging slab of at most the eager limit, plus bookkeeping
+		// proportional to the frames the input can hold.
+		if limit := uint64(16*len(stream) + DefaultEagerLimit + 64<<10); grew > limit {
+			t.Fatalf("%d input bytes made the reader allocate %d bytes (limit %d)", len(stream), grew, limit)
+		}
+		d.shutdown(ErrDeviceClosed, false)
+	})
+}

@@ -1,8 +1,8 @@
 // Package smpdev is a shared-memory xdev device for ranks running in a
 // single OS process — the SMP-cluster scenario that motivates the
 // paper's emphasis on thread safety (§I), and the "shared memory
-// device" its future work anticipates. Messages move by a single
-// in-memory copy of the buffer's wire form.
+// device" its future work anticipates. A message moves in one copy,
+// sender's buffer to receiver's, unless it must wait for its receive.
 //
 // The device is a thin binding over the shared progress core
 // (internal/devcore): each rank's mailbox IS a devcore.Core, holding
@@ -333,40 +333,45 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	d.core.Counters.EagerSent.Add(1)
 	d.core.Counters.BytesSent.Add(uint64(wireLen))
 
-	// One in-memory copy of the wire form, from a pooled slice; the
-	// destination core matches it on this (the sender's) thread.
-	arr := &devcore.Arrival{
-		Src: uint64(d.cfg.Rank), Tag: int32(tag), Ctx: int32(context),
-		Seq: seq, WireLen: wireLen, Data: devcore.WireCopy(buf),
-	}
-	if sync {
-		arr.SyncReq = sreq
-	}
-	rreq, matched, err := dstCore.MatchOrPark(env, arr)
-	if err != nil {
-		devcore.PutSlice(arr.Data)
-		if errors.Is(err, devcore.ErrClosed) {
-			return nil, &xdev.Error{
-				Dev: DeviceName, Op: "isend",
-				Err: fmt.Errorf("destination mailbox %d closed: %w", dst.UUID, xdev.ErrPeerLost),
-			}
+	// The destination core matches on this (the sender's) thread. A
+	// posted receive takes the message straight from buf, in one copy;
+	// an unexpected message parks as a pooled wire-form copy, so buf (and
+	// user memory it borrowed) is free once isend returns.
+	rreq, matched := dstCore.MatchPosted(env, seq)
+	var lerr error
+	if matched {
+		lerr = rreq.Buf.LoadBuffer(buf)
+	} else {
+		arr := &devcore.Arrival{
+			Src: uint64(d.cfg.Rank), Tag: int32(tag), Ctx: int32(context),
+			Seq: seq, WireLen: wireLen, Data: devcore.WireCopy(buf),
 		}
-		return nil, err // job aborted
+		if sync {
+			arr.SyncReq = sreq
+		}
+		var err error
+		if rreq, matched, err = dstCore.MatchOrPark(env, arr); err != nil {
+			devcore.PutSlice(arr.Data)
+			if errors.Is(err, devcore.ErrClosed) {
+				return nil, &xdev.Error{
+					Dev: DeviceName, Op: "isend",
+					Err: fmt.Errorf("destination mailbox %d closed: %w", dst.UUID, xdev.ErrPeerLost),
+				}
+			}
+			return nil, err // job aborted
+		}
+		if matched { // a receive was posted between the two looks
+			lerr = rreq.Buf.LoadWire(arr.Data)
+			devcore.PutSlice(arr.Data)
+		}
 	}
 	if matched {
-		lerr := rreq.Buf.LoadWire(arr.Data)
-		devcore.PutSlice(arr.Data)
-		rreq.Complete(xdev.Status{Source: d.self, Tag: tag, Bytes: wireLen}, lerr)
-		if d.rec.Enabled() {
-			d.rec.EventSeq(mpe.EagerOut, int32(dst.UUID), int32(tag), int32(context), int64(wireLen), seq)
-		}
-		sreq.Complete(st, nil)
-		return sreq, nil
+		rreq.Complete(st, lerr)
 	}
 	if d.rec.Enabled() {
 		d.rec.EventSeq(mpe.EagerOut, int32(dst.UUID), int32(tag), int32(context), int64(wireLen), seq)
 	}
-	if !sync {
+	if matched || !sync {
 		sreq.Complete(st, nil)
 	}
 	return sreq, nil

@@ -95,7 +95,9 @@ type Config struct {
 	// EagerLimit is the protocol switch point in bytes: messages with a
 	// wire length at or below the limit use the eager protocol, larger
 	// ones use rendezvous. Zero selects the device default (128 KiB,
-	// the figure the paper reports for TCP).
+	// the figure the paper reports for TCP). Every rank of a job must
+	// use the same value: a receiver rejects an eager frame above its
+	// own limit as corrupt.
 	EagerLimit int
 	// Group names an in-process job namespace for devices (smpdev,
 	// mxdev) that rendezvous through process-local registries.
