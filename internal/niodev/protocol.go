@@ -644,11 +644,24 @@ func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
 	// or above the buffer size bypass it (bufio passes large reads
 	// straight through when its buffer is empty), so rendezvous bulk
 	// data still streams zero-copy into user buffers.
-	err := d.readLoop(bufio.NewReaderSize(conn, 64<<10), src, crc)
+	br := &bulkReader{Reader: bufio.NewReaderSize(conn, 64<<10)}
+	if e, ok := conn.(interface{ Expect(n int) }); ok {
+		br.expect = e.Expect
+	}
+	err := d.readLoop(br, src, crc)
 	conn.Close()
 	if err != nil && !d.closed.Load() {
 		d.markPeerDead(int(src), err)
 	}
+}
+
+// bulkReader is an input handler's buffered view of its connection,
+// with the transport's bulk-payload hint when it has one (transport.TCP
+// does: a reader told how much is coming is woken per 256 KiB instead of
+// every few segments; DESIGN.md §7).
+type bulkReader struct {
+	*bufio.Reader
+	expect func(n int)
 }
 
 func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
@@ -894,6 +907,11 @@ func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
 	if h.wireLen != uint64(req.RndvLen) {
 		err = d.badFrame(h.src, "rendezvous data of %d bytes for an announcement of %d", h.wireLen, req.RndvLen)
 	} else {
+		if br, ok := conn.(*bulkReader); ok && br.expect != nil {
+			// The announced length was just checked against the RTS, so
+			// these bytes are on their way.
+			br.expect(int(h.wireLen) - br.Buffered())
+		}
 		err = d.recvInto(req.Buf, conn, h, crc)
 	}
 	if err != nil {

@@ -1,6 +1,7 @@
 package niodev
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -105,6 +106,34 @@ func TestReadLoopRejectsBadLengths(t *testing.T) {
 	binary.BigEndian.PutUint32(ok[0:4], uint32(len(ok)-8))
 	if err := d.readLoop(bytes.NewReader(frame(header{typ: msgEager, src: 1, wireLen: uint64(len(ok))}, ok)), 1, false); err != io.EOF {
 		t.Errorf("eager frame of exactly the eager limit: %v", err)
+	}
+}
+
+// A rendezvous payload is announced to the transport before it is read:
+// once, after its length was checked against the RTS, and for exactly
+// the bytes the buffered reader has not already pulled off the stream.
+// Eager frames are not announced.
+func TestRendezvousPayloadIsAnnounced(t *testing.T) {
+	d := bareDevice()
+	rb := mpjbuf.New(0)
+	if _, err := d.IRecv(rb, d.pids[1], 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.IRecv(mpjbuf.New(0), d.pids[1], 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	bulk, eager := wireOf(1<<17), wireOf(4)
+	stream := frame(header{typ: msgRTS, src: 1, tag: 1, seq: 9, wireLen: uint64(len(bulk))}, nil)
+	stream = append(stream, frame(header{typ: msgRndvData, src: 1, tag: 1, seq: 9, wireLen: uint64(len(bulk))}, bulk)...)
+	stream = append(stream, frame(header{typ: msgEager, src: 1, tag: 2, wireLen: uint64(len(eager))}, eager)...)
+	var announced []int
+	br := &bulkReader{Reader: bufio.NewReaderSize(bytes.NewReader(stream), 64<<10)}
+	br.expect = func(n int) { announced = append(announced, n+br.Buffered()) }
+	if err := d.readLoop(br, 1, false); err != io.EOF {
+		t.Fatal(err)
+	}
+	if len(announced) != 1 || announced[0] != len(bulk) {
+		t.Errorf("announced %v, want one payload of %d bytes", announced, len(bulk))
 	}
 }
 

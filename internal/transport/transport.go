@@ -26,7 +26,14 @@ type TCP struct{}
 var _ xdev.Transport = TCP{}
 
 // Listen opens a TCP listener on addr ("host:port"; port 0 picks one).
-func (TCP) Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+// The connections it accepts take the Expect hint (see tcpConn).
+func (TCP) Listen(addr string) (net.Listener, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return tcpListener{l}, nil
+}
 
 // Dial connects to a TCP listener.
 func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
