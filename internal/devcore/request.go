@@ -103,9 +103,9 @@ type Request struct {
 	// read them without further synchronization. parked is the wake
 	// channel, allocated lazily by the first waiter that actually needs
 	// to block: a request that completes before anyone parks — the
-	// common case for engine-mode sends, where the drainer finishes the
-	// frame within the waiter's brief spin — never allocates or closes
-	// a channel at all.
+	// common case for niodev sends, whose frame the sender writes itself
+	// or the peer's current writer finishes within the waiter's brief
+	// spin — never allocates or closes a channel at all.
 	state  atomic.Uint32
 	parked atomic.Pointer[chan struct{}]
 	status xdev.Status
@@ -126,7 +126,7 @@ func (c *Core) NewRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 
 // waitSpin is how many scheduler yields Wait burns before allocating a
 // park channel and blocking: long enough to cover an in-flight
-// completion (a drainer finishing the batch that carries this
+// completion (a writer finishing the batch that carries this
 // request), short enough that a receive with no matching message goes
 // to sleep promptly.
 const waitSpin = 64

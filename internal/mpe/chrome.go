@@ -247,7 +247,7 @@ func WriteSummary(w io.Writer, files []*TraceFile, onlyRank int) error {
 					c.RmaPuts, c.RmaGets, c.RmaAccs, c.RmaBytes)
 			}
 			if c.SendBatches > 0 {
-				fmt.Fprintf(w, "  send engine: batches=%d frames=%d (%.2f frames/write, %.0f B/write)\n",
+				fmt.Fprintf(w, "  send path: batches=%d frames=%d (%.2f frames/write, %.0f B/write)\n",
 					c.SendBatches, c.FramesCoalesced,
 					float64(c.FramesCoalesced)/float64(c.SendBatches),
 					float64(c.SendBatchBytes)/float64(c.SendBatches))
@@ -282,7 +282,7 @@ func WriteSummary(w io.Writer, files []*TraceFile, onlyRank int) error {
 				total.RmaPuts, total.RmaGets, total.RmaAccs, total.RmaBytes)
 		}
 		if total.SendBatches > 0 {
-			fmt.Fprintf(w, "all ranks send engine: batches=%d frames=%d (%.2f frames/write, %.0f B/write)\n",
+			fmt.Fprintf(w, "all ranks send path: batches=%d frames=%d (%.2f frames/write, %.0f B/write)\n",
 				total.SendBatches, total.FramesCoalesced,
 				float64(total.FramesCoalesced)/float64(total.SendBatches),
 				float64(total.SendBatchBytes)/float64(total.SendBatches))

@@ -42,8 +42,8 @@ type Counters struct {
 	// RmaBytes totals the payload bytes moved by one-sided operations
 	// this rank originated.
 	RmaBytes atomic.Uint64
-	// SendBatches counts wire writes issued by the asynchronous send
-	// engine (each one syscall, covering one coalesced batch), and
+	// SendBatches counts wire writes issued by niodev's send path (each
+	// one syscall, covering one coalesced batch), and
 	// FramesCoalesced the frames those batches carried — their ratio is
 	// the frames-per-syscall batching factor. SendBatchBytes totals the
 	// wire bytes (headers + payload) of those batches, so

@@ -3,7 +3,6 @@ package niodev
 import (
 	"io"
 	"net"
-	"sync"
 	"testing"
 
 	"mpj/internal/mpjbuf"
@@ -11,10 +10,11 @@ import (
 )
 
 // TestWriteMsgAllocs is the allocation regression guard for the pooled
-// frame path: steady-state writeMsg must not allocate for header-only
-// frames (pooled header, single Write) and at most once for frames
-// with payload segments (the net.Buffers gather list escapes into
-// WriteTo).
+// frame path: a steady-state send that writes its own frame must not
+// allocate for a header-only frame or a staged small payload (pooled
+// frame and header, queue-owned batch and staging buffers, one Write),
+// and at most once when a large segment is written zero-copy (the
+// net.Buffers gather list escapes into WriteTo).
 func TestWriteMsgAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
@@ -24,40 +24,34 @@ func TestWriteMsgAllocs(t *testing.T) {
 	defer c2.Close()
 	go io.Copy(io.Discard, c2)
 
-	d := New()
-	d.pids = []xdev.ProcessID{{UUID: 0}}
-	d.wmu = make([]sync.Mutex, 1)
-	d.wconn = make([]net.Conn, 1)
-	d.setWriteConn(0, c1)
+	d := bareDevice()
+	d.queues[1].conn = c1
 	d.crcOut = true
 
-	payload := make([]byte, 64)
-	segs := [][]byte{payload}
-	h := header{typ: msgEager, src: 0, tag: 1, wireLen: uint64(len(payload))}
-
-	// Warm the slice pools so the measurement sees the steady state.
-	for i := 0; i < 8; i++ {
-		if err := d.writeMsg(0, h, segs); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		segs [][]byte
+		max  float64
+	}{
+		{"header-only", nil, 0},
+		{"small payload", [][]byte{make([]byte, 64)}, 0},
+		{"large payload", [][]byte{make([]byte, stageSegMax)}, 1},
+	} {
+		h := header{typ: msgEager, src: 0, tag: 1}
+		for _, s := range c.segs {
+			h.wireLen += uint64(len(s))
 		}
-	}
-
-	hdrOnly := testing.AllocsPerRun(100, func() {
-		if err := d.writeMsg(0, header{typ: msgAck, src: 0}, nil); err != nil {
-			t.Fatal(err)
+		send := func() {
+			if err := d.send(1, h, c.segs, nil, xdev.Status{}, true); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if hdrOnly > 0 {
-		t.Errorf("header-only writeMsg allocates %.1f times per call, want 0", hdrOnly)
-	}
-
-	withPayload := testing.AllocsPerRun(100, func() {
-		if err := d.writeMsg(0, h, segs); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 8; i++ {
+			send() // warm the slice pools and the queue's buffers
 		}
-	})
-	if withPayload > 1 {
-		t.Errorf("segmented writeMsg allocates %.1f times per call, want <= 1", withPayload)
+		if n := testing.AllocsPerRun(100, send); n > c.max {
+			t.Errorf("%s send allocates %.1f times per call, want <= %.0f", c.name, n, c.max)
+		}
 	}
 }
 

@@ -268,8 +268,8 @@ func TestChaosCorruptFrame(t *testing.T) {
 				})
 			})
 
-			// Small eager sends, paced so the send engine drains each one
-			// as its own wire write: corruption fires on the first write
+			// Small eager sends, paced so each one goes out as its own
+			// wire write: corruption fires on the first write
 			// that STARTS past the threshold, so a single coalesced batch
 			// spanning it would sail through clean. Enough paced writes
 			// guarantee one begins beyond the jittered cut. Sends may

@@ -14,13 +14,6 @@ var jobCounter atomic.Int64
 
 // conformanceRunner adapts the shared device conformance suite.
 func conformanceRunner(tr func() xdev.Transport) devtest.JobRunner {
-	return conformanceRunnerCfg(tr, nil)
-}
-
-// conformanceRunnerCfg is conformanceRunner with a per-rank Config
-// mutator, used to pin the send-engine mode (and any future tunable)
-// for a whole suite run.
-func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) devtest.JobRunner {
 	return devtest.Runner(func() xdev.Device { return New() },
 		func(t *testing.T, n int) func(int) xdev.Config {
 			dialer := tr()
@@ -30,14 +23,16 @@ func conformanceRunnerCfg(tr func() xdev.Transport, mutate func(*xdev.Config)) d
 				addrs[i] = fmt.Sprintf("conf-%d-rank-%d", job, i)
 			}
 			return func(rank int) xdev.Config {
-				cfg := xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: dialer}
-				if mutate != nil {
-					mutate(&cfg)
-				}
-				return cfg
+				return xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: dialer}
 			}
 		})
 }
+
+// directPipe is the socket buffer of the *Direct suites' in-process
+// pipes: about one small frame, so nearly every write is handed directly
+// to the peer's input handler and blocks until that handler reads. Any
+// path on which a handler waited for a writer would hang these suites.
+const directPipe = 1 << 10
 
 func TestConformanceInProc(t *testing.T) {
 	devtest.RunConformance(t,
@@ -45,22 +40,19 @@ func TestConformanceInProc(t *testing.T) {
 		devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
 }
 
-// TestConformanceInProcDirect pins MPJ_SEND_ENGINE=direct: the
-// synchronous escape-hatch path must pass the same suite the default
-// engine path does.
+// TestConformanceInProcDirect runs the suite over directPipe pipes.
 func TestConformanceInProcDirect(t *testing.T) {
 	devtest.RunConformance(t,
-		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
-			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
+		conformanceRunner(func() xdev.Transport { return transport.NewInProc(directPipe) }),
 		devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
 }
 
-// TestChaosConformanceInProcDirect keeps the failure semantics of the
-// direct path covered alongside the engine default.
+// TestChaosConformanceInProcDirect runs the failure-semantics suite over
+// directPipe pipes, where a dying peer usually leaves a writer blocked
+// mid-frame.
 func TestChaosConformanceInProcDirect(t *testing.T) {
 	devtest.RunChaos(t,
-		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
-			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
+		conformanceRunner(func() xdev.Transport { return transport.NewInProc(directPipe) }),
 		devtest.ChaosOptions{HasPeek: true})
 }
 
@@ -72,17 +64,7 @@ func TestConformanceTCP(t *testing.T) {
 	}
 	devtest.RunConformance(t, devtest.Runner(func() xdev.Device { return New() },
 		func(t *testing.T, n int) func(int) xdev.Config {
-			// Reserve ports by listening on :0 first, then closing;
-			// niodev's dial retry tolerates the small race.
-			addrs := make([]string, n)
-			for i := range addrs {
-				l, err := transport.TCP{}.Listen("127.0.0.1:0")
-				if err != nil {
-					t.Skipf("loopback unavailable: %v", err)
-				}
-				addrs[i] = l.Addr().String()
-				l.Close()
-			}
+			addrs := loopbackAddrs(t, n)
 			return func(rank int) xdev.Config {
 				return xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: transport.TCP{}}
 			}
@@ -114,9 +96,11 @@ func TestUserMemoryConformanceInProc(t *testing.T) {
 		devtest.UserMemOptions{PostedCopies: 0, StoreBalance: true})
 }
 
+// TestUserMemoryConformanceInProcDirect runs the user-memory suite over
+// directPipe pipes, where a borrowed payload is still being written long
+// after the send was posted.
 func TestUserMemoryConformanceInProcDirect(t *testing.T) {
 	devtest.RunUserMemory(t,
-		conformanceRunnerCfg(func() xdev.Transport { return transport.NewInProc(0) },
-			func(cfg *xdev.Config) { cfg.SendEngine = "direct" }),
+		conformanceRunner(func() xdev.Transport { return transport.NewInProc(directPipe) }),
 		devtest.UserMemOptions{PostedCopies: 0})
 }

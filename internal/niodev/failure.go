@@ -3,7 +3,6 @@ package niodev
 import (
 	"errors"
 	"fmt"
-	"net"
 
 	"mpj/internal/devcore"
 	"mpj/internal/mpe"
@@ -17,22 +16,6 @@ import (
 // blocked waiters — lives in devcore; this file decides *when* a peer
 // is gone and what error shape its loss carries, and tears down the
 // transport (connections, listener) around the core's drain.
-
-// writeConn returns the write channel to slot under the connection
-// table lock. The table is mutated by Init (while input handlers may
-// already be failing peers) and read by writeMsg and the teardown
-// paths.
-func (d *Device) writeConn(slot int) net.Conn {
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	return d.wconn[slot]
-}
-
-func (d *Device) setWriteConn(slot int, c net.Conn) {
-	d.pmu.Lock()
-	d.wconn[slot] = c
-	d.pmu.Unlock()
-}
 
 // peerErr returns the death error of slot, or nil while it is alive.
 func (d *Device) peerErr(slot int) error {
@@ -86,25 +69,25 @@ func (d *Device) markPeerGone(slot int, cause error, graceful bool) {
 		return
 	}
 	err := d.peerLost(slot, cause)
-	first := d.core.FailPeer(uint64(slot), devcore.PeerFail{Err: err, Graceful: graceful, Sticky: true})
-	if first && d.engine != nil {
-		// Poison the peer's send queue: enqueuers blocked on a full
-		// queue wake with the death error, queued frames fail their
-		// requests (nothing is silently dropped), and the drainer
-		// exits. A gracefully departed peer can no more receive queued
-		// frames than a crashed one, so both cases drain.
-		d.engine.failQueued(slot, err)
+	if !d.core.FailPeer(uint64(slot), devcore.PeerFail{Err: err, Graceful: graceful, Sticky: true}) {
+		return
 	}
-	if first && !graceful {
-		// Close the write channel so writers blocked mid-frame and
-		// future writeMsg calls fail instead of wedging. Close is safe
-		// against a concurrent Write; taking wmu here could deadlock
-		// behind one. Not done for a graceful departure: the peer is
-		// still draining byes in its shutdown window, and closing our
-		// half would feed it an EOF it miscounts as our death — its own
-		// shutdown closes both ends moments later anyway.
-		if wc := d.writeConn(slot); wc != nil {
-			wc.Close()
+	// Poison the peer's send queue: queued frames fail their requests
+	// (nothing is silently dropped) and later sends fail fast. A
+	// gracefully departed peer can no more receive queued frames than a
+	// crashed one, so both cases drain.
+	d.failQueued(slot, err)
+	if !graceful {
+		// Close the write channel so a writer blocked mid-frame fails
+		// instead of wedging; Close is safe against a concurrent Write.
+		// Not done for a graceful departure: the peer is still draining
+		// byes in its shutdown window, and closing our half would feed
+		// it an EOF it miscounts as our death — its own shutdown closes
+		// both ends moments later anyway.
+		if q := d.queue(slot); q != nil {
+			if wc := q.writeConn(); wc != nil {
+				wc.Close()
+			}
 		}
 	}
 }
@@ -117,14 +100,7 @@ func (d *Device) Abort(code int) error {
 	if d.closed.Load() {
 		return nil
 	}
-	h := header{typ: msgAbort, src: uint32(d.cfg.Rank), tag: int32(code)}
-	for slot := range d.pids {
-		if slot == d.cfg.Rank || d.peerErr(slot) != nil {
-			continue
-		}
-		// Best effort: a peer that is already gone cannot be told.
-		_ = d.writeMsg(slot, h, nil)
-	}
+	d.broadcast(header{typ: msgAbort, src: uint32(d.cfg.Rank), tag: int32(code)}, -1, goodbyeFlush)
 	d.abortLocal(ab, true)
 	return nil
 }
@@ -153,24 +129,22 @@ func (d *Device) shutdown(failErr error, wait bool) {
 		return
 	}
 	d.core.Shutdown(failErr, failErr)
-	if d.engine != nil {
-		// Poison every send queue before the connections close: blocked
-		// enqueuers wake with failErr, queued frames fail their
-		// requests, and the drainers exit (they are joined by the
-		// handlerWG wait below).
-		d.engine.stop(failErr)
+	// Poison every send queue before the connections close: queued
+	// frames fail their requests, no flusher starts after this (so the
+	// handlerWG wait below joins them all), and closing the conns fails
+	// any write in flight.
+	for slot, q := range d.queues {
+		if q == nil {
+			continue
+		}
+		d.failQueued(slot, failErr)
+		if c := q.writeConn(); c != nil {
+			c.Close()
+		}
 	}
 
 	if d.listener != nil {
 		d.listener.Close()
-	}
-	d.pmu.Lock()
-	wconns := append([]net.Conn(nil), d.wconn...)
-	d.pmu.Unlock()
-	for _, c := range wconns {
-		if c != nil {
-			c.Close()
-		}
 	}
 	d.rcmu.Lock()
 	for _, c := range d.rconns {

@@ -8,17 +8,19 @@
 //     buffer it (Figs. 3–5);
 //   - a rendezvous protocol for larger messages: a READY_TO_SEND
 //     control message, matched at the receiver, answered by a
-//     READY_TO_RECV, after which a forked writer goroutine transmits
-//     the data — never the input handler, which must stay unblocked to
-//     avoid the mutual-large-send deadlock the paper describes
-//     (Figs. 6–8).
+//     READY_TO_RECV, after which a writer goroutine transmits the data
+//     — never the input handler, which must stay unblocked to avoid the
+//     mutual-large-send deadlock the paper describes (Figs. 6–8).
 //
 // Faithful structural choices:
 //
 //   - two connections per process pair, one used exclusively for
 //     writing and one for reading, mirroring the paper's split between
 //     blocking write channels and non-blocking read channels;
-//   - a per-destination lock serializing writers to each write channel;
+//   - a per-destination lock serializing writers to each write channel,
+//     held as a writer role: concurrent senders queue their frames
+//     behind the holder, whose write carries them, and an input handler
+//     only ever queues (send.go);
 //   - a single receive-communication-sets lock guarding message
 //     matching, with the paper's four-key matching scheme (§IV-E.2,
 //     package match);
@@ -34,8 +36,6 @@ package niodev
 import (
 	"fmt"
 	"net"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,22 +69,10 @@ type Device struct {
 	listener   net.Listener
 	eagerLimit int
 
-	// Write channels: one conn per destination slot, each with its own
-	// lock (the paper's per-destination channel lock). In engine mode
-	// the lock is the conn-ownership lock shared by the drainer's
-	// batched writes and the few remaining direct writes (abort,
-	// revoke), so frames from the two paths never interleave.
-	wmu   []sync.Mutex
-	wconn []net.Conn
-
-	// engine is the asynchronous send path (sendengine.go): per-peer
-	// frame queues drained by coalescing sender goroutines. Nil for
-	// single-process jobs and under MPJ_SEND_ENGINE=direct, in which
-	// case every frame goes through writeMsg synchronously.
-	engine    *sendEngine
-	sendQueue  int
-	sendSpin   int
-	sendInline bool
+	// Write channels: one frame queue per destination slot (nil for
+	// self), holding the conn and the writer role that is the paper's
+	// per-destination channel lock (send.go).
+	queues []*peerQueue
 
 	// core is the shared progress engine: the receive-communication
 	// sets (posted + arrived under the paper's single lock), the
@@ -108,9 +96,6 @@ type Device struct {
 	closed    atomic.Bool
 	initDone  bool
 
-	// pmu guards the write-connection table, mutated by Init while
-	// input handlers may already be failing peers.
-	pmu    sync.Mutex
 	crcOut bool // compute frame checksums on outgoing frames
 
 	rec mpe.Recorder
@@ -162,22 +147,13 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 		d.pids[i] = xdev.ProcessID{UUID: uint64(i)}
 	}
 	d.self = d.pids[cfg.Rank]
-	d.wmu = make([]sync.Mutex, cfg.Size)
-	d.wconn = make([]net.Conn, cfg.Size)
+	d.queues = make([]*peerQueue, cfg.Size)
+	for slot := range d.queues {
+		if slot != cfg.Rank {
+			d.queues[slot] = &peerQueue{}
+		}
+	}
 	d.crcOut = !cfg.DisableChecksum
-	engineMode, err := sendEngineEnabled(cfg.SendEngine)
-	if err != nil {
-		return nil, err
-	}
-	d.sendQueue = intSetting(cfg.SendQueue, "MPJ_SEND_QUEUE", DefaultSendQueue)
-	if d.sendQueue < 1 {
-		d.sendQueue = 1
-	}
-	d.sendSpin = intSetting(cfg.SendSpin, "MPJ_SEND_SPIN", DefaultSendSpin)
-	if d.sendSpin < 0 {
-		d.sendSpin = 0 // negative disables spinning: park immediately
-	}
-	d.sendInline = boolSetting("MPJ_SEND_INLINE", true)
 
 	if cfg.Size > 1 {
 		if len(cfg.Addrs) != cfg.Size {
@@ -201,7 +177,10 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 				d.Finish()
 				return nil, &xdev.Error{Dev: DeviceName, Op: "connect to slot " + fmt.Sprint(slot), Err: err}
 			}
-			d.setWriteConn(slot, conn)
+			q := d.queues[slot]
+			q.mu.Lock()
+			q.conn = conn
+			q.mu.Unlock()
 		}
 		// Wait for every peer's write channel to reach us, so the job
 		// is fully wired before Init returns anywhere.
@@ -209,55 +188,9 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			d.Finish()
 			return nil, &xdev.Error{Dev: DeviceName, Op: "await inbound connections", Err: err}
 		}
-		if engineMode {
-			// Started only after the job is fully wired: no frame can be
-			// enqueued before Init returns, and every write conn exists.
-			d.engine = newSendEngine(d, d.sendQueue, d.sendSpin, d.sendInline)
-			d.engine.start()
-		}
 	}
 	d.initDone = true
 	return append([]xdev.ProcessID(nil), d.pids...), nil
-}
-
-// sendEngineEnabled resolves the outbound-path selector: the Config
-// field, then MPJ_SEND_ENGINE, then the default (engine on).
-func sendEngineEnabled(setting string) (bool, error) {
-	if setting == "" {
-		setting = os.Getenv("MPJ_SEND_ENGINE")
-	}
-	switch setting {
-	case "", "engine", "on":
-		return true, nil
-	case "direct", "off":
-		return false, nil
-	}
-	return false, xdev.Errf(DeviceName, "init", "bad send-engine mode %q (want engine or direct)", setting)
-}
-
-// boolSetting resolves a boolean environment tunable.
-func boolSetting(env string, def bool) bool {
-	switch os.Getenv(env) {
-	case "1", "on", "true", "yes":
-		return true
-	case "0", "off", "false", "no":
-		return false
-	}
-	return def
-}
-
-// intSetting resolves an integer tunable: the Config value when
-// non-zero, else the environment variable, else the default.
-func intSetting(cfgVal int, env string, def int) int {
-	if cfgVal != 0 {
-		return cfgVal
-	}
-	if s := os.Getenv(env); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-	}
-	return def
 }
 
 // dialPeer dials addr, retrying with jittered exponential backoff
@@ -360,62 +293,16 @@ func (d *Device) Finish() error {
 	return nil
 }
 
-// sayGoodbye broadcasts a best-effort bye frame to every live peer.
-// Writes run concurrently under a short bound so a wedged write
-// channel cannot turn Finish into a hang: shutdown closes the
-// connections immediately afterwards, failing any straggler, and that
-// peer simply sees EOF (a loss) instead of the bye.
+// sayGoodbye queues a best-effort bye frame to every live peer and
+// waits, bounded, for them to be written. Each bye sits behind every
+// frame queued to its peer before Finish (flush-on-finalize). A wedged
+// write channel cannot turn Finish into a hang: shutdown closes the
+// connections right afterwards and that peer sees EOF (a loss) instead.
 func (d *Device) sayGoodbye() {
-	if d.closed.Load() || len(d.pids) == 0 {
+	if d.closed.Load() {
 		return
 	}
-	h := header{typ: msgBye, src: uint32(d.cfg.Rank)}
-	if e := d.engine; e != nil {
-		// Flush-on-finalize: close each peer's queue with the bye frame
-		// appended *behind* everything already queued, so every data
-		// frame a sender enqueued before Finish reaches the wire ahead
-		// of the goodbye — no frame is left queued. Then wait (bounded)
-		// for the drainers to run the queues dry.
-		deadline := time.Now().Add(goodbyeFlush)
-		for slot := range d.pids {
-			if slot == d.cfg.Rank || d.peerErr(slot) != nil {
-				continue
-			}
-			q := e.queue(slot)
-			if q == nil {
-				continue
-			}
-			f := d.newFrame(h, nil, nil, xdev.Status{})
-			if !q.closeWith(f) {
-				putFrame(f) // already poisoned or closing; nothing to flush
-			}
-		}
-		for _, q := range e.qs {
-			if q != nil {
-				q.waitIdle(deadline)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for slot := range d.pids {
-		if slot == d.cfg.Rank || d.peerErr(slot) != nil {
-			continue
-		}
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			_ = d.writeMsg(slot, h, nil)
-		}(slot)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	t := time.NewTimer(100 * time.Millisecond)
-	defer t.Stop()
-	select {
-	case <-done:
-	case <-t.C:
-	}
+	d.broadcast(header{typ: msgBye, src: uint32(d.cfg.Rank)}, -1, goodbyeFlush)
 }
 
 func (d *Device) slotOf(p xdev.ProcessID) (int, error) {

@@ -13,17 +13,20 @@ import (
 )
 
 // runJob starts n devices wired through an in-process transport
-// (opts.Dialer when set) and runs fn for each rank on its own
-// goroutine, as n "processes".
+// (opts.Dialer and opts.Addrs when set) and runs fn for each rank on its
+// own goroutine, as n "processes".
 func runJob(t *testing.T, n int, opts xdev.Config, fn func(d *Device, rank int, pids []xdev.ProcessID)) {
 	t.Helper()
 	tr := opts.Dialer
 	if tr == nil {
 		tr = transport.NewInProc(0)
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("rank-%d", i)
+	addrs := opts.Addrs
+	if addrs == nil {
+		addrs = make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("rank-%d", i)
+		}
 	}
 	var wg sync.WaitGroup
 	devs := make([]*Device, n)
@@ -68,6 +71,21 @@ func runJob(t *testing.T, n int, opts xdev.Config, fn func(d *Device, rank int, 
 	case <-time.After(60 * time.Second):
 		t.Fatal("job deadlocked (60s timeout)")
 	}
+}
+
+// loopbackAddrs reserves n loopback TCP addresses by listening on :0
+// first, then closing; niodev's dial retry tolerates the small race.
+func loopbackAddrs(t *testing.T, n int) []string {
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := transport.TCP{}.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback unavailable: %v", err)
+		}
+		addrs[i] = l.Addr().String()
+		l.Close()
+	}
+	return addrs
 }
 
 func sendInts(t *testing.T, d *Device, dst xdev.ProcessID, tag int, vals []int32) {
@@ -677,35 +695,60 @@ func TestObjectMessage(t *testing.T) {
 	})
 }
 
+// TestNoGoroutineLeakAfterFinish checks that Finish joins every
+// goroutine the device started — input handlers, and the flushers that
+// write queued ACKs, RTRs, rendezvous payloads and revokes — by comparing
+// the goroutine count before Init with the count after Finish, for 2-
+// and 3-rank jobs that exchanged eager, synchronous, rendezvous and
+// revoke traffic.
 func TestNoGoroutineLeakAfterFinish(t *testing.T) {
 	before := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		runJob(t, 3, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
-			peer := pids[(rank+1)%3]
-			buf := mpjbuf.New(16)
-			buf.WriteInts([]int32{1}, 0, 1)
-			if err := d.Send(buf, peer, 0, 0); err != nil {
-				t.Error(err)
+	for _, n := range []int{2, 3} {
+		runJob(t, n, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
+			next, prev := pids[(rank+1)%n], pids[(rank+n-1)%n]
+			for tag, c := range []struct {
+				n     int
+				ssend bool
+			}{{1, false}, {1, true}, {50_000, false}} {
+				buf := mpjbuf.New(0)
+				buf.WriteInts(make([]int32, c.n), 0, c.n)
+				isend := d.ISend
+				if c.ssend {
+					isend = d.ISsend
+				}
+				req, err := isend(buf, next, tag, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				recvInts(t, d, prev, tag, c.n)
+				if _, err := req.Wait(); err != nil {
+					t.Error(err)
+				}
 			}
-			rb := mpjbuf.New(0)
-			if _, err := d.Recv(rb, pids[(rank+2)%3], 0, 0); err != nil {
-				t.Error(err)
+			// A revoke flood: rank 0 starts it, every other rank forwards it.
+			if rank == 0 {
+				d.Revoke(7)
+			}
+			for deadline := time.Now().Add(5 * time.Second); d.core.CtxErr(7) == nil; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("rank %d never saw the revoke", rank)
+					return
+				}
 			}
 		})
 	}
-	// Give exiting handlers a moment, then compare.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		runtime.GC()
 		after := runtime.NumGoroutine()
-		if after <= before+2 {
+		if after <= before {
 			return
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines before=%d after=%d\n%s", before, after, buf[:n])
+			t.Fatalf("goroutines before Init=%d after Finish=%d\n%s", before, after, buf[:n])
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

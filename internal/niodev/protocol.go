@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"sync"
 
 	"mpj/internal/devcore"
 	"mpj/internal/match"
@@ -151,122 +150,6 @@ func payloadCRC(segments [][]byte) uint32 {
 	return sum
 }
 
-// writeMsg writes a header and optional payload segments to dst's write
-// channel under the per-destination lock (the paper's "lock dest
-// channel / send / unlock"). The header comes from the devcore slice
-// pool: the write is synchronous, so the slice can be recycled as soon
-// as WriteTo returns.
-func (d *Device) writeMsg(slot int, h header, segments [][]byte) error {
-	hdr := devcore.GetSlice(headerLen)
-	if d.crcOut {
-		h.flags |= hdrFlagCRC
-		h.payCRC = payloadCRC(segments)
-	}
-	h.encode(hdr)
-
-	d.wmu[slot].Lock()
-	conn := d.writeConn(slot)
-	var err error
-	switch {
-	case conn == nil:
-		err = xdev.Errf(DeviceName, "write", "no channel to slot %d", slot)
-	case len(segments) == 0:
-		_, err = conn.Write(hdr)
-	default:
-		bp := gatherPool.Get().(*net.Buffers)
-		orig := append(append((*bp)[:0], hdr), segments...)
-		bufs := orig
-		_, err = bufs.WriteTo(conn) // consumes bufs; orig keeps the backing
-		clear(orig)
-		*bp = orig[:0]
-		gatherPool.Put(bp)
-	}
-	d.wmu[slot].Unlock()
-	devcore.PutSlice(hdr)
-	return err
-}
-
-// gatherPool recycles the vectored-write gather lists of writeMsg so
-// the steady-state frame path does not allocate. Entries are cleared
-// before reuse so pooled lists do not pin payload slices.
-var gatherPool = sync.Pool{New: func() any {
-	b := make(net.Buffers, 0, 4)
-	return &b
-}}
-
-// newFrame builds a send-engine frame for h and segments, encoding the
-// header (with checksums when negotiated) into a pooled slice.
-func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st xdev.Status) *sendFrame {
-	hdr := devcore.GetSlice(headerLen)
-	if d.crcOut {
-		h.flags |= hdrFlagCRC
-		h.payCRC = payloadCRC(segments)
-	}
-	h.encode(hdr)
-	f := getFrame()
-	f.hdr = hdr
-	f.segs = append(f.segs, segments...)
-	for _, s := range segments {
-		f.wire += len(s)
-	}
-	f.req = req
-	f.st = st
-	return f
-}
-
-// send routes one protocol frame to slot — the single choke point the
-// two outbound paths share. In engine mode (the default) it enqueues
-// the frame on the peer's send queue and returns without touching the
-// network: the peer's drainer coalesces it into a batch, writes, and
-// completes req (if the frame carries one) with st. In direct mode
-// (MPJ_SEND_ENGINE=direct) it writes synchronously via writeMsg and
-// completes req inline.
-//
-// bounded selects backpressure: data frames from application threads
-// pass true and block while the peer's queue is full; control frames
-// (ACK, RTR) issued by input handlers pass false, because a handler
-// blocked on its own outbound queue is the classic two-sided
-// flow-control deadlock.
-//
-// The contract on error: req has NOT been completed, no frame was (or
-// will be) written, the peer's death has already been recorded where
-// the failure implies it, and the returned error is final — it
-// satisfies errors.Is for xdev.ErrPeerLost (or the device-closed /
-// abort shape). Callers only unwind their own registration state.
-func (d *Device) send(slot int, h header, segments [][]byte, req *devcore.Request, st xdev.Status, bounded bool) error {
-	if e := d.engine; e != nil {
-		q := e.queue(slot)
-		if q == nil {
-			return xdev.Errf(DeviceName, "send", "no queue for slot %d", slot)
-		}
-		f := d.newFrame(h, segments, req, st)
-		var err error
-		if bounded {
-			// May-block callers go through the caller-runs fast path:
-			// when the writer role is free the sender writes its own
-			// frame (plus anything queued) inline, skipping the drainer
-			// wake entirely.
-			err = e.sendApp(slot, q, f)
-		} else {
-			err = q.enqueue(f, false)
-		}
-		if err != nil {
-			f.req = nil // caller keeps ownership on the error path
-			putFrame(f)
-			return err
-		}
-		return nil
-	}
-	if err := d.writeMsg(slot, h, segments); err != nil {
-		d.markPeerDead(slot, err)
-		return d.peerLost(slot, err)
-	}
-	if req != nil {
-		req.Complete(st, nil)
-	}
-	return nil
-}
-
 // isend implements the four send modes. sync selects synchronous
 // completion semantics (Ssend/ISsend).
 func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync bool) (*devcore.Request, error) {
@@ -321,11 +204,10 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 		d.core.Counters.EagerSent.Add(1)
 		d.core.Counters.BytesSent.Add(uint64(wireLen))
 		h := header{typ: typ, src: uint32(d.cfg.Rank), tag: int32(tag), ctx: int32(context), seq: seq, wireLen: uint64(wireLen)}
-		// A non-sync eager request rides the frame: the drainer (or the
-		// direct write) completes it once the data is on the wire —
-		// buffer ownership returns to the user at completion, exactly as
-		// before. A sync request's completion is the receiver's ACK, so
-		// its frame carries no request.
+		// A non-sync eager request rides the frame: whoever writes it
+		// completes it once the data is on the wire — buffer ownership
+		// returns to the user at completion. A sync request's completion
+		// is the receiver's ACK, so its frame carries no request.
 		var freq *devcore.Request
 		if !sync {
 			freq = req
@@ -349,8 +231,8 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 
 	// Rendezvous protocol (paper Fig. 6): register the pending send,
 	// then announce with READY_TO_SEND. The core lock and the
-	// destination channel lock are taken one after the other, never
-	// nested, so sends to other destinations don't block.
+	// destination's queue are taken one after the other, never nested,
+	// so sends to other destinations don't block.
 	d.core.Counters.RndvSent.Add(1)
 	d.core.Counters.BytesSent.Add(uint64(wireLen))
 	seq := d.core.NextSeqSend(uint64(slot), int32(context), int32(tag))
@@ -630,15 +512,16 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 // inputHandler is the progress engine for one inbound connection (read
 // channel) from peer slot src. It mirrors the paper's input-handler
 // pseudocode (Figs. 5 and 8): it must never block on anything except
-// reading its own channel, so rendezvous data sends are forked onto
-// their own goroutines.
+// reading its own channel, so every frame it sends — ACK, RTR,
+// rendezvous data, a forwarded revoke — is queued for a writer
+// goroutine (send.go).
 //
 // When the loop exits on an error while the device is still live, the
 // peer is declared dead: its pending requests fail with ErrPeerLost
 // and blocked waiters wake (the failure-detection half of the device).
 func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
 	// Inbound frames are read through a buffered reader sized to the
-	// send engine's batch cap: a coalesced batch from the peer arrives
+	// sender's batch cap: a coalesced batch from the peer arrives
 	// in one (or few) bulk reads instead of two reads per frame, the
 	// receive-side mirror of the vectored batch write. Payload reads at
 	// or above the buffer size bypass it (bufio passes large reads
@@ -779,9 +662,8 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 			// receive fails in the same peer-lost shape.
 			err = d.peerLost(int(h.src), err)
 		} else if h.typ == msgEagerSync {
-			// The matched-sync ACK is piggybacked: in engine mode it joins
-			// the next coalesced batch to h.src instead of paying its own
-			// write (satellite: no standalone ACK frames).
+			// The matched-sync ACK is queued, never written here: it joins
+			// the batch of whoever writes to h.src next.
 			if ackErr := d.send(int(h.src), header{typ: msgAck, src: uint32(d.cfg.Rank), seq: h.seq}, nil, nil, xdev.Status{}, false); ackErr != nil {
 				err = ackErr
 			}
@@ -870,31 +752,25 @@ func (d *Device) handleRTR(h header) {
 	if !ok {
 		return // duplicate, or drained by peer death / shutdown
 	}
-	// Fork a rendezvous writer so the input handler never blocks on a
-	// bulk write or a full send queue — otherwise two processes
-	// simultaneously sending large messages to each other could
-	// deadlock (paper §IV-A.2).
-	dst := int(h.src)
-	d.handlerWG.Add(1)
-	go func() {
-		defer d.handlerWG.Done()
-		wireLen := req.Buf.WireLen()
-		dh := header{
-			typ: msgRndvData, src: uint32(d.cfg.Rank),
-			tag: req.SendTag, ctx: req.SendCtx,
-			seq: h.seq, wireLen: uint64(wireLen),
-		}
-		// The frame carries the request: the drainer (or direct write)
-		// completes it once the payload is on the wire.
-		st := xdev.Status{Source: d.self, Bytes: wireLen}
-		if err := d.send(dst, dh, req.Buf.Segments(), req, st, true); err != nil {
-			req.Complete(xdev.Status{}, err)
-			return
-		}
-		if d.rec.Enabled() {
-			d.rec.EventSeq(mpe.RendezvousData, int32(dst), req.SendTag, req.SendCtx, int64(wireLen), h.seq)
-		}
-	}()
+	// Queue the payload without writing it: the input handler must not
+	// block on a bulk write, or two processes simultaneously sending
+	// large messages to each other could deadlock (paper §IV-A.2). The
+	// current writer to h.src, or a flusher started for it (the paper's
+	// forked rendezvous writer), carries the frame and completes req.
+	wireLen := req.Buf.WireLen()
+	dh := header{
+		typ: msgRndvData, src: uint32(d.cfg.Rank),
+		tag: req.SendTag, ctx: req.SendCtx,
+		seq: h.seq, wireLen: uint64(wireLen),
+	}
+	st := xdev.Status{Source: d.self, Bytes: wireLen}
+	if err := d.send(int(h.src), dh, req.Buf.Segments(), req, st, false); err != nil {
+		req.Complete(xdev.Status{}, err)
+		return
+	}
+	if d.rec.Enabled() {
+		d.rec.EventSeq(mpe.RendezvousData, int32(h.src), req.SendTag, req.SendCtx, int64(wireLen), h.seq)
+	}
 }
 
 func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {

@@ -54,19 +54,17 @@ func TestHelloBadMagic(t *testing.T) {
 	}
 }
 
-// injectRaw writes raw bytes onto the write channel to slot under the
-// conn-ownership lock — the same lock the send engine's drainer takes
-// per batch — so injected garbage lands between engine batches, never
-// mid-frame.
+// injectRaw queues raw bytes to slot as one frame, so they land between
+// frames on the wire, never mid-frame.
 func (d *Device) injectRaw(slot int, raw []byte) error {
-	d.wmu[slot].Lock()
-	defer d.wmu[slot].Unlock()
-	conn := d.writeConn(slot)
-	if conn == nil {
-		return xdev.Errf(DeviceName, "inject", "no channel to slot %d", slot)
+	f := getFrame()
+	f.segs = append(f.segs, raw)
+	f.wire = len(raw)
+	if err := d.post(slot, f, true); err != nil {
+		putFrame(f)
+		return err
 	}
-	_, err := conn.Write(raw)
-	return err
+	return nil
 }
 
 func TestInputHandlerDropsUnknownMessageType(t *testing.T) {
@@ -129,8 +127,14 @@ func TestWriteMsgWithoutChannel(t *testing.T) {
 	}
 	defer d.Finish()
 	// Slot 0 is self: no write channel exists.
-	if err := d.writeMsg(0, header{typ: msgEager}, nil); err == nil {
-		t.Fatal("writeMsg to missing channel succeeded")
+	if err := d.send(0, header{typ: msgEager}, nil, nil, xdev.Status{}, true); err == nil {
+		t.Fatal("send to self's missing channel succeeded")
+	}
+	// A peer whose channel is not dialed yet cannot be written either.
+	d = bareDevice()
+	d.queues[1].conn = nil
+	if err := d.send(1, header{typ: msgAck}, nil, nil, xdev.Status{}, false); err == nil {
+		t.Fatal("send to an undialed peer succeeded")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"runtime/metrics"
-	"sync"
 	"testing"
 
 	"mpj/internal/mpjbuf"
@@ -34,8 +33,7 @@ func bareDevice() *Device {
 	d.pids = []xdev.ProcessID{{UUID: 0}, {UUID: 1}}
 	d.self = d.pids[0]
 	d.eagerLimit = DefaultEagerLimit
-	d.wmu = make([]sync.Mutex, 2)
-	d.wconn = []net.Conn{nil, sink{}}
+	d.queues = []*peerQueue{nil, {conn: sink{}}}
 	d.initDone = true
 	return d
 }

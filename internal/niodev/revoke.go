@@ -52,15 +52,10 @@ func (d *Device) propagateRevoke(ctx int32, from int) {
 	if d.rec.Enabled() {
 		d.rec.Event(mpe.Revoked, int32(from), -1, ctx, 0)
 	}
-	h := header{typ: msgRevoke, src: uint32(d.cfg.Rank), ctx: ctx}
-	for slot := range d.pids {
-		if slot == d.cfg.Rank || slot == from || d.peerErr(slot) != nil {
-			continue
-		}
-		// Best effort: a peer that is already gone cannot be told, and
-		// everyone reachable re-floods on first receipt anyway.
-		_ = d.writeMsg(slot, h, nil)
-	}
+	// Queued, never written here: this runs on an input handler when
+	// forwarding, and a handler must not wait behind a wedged writer.
+	// Best effort: everyone reachable re-floods on first receipt anyway.
+	d.broadcast(header{typ: msgRevoke, src: uint32(d.cfg.Rank), ctx: ctx}, from, 0)
 }
 
 var _ xdev.Revoker = (*Device)(nil)

@@ -1,0 +1,529 @@
+package niodev
+
+import (
+	"errors"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"mpj/internal/devcore"
+	"mpj/internal/mpjbuf"
+	"mpj/internal/transport"
+	"mpj/internal/xdev"
+)
+
+// gate wraps a transport so that the connections it dials to addresses
+// ending in suffix stop accepting writes once armed: Write blocks until
+// the gate opens or the connection is closed — a peer that has stopped
+// reading, produced without reaching into the device.
+type gate struct {
+	xdev.Transport
+	suffix  string
+	armed   atomic.Bool
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGate(inner xdev.Transport, suffix string) *gate {
+	return &gate{Transport: inner, suffix: suffix, release: make(chan struct{})}
+}
+
+func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
+
+func (g *gate) Dial(addr string) (net.Conn, error) {
+	c, err := g.Transport.Dial(addr)
+	if err != nil || !strings.HasSuffix(addr, g.suffix) {
+		return c, err
+	}
+	return &gatedConn{Conn: c, g: g, closed: make(chan struct{})}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	g      *gate
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	if c.g.armed.Load() {
+		select {
+		case <-c.g.release:
+		case <-c.closed:
+			return 0, net.ErrClosed
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *gatedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// queued reports how many frames wait in slot's queue.
+func (d *Device) queued(slot int) int {
+	q := d.queues[slot]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.frames) - q.head
+}
+
+// TestPeerQueueBatchOrder checks the queue's FIFO contract: frames
+// posted while another writer holds the role are taken in post order, up
+// to the batch cap.
+func TestPeerQueueBatchOrder(t *testing.T) {
+	d := bareDevice()
+	q := d.queues[1]
+	q.writing = true // a writer is busy: posts only append
+	const n = maxBatchFrames + 3
+	for i := 0; i < n; i++ {
+		if err := d.send(1, header{typ: msgEager, tag: int32(i)}, nil, nil, xdev.Status{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := q.take()
+	if len(first) != maxBatchFrames {
+		t.Fatalf("first batch has %d frames, want the cap %d", len(first), maxBatchFrames)
+	}
+	rest := q.take()
+	if len(rest) != n-maxBatchFrames {
+		t.Fatalf("second batch has %d frames, want %d", len(rest), n-maxBatchFrames)
+	}
+	for i, f := range append(append([]*sendFrame(nil), first...), rest...) {
+		if tag := decodeHeader(f.hdr).tag; tag != int32(i) {
+			t.Fatalf("frame %d carries tag %d: out of order", i, tag)
+		}
+	}
+	if d.queued(1) != 0 {
+		t.Fatalf("%d frames left after taking everything", d.queued(1))
+	}
+}
+
+// TestPeerQueuePoisonWakesBlockedEnqueuer is the failure contract at the
+// queue level: a sender whose frame waits behind a wedged writer must
+// wake with the peer's death error when the peer dies, queued frames
+// must be failed rather than dropped, and later sends must fail fast.
+func TestPeerQueuePoisonWakesBlockedEnqueuer(t *testing.T) {
+	d := bareDevice()
+	d.queues[1].writing = true // the wedged writer
+	req := d.core.NewRequest(devcore.SendReq, mpjbuf.New(0))
+	if err := d.send(1, header{typ: msgEager}, nil, req, xdev.Status{}, true); err != nil {
+		t.Fatal(err)
+	}
+	woke := make(chan error, 1)
+	go func() {
+		_, err := req.Wait()
+		woke <- err
+	}()
+	dead := errors.New("peer dead")
+	d.markPeerDead(1, dead)
+	select {
+	case err := <-woke:
+		if !errors.Is(err, dead) || !errors.Is(err, xdev.ErrPeerLost) {
+			t.Fatalf("queued sender woke with %v, want the peer's death error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued sender never woke after peer death")
+	}
+	if d.queued(1) != 0 {
+		t.Fatalf("%d frames still queued after poison", d.queued(1))
+	}
+	if err := d.send(1, header{typ: msgAck}, nil, nil, xdev.Status{}, false); !errors.Is(err, dead) {
+		t.Fatalf("post-poison send: %v, want the poison error", err)
+	}
+}
+
+// TestPeerQueueCloseWithAppendsBehindQueued checks flush-on-finalize at
+// the queue level: the closing frame (Finish's bye) must come out
+// *after* everything already queued.
+func TestPeerQueueCloseWithAppendsBehindQueued(t *testing.T) {
+	d := bareDevice()
+	q := d.queues[1]
+	q.writing = true
+	if err := d.send(1, header{typ: msgEager}, nil, nil, xdev.Status{}, true); err != nil {
+		t.Fatal(err)
+	}
+	d.broadcast(header{typ: msgBye}, -1, 0)
+	batch := q.take()
+	if len(batch) != 2 || batch[0].hdr[0] != msgEager || batch[1].hdr[0] != msgBye {
+		t.Fatalf("closing batch = %d frames, want [data, bye] in order", len(batch))
+	}
+	completeFrames(batch, nil)
+}
+
+// TestSendEngineFlushOnFinish checks flush-on-finalize end to end:
+// frames queued (not yet written) when Finish is called must all reach
+// the peer ahead of the goodbye — no frame left queued.
+func TestSendEngineFlushOnFinish(t *testing.T) {
+	const n = 64
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank == 0 {
+			for i := 0; i < n; i++ {
+				buf := mpjbuf.New(16)
+				buf.WriteInts([]int32{int32(i)}, 0, 1)
+				// ISend without Wait: completion rides the frame.
+				if _, err := d.ISend(buf, pids[1], 5, 0); err != nil {
+					t.Errorf("isend %d: %v", i, err)
+					return
+				}
+			}
+			// Finish with frames possibly still queued: the bye must go
+			// out behind them.
+			d.Finish()
+			return
+		}
+		for i := 0; i < n; i++ {
+			got := recvInts(t, d, pids[0], 5, 1)
+			if len(got) != 1 || got[0] != int32(i) {
+				t.Errorf("recv %d: got %v, want [%d]", i, got, i)
+				return
+			}
+		}
+		// The departure must have been graceful: a flushed goodbye, not
+		// a connection error.
+		deadline := time.Now().Add(5 * time.Second)
+		for d.peerErr(0) == nil {
+			if time.Now().After(deadline) {
+				t.Error("rank 1 never saw rank 0's goodbye")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if d.Stats().PeersLost != 0 {
+			t.Error("graceful goodbye was counted as a peer loss")
+		}
+	})
+}
+
+// TestSendEngineBlockedEnqueueWokenByPeerDeath checks failure end to
+// end: with the connection to the peer wedged, one sender blocks in the
+// write and the others wait behind it; all must wake with ErrPeerLost
+// when the peer is declared dead.
+func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
+	g := newGate(transport.NewInProc(0), "rank-1")
+	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank != 0 {
+			return // rank 1 just exists to be declared dead
+		}
+		g.armed.Store(true)
+		const senders = 3
+		errsCh := make(chan error, senders)
+		for i := 0; i < senders; i++ {
+			go func() {
+				buf := mpjbuf.New(16)
+				buf.WriteInts([]int32{1}, 0, 1)
+				errsCh <- d.Send(buf, pids[1], 9, 0)
+			}()
+		}
+		// One sender writes (and blocks); the other two queue behind it.
+		for deadline := time.Now().Add(10 * time.Second); d.queued(1) < senders-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("only %d senders queued behind the wedged write", d.queued(1))
+				break
+			}
+		}
+		d.markPeerDead(1, errors.New("test: simulated peer failure"))
+		for i := 0; i < senders; i++ {
+			select {
+			case err := <-errsCh:
+				if !errors.Is(err, xdev.ErrPeerLost) {
+					t.Errorf("sender %d: %v, want ErrPeerLost", i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("sender %d still blocked after peer death", i)
+				return
+			}
+		}
+	})
+}
+
+// TestSendEngineManySendersOnePeer is the -race stress for the shared
+// queue: many goroutines funnel into one peer; per-(src,dst) order must
+// hold within each sender's tag stream, and every message must arrive
+// exactly once.
+func TestSendEngineManySendersOnePeer(t *testing.T) {
+	const senders = 8
+	msgs := 200
+	if testing.Short() {
+		msgs = 50
+	}
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank == 0 {
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := 0; i < msgs; i++ {
+						sendInts(t, d, pids[1], 100+s, []int32{int32(i)})
+					}
+				}(s)
+			}
+			wg.Wait()
+			return
+		}
+		var wg sync.WaitGroup
+		for s := 0; s < senders; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				for i := 0; i < msgs; i++ {
+					got := recvInts(t, d, pids[0], 100+s, 1)
+					if len(got) != 1 || got[0] != int32(i) {
+						t.Errorf("tag %d msg %d: got %v, want [%d] (ordering violated)", 100+s, i, got, i)
+						return
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+	})
+}
+
+// TestSendCountersMatchFramesSent pins the batch counters: every frame
+// written is counted once in FramesCoalesced and its bytes in
+// SendBatchBytes, and no batch is empty. bench's frames_per_batch,
+// /metrics and mpjtrace -summary read these.
+func TestSendCountersMatchFramesSent(t *testing.T) {
+	const senders, msgs = 8, 50
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank == 0 {
+			probe := mpjbuf.New(16)
+			probe.WriteInts([]int32{0}, 0, 1)
+			frameBytes := uint64(headerLen + probe.WireLen())
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for i := 0; i < msgs; i++ {
+						sendInts(t, d, pids[1], 100+s, []int32{int32(i)})
+					}
+				}(s)
+			}
+			wg.Wait()
+			// A blocking Send returns once its frame is written, and the
+			// writer counts a batch before completing its requests.
+			st := d.Stats()
+			const frames = senders * msgs
+			if st.FramesCoalesced != frames {
+				t.Errorf("FramesCoalesced = %d, want the %d frames sent", st.FramesCoalesced, frames)
+			}
+			if st.SendBatches == 0 || st.SendBatches > frames {
+				t.Errorf("SendBatches = %d, want 1..%d", st.SendBatches, frames)
+			}
+			if st.SendBatchBytes != frames*frameBytes {
+				t.Errorf("SendBatchBytes = %d, want %d", st.SendBatchBytes, frames*frameBytes)
+			}
+			intro := d.Introspect().(introspection)
+			if len(intro.Peers) != 1 || !intro.Peers[0].Connected || intro.Peers[0].SendQueue != 0 {
+				t.Errorf("introspected peers = %+v, want one connected peer with nothing queued", intro.Peers)
+			}
+			return
+		}
+		for s := 0; s < senders; s++ {
+			for i := 0; i < msgs; i++ {
+				recvInts(t, d, pids[0], 100+s, 1)
+			}
+		}
+	})
+}
+
+// TestSendEngineLargeMessages drives the rendezvous path (payload over
+// the eager limit): the data frame the RTR releases is queued like any
+// other.
+func TestSendEngineLargeMessages(t *testing.T) {
+	const n = 40_000 // * 4 bytes > 128 KiB default eager limit
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		vals := make([]int32, n)
+		if rank == 0 {
+			for i := range vals {
+				vals[i] = int32(i)
+			}
+			sendInts(t, d, pids[1], 21, vals)
+			if st := d.Stats(); st.RndvSent != 1 {
+				t.Errorf("RndvSent = %d, want 1 (message should exceed the eager limit)", st.RndvSent)
+			}
+			return
+		}
+		got := recvInts(t, d, pids[0], 21, n)
+		for i, v := range got {
+			if v != int32(i) {
+				t.Fatalf("payload[%d] = %d, want %d", i, v, i)
+			}
+		}
+	})
+}
+
+// TestMutualFloodNoDeadlock has two ranks flood each other with
+// messages larger than a connection buffers, from two goroutines each,
+// with every receive posted: each message's ACK (synchronous eager) or
+// RTR (rendezvous) is sent by the receiving input handler while the
+// application writers on both sides are blocked on full connections.
+// An input handler that waited for such a writer would deadlock both
+// ranks — though only when the two sides' writes happen to collide, so
+// each subtest floods several times.
+func TestMutualFloodNoDeadlock(t *testing.T) {
+	transports := []struct {
+		name  string
+		short bool
+		job   func(t *testing.T) xdev.Config
+	}{
+		{"inproc", true, func(*testing.T) xdev.Config { return xdev.Config{Dialer: transport.NewInProc(0)} }},
+		{"tcp", false, func(t *testing.T) xdev.Config {
+			return xdev.Config{Dialer: transport.TCP{}, Addrs: loopbackAddrs(t, 2)}
+		}},
+	}
+	floods := []struct {
+		name  string
+		n     int // int32s per message
+		ssend bool
+	}{
+		{"ssend-100KB", 25_000, true},
+		{"isend-200KB", 50_000, false},
+	}
+	for _, tr := range transports {
+		for _, fl := range floods {
+			t.Run(tr.name+"/"+fl.name, func(t *testing.T) {
+				if !tr.short && testing.Short() {
+					t.Skip("loopback TCP skipped in -short mode")
+				}
+				runJob(t, 2, tr.job(t), func(d *Device, rank int, pids []xdev.ProcessID) {
+					for round := 0; round < 8; round++ {
+						if !mutualFlood(t, d, rank, pids[1-rank], fl.n, fl.ssend) {
+							return
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// mutualFlood is one rank's side of one flood: post 64 receives from
+// peer, then send it 64 messages of n int32s from two goroutines. It
+// reports false if the flood did not finish within 30 s.
+func mutualFlood(t *testing.T, d *Device, rank int, peer xdev.ProcessID, n int, ssend bool) bool {
+	const goroutines, perG = 2, 32
+	recvs := make([]xdev.Request, 0, goroutines*perG)
+	bufs := make([]*mpjbuf.Buffer, 0, goroutines*perG)
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			b := mpjbuf.New(0)
+			r, err := d.IRecv(b, peer, g, 0)
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			recvs, bufs = append(recvs, r), append(bufs, b)
+		}
+	}
+	// Both sides post every receive before either floods.
+	sendInts(t, d, peer, 99, []int32{0})
+	recvInts(t, d, peer, 99, 1)
+
+	// Workers report through errs rather than t, so a flood still
+	// running when the test gives up cannot fail it afterwards.
+	errs := make(chan error, 3*goroutines*perG)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(rank*100 + g)
+			}
+			send := d.ISend
+			if ssend {
+				send = d.ISsend
+			}
+			reqs := make([]xdev.Request, 0, perG)
+			for i := 0; i < perG; i++ {
+				buf := mpjbuf.New(0)
+				buf.WriteInts(vals, 0, n)
+				r, err := send(buf, peer, g, 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				reqs = append(reqs, r)
+			}
+			for _, r := range reqs {
+				if _, err := r.Wait(); err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	go func() {
+		wg.Wait()
+		for _, r := range recvs {
+			if _, err := r.Wait(); err != nil {
+				errs <- err
+			}
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Errorf("rank %d: mutual flood still running after 30s (deadlock)", rank)
+		return false
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	out := make([]int32, n)
+	for i, b := range bufs {
+		want := int32((1-rank)*100 + i/perG)
+		if _, err := b.ReadInts(out, 0, n); err != nil || out[0] != want || out[n-1] != want {
+			t.Errorf("rank %d receive %d: got %d..%d, want %d (%v)", rank, i, out[0], out[n-1], want, err)
+			return false
+		}
+	}
+	return true
+}
+
+// TestRevokeForwardNeverBlocksHandler: the revoke flood is forwarded by
+// input handlers, so forwarding must only queue. Rank 0's connection to
+// rank 2 is wedged; rank 1 revokes a context and then sends rank 0 an
+// eager message, which rank 0's handler for rank 1 must still deliver.
+func TestRevokeForwardNeverBlocksHandler(t *testing.T) {
+	var g *gate
+	devs := chaosJob(t, 3, func(rank int, base xdev.Transport) xdev.Transport {
+		if rank != 0 {
+			return base
+		}
+		g = newGate(base, "rank-2")
+		return g
+	})
+	t.Cleanup(g.open) // runs before chaosJob's Finish
+	g.armed.Store(true)
+
+	if err := devs[1].Revoke(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := chaosSend(devs[1], devs[1].pids[0], 4, []int64{42}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- chaosRecv(devs[0], devs[0].pids[1], 4) }()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 0's input handler is stuck forwarding the revoke")
+	}
+	if devs[0].core.CtxErr(5) == nil {
+		t.Error("rank 0 delivered the message but never applied the revoke")
+	}
+}

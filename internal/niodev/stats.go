@@ -34,57 +34,32 @@ type peerState struct {
 	Slot      int    `json:"slot"`
 	Connected bool   `json:"connected"`
 	Err       string `json:"err,omitempty"`
-	// SendQueue is the number of frames currently queued for this peer
-	// in the asynchronous send engine (always 0 in direct mode).
+	// SendQueue is the number of frames queued for this peer and not
+	// yet taken by a writer.
 	SendQueue int `json:"sendQueue,omitempty"`
-}
-
-// sendEngineState is the engine's live view for Introspect: the
-// configured tunables plus the frames-per-batch histogram (bucket i
-// counts batches of 2^i..2^(i+1)-1 frames; the last is open-ended).
-type sendEngineState struct {
-	Mode       string   `json:"mode"`
-	QueueLimit int      `json:"queueLimit,omitempty"`
-	Spin       int      `json:"spin,omitempty"`
-	Inline     bool     `json:"inline,omitempty"`
-	BatchHist  []uint64 `json:"batchHist,omitempty"`
 }
 
 // introspection is the live-state dump the telemetry endpoint serves:
 // the progress core's queue depths plus this device's per-peer
 // connection and failure state.
 type introspection struct {
-	Core       devcore.CoreState `json:"core"`
-	SendEngine sendEngineState   `json:"sendEngine"`
-	Peers      []peerState       `json:"peers,omitempty"`
+	Core  devcore.CoreState `json:"core"`
+	Peers []peerState       `json:"peers,omitempty"`
 }
 
 // Introspect snapshots the device's live progress-engine and
 // connection state for the telemetry /introspect endpoint.
 func (d *Device) Introspect() any {
-	out := introspection{
-		Core:       d.core.Introspect(),
-		SendEngine: sendEngineState{Mode: "direct"},
-	}
-	if e := d.engine; e != nil {
-		out.SendEngine = sendEngineState{
-			Mode:       "engine",
-			QueueLimit: d.sendQueue,
-			Spin:       d.sendSpin,
-			Inline:     e.inline,
-			BatchHist:  e.histSnapshot(),
-		}
-	}
-	for slot := range d.pids {
-		if slot == d.cfg.Rank {
+	out := introspection{Core: d.core.Introspect()}
+	for slot, q := range d.queues {
+		if q == nil {
 			continue
 		}
-		ps := peerState{Slot: slot, Connected: d.writeConn(slot) != nil}
+		q.mu.Lock()
+		ps := peerState{Slot: slot, Connected: q.conn != nil, SendQueue: len(q.frames) - q.head}
+		q.mu.Unlock()
 		if err := d.core.PeerErr(uint64(slot)); err != nil {
 			ps.Err = err.Error()
-		}
-		if e := d.engine; e != nil {
-			ps.SendQueue = e.depthOf(slot)
 		}
 		out.Peers = append(out.Peers, ps)
 	}

@@ -192,9 +192,9 @@ var counterDefs = []struct {
 	{"mpj_rma_gets_total", "One-sided Get operations issued as origin.", func(c mpe.CounterSnapshot) uint64 { return c.RmaGets }},
 	{"mpj_rma_accs_total", "One-sided Accumulate operations issued as origin.", func(c mpe.CounterSnapshot) uint64 { return c.RmaAccs }},
 	{"mpj_rma_bytes_total", "Payload bytes moved by one-sided operations issued as origin.", func(c mpe.CounterSnapshot) uint64 { return c.RmaBytes }},
-	{"mpj_send_batches_total", "Coalesced wire writes issued by the async send engine.", func(c mpe.CounterSnapshot) uint64 { return c.SendBatches }},
-	{"mpj_frames_coalesced_total", "Frames carried by the send engine's coalesced writes.", func(c mpe.CounterSnapshot) uint64 { return c.FramesCoalesced }},
-	{"mpj_send_batch_bytes_total", "Wire bytes (headers+payload) written by the send engine.", func(c mpe.CounterSnapshot) uint64 { return c.SendBatchBytes }},
+	{"mpj_send_batches_total", "Batched wire writes issued by the niodev send path.", func(c mpe.CounterSnapshot) uint64 { return c.SendBatches }},
+	{"mpj_frames_coalesced_total", "Frames carried by the niodev send path's batched writes.", func(c mpe.CounterSnapshot) uint64 { return c.FramesCoalesced }},
+	{"mpj_send_batch_bytes_total", "Wire bytes (headers+payload) written by the niodev send path.", func(c mpe.CounterSnapshot) uint64 { return c.SendBatchBytes }},
 	{"mpj_comm_revokes_total", "Communicator revocations initiated by this rank.", func(c mpe.CounterSnapshot) uint64 { return c.CommRevokes }},
 	{"mpj_comm_shrinks_total", "Successful communicator Shrink operations.", func(c mpe.CounterSnapshot) uint64 { return c.CommShrinks }},
 	{"mpj_comm_agrees_total", "Completed fault-tolerant agreement rounds.", func(c mpe.CounterSnapshot) uint64 { return c.CommAgrees }},

@@ -125,21 +125,6 @@ type Config struct {
 	// it is never inferred, because a wrong guess would strand
 	// cross-process messages in a process-local mailbox.
 	Colocated bool
-	// SendEngine selects the outbound path on devices with an
-	// asynchronous send engine (niodev): "" or "engine" enqueues frames
-	// on per-peer queues drained by coalescing sender goroutines;
-	// "direct" restores the synchronous lock-and-write path. Empty
-	// falls back to MPJ_SEND_ENGINE.
-	SendEngine string
-	// SendQueue bounds the per-peer send queue in frames (backpressure:
-	// data sends block while the queue is full). Zero selects
-	// MPJ_SEND_QUEUE, then the device default (256).
-	SendQueue int
-	// SendSpin is how many scheduler yields an idle sender goroutine
-	// busy-polls for new frames before parking. Zero selects
-	// MPJ_SEND_SPIN, then the device default (128); negative disables
-	// spinning (park immediately).
-	SendSpin int
 	// Replay is this rank's record/replay session (internal/replay):
 	// when non-nil the device records every nondeterministic decision
 	// it makes — wildcard match resolutions, completion-pop order,

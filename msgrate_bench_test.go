@@ -3,11 +3,10 @@ package mpj
 // BenchmarkMsgRate measures small-message throughput (messages/sec)
 // rather than round-trip latency: S sender goroutines on rank 0 stream
 // b.N messages at rank 1, with a windowed credit every 1024 messages
-// per sender so the unexpected-message queue stays bounded. This is
-// the workload the asynchronous send engine exists for — many
-// concurrent senders funneling into one peer — and the engine/direct
-// split is the A/B the acceptance criterion reads (EXPERIMENTS.md).
-// ns/op is per message; the msg/s metric is its reciprocal.
+// per sender so the unexpected-message queue stays bounded: many
+// concurrent senders funneling into one peer, the case niodev's
+// per-peer send queue coalesces. ns/op is per message; the msg/s
+// metric is its reciprocal.
 
 import (
 	"fmt"
@@ -86,38 +85,24 @@ func benchMsgRate(b *testing.B, size, senders int, opts *Options) {
 	}
 }
 
-// BenchmarkMsgRate sweeps device × concurrent senders × payload size,
-// with the niodev/hybrid wire path additionally split engine vs
-// direct. hybrid pins the two ranks on different simulated nodes so
-// its traffic really takes the inner niodev wire path instead of
-// shared memory.
+// BenchmarkMsgRate sweeps device × concurrent senders × payload size.
+// hybrid pins the two ranks on different simulated nodes so its traffic
+// really takes the inner niodev wire path instead of shared memory.
 func BenchmarkMsgRate(b *testing.B) {
 	devices := []struct {
-		name    string
-		opts    Options
-		hasWire bool // niodev send path underneath: engine/direct split applies
+		name string
+		opts Options
 	}{
-		{"smpdev", Options{Device: "smpdev"}, false},
-		{"niodev", Options{Device: "niodev"}, true},
-		{"hybrid", Options{Device: "hybrid", NodeMap: "0,1"}, true},
+		{"smpdev", Options{Device: "smpdev"}},
+		{"niodev", Options{Device: "niodev"}},
+		{"hybrid", Options{Device: "hybrid", NodeMap: "0,1"}},
 	}
 	for _, dev := range devices {
 		for _, senders := range []int{1, 8} {
 			for _, size := range []int{8, 512} {
-				label := fmt.Sprintf("%s/%dx%dB", dev.name, senders, size)
-				if !dev.hasWire {
-					b.Run(label, func(b *testing.B) {
-						benchMsgRate(b, size, senders, &dev.opts)
-					})
-					continue
-				}
-				for _, mode := range []string{"engine", "direct"} {
-					opts := dev.opts
-					opts.SendEngine = mode
-					b.Run(label+"/"+mode, func(b *testing.B) {
-						benchMsgRate(b, size, senders, &opts)
-					})
-				}
+				b.Run(fmt.Sprintf("%s/%dx%dB", dev.name, senders, size), func(b *testing.B) {
+					benchMsgRate(b, size, senders, &dev.opts)
+				})
 			}
 		}
 	}
