@@ -29,6 +29,7 @@ package devcore
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -110,6 +111,10 @@ type Core struct {
 
 	seq atomic.Uint64
 
+	// spin says whether waiters yield before parking: only when the
+	// process had more than one P when the core was made (see waitSpin).
+	spin bool
+
 	cq *cqueue.Queue[*Request]
 
 	// Counters is the device's activity accounting; matching decisions
@@ -143,6 +148,7 @@ func New(dev string) *Core {
 		posted:   match.NewPatternSet[*Request](),
 		arrived:  match.NewItemSet[*Arrival](),
 		peerDead: make(map[uint64]error),
+		spin:     runtime.GOMAXPROCS(0) > 1,
 		cq:       cqueue.New[*Request](),
 		rec:      mpe.Nop{},
 	}
@@ -241,6 +247,26 @@ func (c *Core) PeerErr(slot uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peerDead[slot]
+}
+
+// SendGate is OpErr, PeerErr(slot) and CtxErr(ctx) in that order of
+// precedence, under one acquisition of the core lock: the gate a send
+// passes before it does any work.
+func (c *Core) SendGate(op string, slot uint64, ctx int32) error {
+	c.mu.Lock()
+	aborted, closed := c.aborted, c.closed
+	err := c.peerDead[slot]
+	if err == nil {
+		err = c.revoked[ctx]
+	}
+	c.mu.Unlock()
+	if aborted != nil {
+		return aborted
+	}
+	if closed {
+		return c.closedErr(op)
+	}
+	return err
 }
 
 // failErr is the error a mid-operation closed-core race surfaces:

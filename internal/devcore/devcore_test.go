@@ -2,6 +2,7 @@ package devcore
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -206,6 +207,66 @@ func TestAbortPreemptsClosedShape(t *testing.T) {
 	}
 	if _, _, err := c.MatchOrPark(env(0, 0, 0), &Arrival{}); !errors.Is(err, ab) {
 		t.Fatalf("MatchOrPark = %v, want abort cause", err)
+	}
+}
+
+// SendGate gives the precedence OpErr, PeerErr and CtxErr give one
+// after another: abort, then closed, then dead peer, then revoked
+// context.
+func TestSendGatePrecedence(t *testing.T) {
+	c := New("test")
+	if err := c.SendGate("isend", 3, 5); err != nil {
+		t.Fatalf("live core: %v", err)
+	}
+	revoked, dead, ab := errors.New("revoked"), errors.New("dead"), errors.New("abort")
+	c.RevokeContext(5, revoked)
+	if err := c.SendGate("isend", 3, 5); err != revoked {
+		t.Fatalf("revoked context: %v", err)
+	}
+	c.FailPeer(3, PeerFail{Err: dead, Sticky: true})
+	if err := c.SendGate("isend", 3, 5); err != dead {
+		t.Fatalf("dead peer on a revoked context: %v", err)
+	}
+	if err := c.SendGate("isend", 4, 6); err != nil {
+		t.Fatalf("live peer and context: %v", err)
+	}
+	c.Shutdown(ErrClosed, ErrClosed)
+	if err := c.SendGate("isend", 3, 5); !errors.Is(err, xdev.ErrDeviceClosed) {
+		t.Fatalf("closed core: %v", err)
+	}
+	c.SetAborted(ab)
+	if err := c.SendGate("isend", 3, 5); err != ab {
+		t.Fatalf("aborted core: %v", err)
+	}
+}
+
+// With one P a waiter parks at once: yielding would only requeue it
+// ahead of the input handler that is to complete it. The test goroutine
+// yields at most twice before the waiter's park channel must exist, and
+// Complete reports the wake.
+func TestWaitParksFirstOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := New("test")
+	r := c.NewRequest(RecvReq, nil)
+	done := make(chan struct{})
+	go func() {
+		r.Wait()
+		close(done)
+	}()
+	for yields := 0; r.parked.Load() == nil; yields++ {
+		if yields == 2 {
+			r.Complete(xdev.Status{}, nil)
+			<-done
+			t.Fatal("waiter still unparked after 2 yields on one P")
+		}
+		runtime.Gosched()
+	}
+	if !r.Complete(xdev.Status{}, nil) {
+		t.Error("Complete did not report waking the parked waiter")
+	}
+	<-done
+	if r2 := c.NewRequest(SendReq, nil); r2.Complete(xdev.Status{}, nil) {
+		t.Error("Complete reported a wake with nobody waiting")
 	}
 }
 

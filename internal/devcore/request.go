@@ -102,10 +102,9 @@ type Request struct {
 	// and err are published before it flips, so a load observing 1 may
 	// read them without further synchronization. parked is the wake
 	// channel, allocated lazily by the first waiter that actually needs
-	// to block: a request that completes before anyone parks — the
-	// common case for niodev sends, whose frame the sender writes itself
-	// or the peer's current writer finishes within the waiter's brief
-	// spin — never allocates or closes a channel at all.
+	// to block: a request that completes before anyone waits on it — a
+	// niodev send whose frame the caller wrote itself — never allocates
+	// or closes a channel at all.
 	state  atomic.Uint32
 	parked atomic.Pointer[chan struct{}]
 	status xdev.Status
@@ -125,21 +124,24 @@ func (c *Core) NewRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 }
 
 // waitSpin is how many scheduler yields Wait burns before allocating a
-// park channel and blocking: long enough to cover an in-flight
-// completion (a writer finishing the batch that carries this
-// request), short enough that a receive with no matching message goes
-// to sleep promptly.
+// park channel and blocking, on a process with more than one P: there
+// another M polls the network and other goroutines (in-process ranks,
+// input handlers) run while this one yields, so a completion can land
+// inside the spin and save a park and a wake. With one P a yield only
+// requeues the waiter — the scheduler runs queued goroutines before it
+// polls the network — so the spin would hold back the very input
+// handler that completes it; Core.spin turns it off there (DESIGN.md §7).
 const waitSpin = 64
 
-// await blocks until the request completes: fast-path check, brief
-// adaptive spin, then park on a lazily-published channel. The
-// publish-then-recheck order pairs with Complete's flip-then-check so
-// a wake is never lost.
+// await blocks until the request completes: fast-path check, the yield
+// spin where it can see progress, then park on a lazily-published
+// channel. The publish-then-recheck order pairs with Complete's
+// flip-then-check so a wake is never lost.
 func (r *Request) await() {
 	if r.state.Load() != 0 {
 		return
 	}
-	for i := 0; i < waitSpin; i++ {
+	for i := 0; r.c.spin && i < waitSpin; i++ {
 		runtime.Gosched()
 		if r.state.Load() != 0 {
 			return
@@ -246,8 +248,9 @@ func (r *Request) stampMatch(src uint64, seq uint64) {
 // Complete records the outcome and publishes the request to its core's
 // completion queue. It is safe to call at most once; the ownership-
 // transfer discipline (whoever removes a request from a shared set
-// completes it) guarantees that.
-func (r *Request) Complete(st xdev.Status, err error) {
+// completes it) guarantees that. It reports whether it woke a waiter
+// parked in Wait.
+func (r *Request) Complete(st xdev.Status, err error) bool {
 	if err != nil {
 		r.c.Counters.RequestsFailed.Add(1)
 	}
@@ -261,10 +264,12 @@ func (r *Request) Complete(st xdev.Status, err error) {
 	r.status = st
 	r.err = err
 	r.state.Store(1)
-	if ch := r.parked.Load(); ch != nil {
+	ch := r.parked.Load()
+	if ch != nil {
 		close(*ch)
 	}
 	r.c.cq.Push(r)
+	return ch != nil
 }
 
 // Done reports (without blocking) whether the request has completed.

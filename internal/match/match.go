@@ -84,22 +84,32 @@ type entry[T any] struct {
 }
 
 // fifo is a slice-backed queue with lazy removal of taken entries.
+// items[:off] have been consumed and are nil. A queue that empties
+// keeps its backing array, so the steady post-then-match cycle pushes
+// into storage it already has.
 type fifo[T any] struct {
 	items []*entry[T]
+	off   int
 }
 
 func (q *fifo[T]) push(e *entry[T]) { q.items = append(q.items, e) }
 
 // head returns the oldest non-taken entry, compacting as it goes.
 func (q *fifo[T]) head() *entry[T] {
-	for len(q.items) > 0 && q.items[0].taken {
-		q.items[0] = nil
-		q.items = q.items[1:]
+	for q.off < len(q.items) && q.items[q.off].taken {
+		q.items[q.off] = nil
+		q.off++
 	}
-	if len(q.items) == 0 {
+	switch {
+	case q.off == len(q.items):
+		q.items, q.off = q.items[:0], 0
 		return nil
+	case q.off > 32 && q.off > len(q.items)/2:
+		// Mostly consumed but never empty: drop the prefix so the
+		// array does not grow without bound.
+		q.items, q.off = q.items[q.off:], 0
 	}
-	return q.items[0]
+	return q.items[q.off]
 }
 
 // PatternSet holds posted receive patterns, each indexed under its own

@@ -42,6 +42,44 @@ func TestPatternSetExactMatch(t *testing.T) {
 	}
 }
 
+// A post-then-match cycle in steady state allocates only the entry: the
+// bucket keeps its backing array when it empties.
+func TestPatternSetSteadyStateAllocs(t *testing.T) {
+	s := NewPatternSet[int]()
+	p, c := Pattern{1, 5, 2}, Concrete{1, 5, 2}
+	cycle := func() {
+		s.Add(p, 7)
+		if _, ok := s.Match(c); !ok {
+			t.Fatal("no match")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n > 1 {
+		t.Errorf("Add+Match allocates %.1f times, want <= 1", n)
+	}
+}
+
+// A bucket that never empties keeps FIFO order and does not keep every
+// entry it ever held.
+func TestPatternSetNeverEmptyBucket(t *testing.T) {
+	s := NewPatternSet[int]()
+	p, c := Pattern{1, 5, 2}, Concrete{1, 5, 2}
+	next, want := 0, 0
+	for i := 0; i < 10000; i++ {
+		for s.Len() < 2+i%100 {
+			s.Add(p, next)
+			next++
+		}
+		if v, ok := s.Match(c); !ok || v != want {
+			t.Fatalf("match %d = (%d, %v), want %d", i, v, ok, want)
+		}
+		want++
+	}
+	if n := cap(s.buckets[p].items); n > 1024 {
+		t.Errorf("bucket holds %d slots for at most 101 live entries", n)
+	}
+}
+
 func TestPatternSetWildcardPriorityByPostingOrder(t *testing.T) {
 	s := NewPatternSet[string]()
 	s.Add(Pattern{1, AnyTag, AnySource}, "wild")

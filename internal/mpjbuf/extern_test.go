@@ -1,6 +1,7 @@
 package mpjbuf
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"runtime"
@@ -292,6 +293,36 @@ func TestAppendSegmentsAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("AppendSegments allocates %.0f times per call", n)
+	}
+}
+
+// A steady-state LoadWireFrom from a buffered reader — niodev's receive
+// into a posted buffer — allocates nothing: the wire header is read into
+// the Buffer, not into an array that escapes through the io.Reader.
+func TestLoadWireFromAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
+	}
+	var src Buffer
+	src.WriteBytes([]byte("8 bytes!"), 0, 8)
+	wire := src.Wire()
+	rd := bytes.NewReader(wire)
+	br := bufio.NewReader(rd)
+	var b Buffer
+	load := func() {
+		rd.Reset(wire)
+		br.Reset(rd)
+		if err := b.LoadWireFrom(br, len(wire)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load() // warm: the static section's backing is allocated once
+	if n := testing.AllocsPerRun(100, load); n != 0 {
+		t.Errorf("LoadWireFrom allocates %.1f times per message, want 0", n)
+	}
+	got := make([]byte, 8)
+	if _, err := b.ReadBytes(got, 0, 8); err != nil || string(got) != "8 bytes!" {
+		t.Errorf("loaded %q, %v", got, err)
 	}
 }
 

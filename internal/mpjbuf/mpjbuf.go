@@ -756,11 +756,13 @@ func (b *Buffer) LoadWireFrom(r io.Reader, wireLen int) error {
 	if wireLen < wireHeaderLen {
 		return fmt.Errorf("mpjbuf: wire form too short (%d bytes)", wireLen)
 	}
-	var hdr [wireHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into the Buffer's own header field: a local
+	// array would escape through r and cost an allocation per message.
+	hdr := b.whdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("mpjbuf: read wire header: %w", err)
 	}
-	sl, dl, err := checkWireHeader(hdr[:], wireLen)
+	sl, dl, err := checkWireHeader(hdr, wireLen)
 	if err != nil {
 		return err
 	}

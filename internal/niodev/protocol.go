@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
 
 	"mpj/internal/devcore"
 	"mpj/internal/match"
@@ -153,17 +154,16 @@ func payloadCRC(segments [][]byte) uint32 {
 // isend implements the four send modes. sync selects synchronous
 // completion semantics (Ssend/ISsend).
 func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync bool) (*devcore.Request, error) {
-	if err := d.opErr("isend"); err != nil {
-		return nil, err
-	}
+	// One core-lock round trip gates the send: abort/closed, then unknown
+	// process, then dead peer, then revoked context. slotOf takes no lock,
+	// so an unknown process only asks the core whether the device is down.
 	slot, err := d.slotOf(dst)
+	if err == nil {
+		err = d.core.SendGate("isend", uint64(slot), int32(context))
+	} else if opErr := d.opErr("isend"); opErr != nil {
+		err = opErr
+	}
 	if err != nil {
-		return nil, err
-	}
-	if err := d.peerErr(slot); err != nil {
-		return nil, err
-	}
-	if err := d.core.CtxErr(int32(context)); err != nil {
 		return nil, err
 	}
 	req := d.core.NewRequest(devcore.SendReq, buf)
@@ -549,6 +549,13 @@ type bulkReader struct {
 
 func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 	hdr := make([]byte, headerLen)
+	br, _ := conn.(*bulkReader)
+	// cr checksums payloads streamed into user buffers; nil when the
+	// hello did not negotiate checksums.
+	var cr *crcReader
+	if crc {
+		cr = &crcReader{r: conn}
+	}
 	for {
 		if _, err := io.ReadFull(conn, hdr); err != nil {
 			return err // connection closed (Finish, abort, or peer exit)
@@ -566,25 +573,23 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 			// table below.
 			return d.badFrame(src, "frame from slot %d on slot %d's connection", h.src, src)
 		}
+		var woke bool
+		var err error
 		switch h.typ {
 		case msgEager, msgEagerSync:
 			if h.wireLen > uint64(d.eagerLimit) {
 				// Checked before the length sizes a staging slice.
 				return d.badFrame(src, "eager frame of %d bytes exceeds the eager limit %d", h.wireLen, d.eagerLimit)
 			}
-			if err := d.handleEager(conn, h, crc); err != nil {
-				return err
-			}
+			woke, err = d.handleEager(conn, h, cr)
 		case msgRTS:
 			d.handleRTS(h)
 		case msgRTR:
 			d.handleRTR(h)
 		case msgRndvData:
-			if err := d.handleRndvData(conn, h, crc); err != nil {
-				return err
-			}
+			woke, err = d.handleRndvData(conn, h, cr)
 		case msgAck:
-			d.handleAck(h)
+			woke = d.handleAck(h)
 		case msgAbort:
 			d.handleAbort(h)
 			return nil // device is tearing down; the conn is closing
@@ -600,6 +605,16 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 		default:
 			// Protocol error: drop the connection.
 			return d.badFrame(src, "unknown message type %d", h.typ)
+		}
+		if err != nil {
+			return err
+		}
+		if woke && br != nil && br.Buffered() == 0 {
+			// The frame woke a parked waiter and the next step is a read
+			// that will most likely find nothing: let the woken goroutine
+			// run (and write its reply) first. Within a buffered batch the
+			// handler keeps draining (DESIGN.md §3).
+			runtime.Gosched()
 		}
 	}
 }
@@ -633,13 +648,14 @@ func checkPayload(sum uint32, h header) error {
 
 // recvInto streams h's payload from conn straight into buf (Fig. 5's
 // receive into the user buffer). Only a connection whose hello
-// negotiated checksums pays for one: the stream then passes through a
-// crcReader so even the zero-copy path is integrity checked.
-func (d *Device) recvInto(buf *mpjbuf.Buffer, conn io.Reader, h header, crc bool) error {
-	if !crc {
+// negotiated checksums pays for one: the stream then passes through the
+// connection's crcReader cr so even the zero-copy path is integrity
+// checked.
+func (d *Device) recvInto(buf *mpjbuf.Buffer, conn io.Reader, h header, cr *crcReader) error {
+	if cr == nil {
 		return buf.LoadWireFrom(conn, int(h.wireLen))
 	}
-	cr := &crcReader{r: conn}
+	cr.sum = 0
 	err := buf.LoadWireFrom(cr, int(h.wireLen))
 	if err == nil {
 		if err = checkPayload(cr.sum, h); err != nil {
@@ -649,13 +665,15 @@ func (d *Device) recvInto(buf *mpjbuf.Buffer, conn io.Reader, h header, crc bool
 	return err
 }
 
-func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
+// handleEager, handleRndvData and handleAck report whether completing
+// the frame's request woke a waiter parked on it.
+func (d *Device) handleEager(conn io.Reader, h header, cr *crcReader) (bool, error) {
 	env := match.Concrete{Ctx: h.ctx, Tag: h.tag, Src: uint64(h.src)}
 	st := xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}
 
 	if req, ok := d.core.MatchPosted(env, h.seq); ok {
 		// Matched: receive directly into the user buffer.
-		err := d.recvInto(req.Buf, conn, h, crc)
+		err := d.recvInto(req.Buf, conn, h, cr)
 		if err != nil {
 			// Torn or corrupt frame: the peer is about to be declared
 			// dead (the read loop exits on the returned error), so this
@@ -668,11 +686,7 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 				err = ackErr
 			}
 		}
-		req.Complete(st, err)
-		if err != nil {
-			return err
-		}
-		return nil
+		return req.Complete(st, err), err
 	}
 	// Unmatched: receive into a pooled device input buffer (the eager
 	// protocol's unlimited-device-memory assumption). The core lock is
@@ -682,13 +696,13 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 	data := devcore.GetSlice(int(h.wireLen))
 	if _, err := io.ReadFull(conn, data); err != nil {
 		devcore.PutSlice(data)
-		return err
+		return false, err
 	}
-	if crc {
+	if cr != nil {
 		if err := checkPayload(crc32.Checksum(data, castagnoli), h); err != nil {
 			devcore.PutSlice(data)
 			d.noteCorrupt(h.src, err)
-			return err
+			return false, err
 		}
 	}
 	arr := &devcore.Arrival{
@@ -700,20 +714,20 @@ func (d *Device) handleEager(conn io.Reader, h header, crc bool) error {
 		// Device closing: drop the message; the sender learns of our
 		// departure through its own failure detection.
 		devcore.PutSlice(data)
-		return nil
+		return false, nil
 	}
-	if matched {
-		loadErr := req.Buf.LoadWire(data)
-		devcore.PutSlice(data)
-		if h.typ == msgEagerSync {
-			ackErr := d.send(int(h.src), header{typ: msgAck, src: uint32(d.cfg.Rank), seq: h.seq}, nil, nil, xdev.Status{}, false)
-			if loadErr == nil {
-				loadErr = ackErr
-			}
+	if !matched {
+		return false, nil
+	}
+	loadErr := req.Buf.LoadWire(data)
+	devcore.PutSlice(data)
+	if h.typ == msgEagerSync {
+		ackErr := d.send(int(h.src), header{typ: msgAck, src: uint32(d.cfg.Rank), seq: h.seq}, nil, nil, xdev.Status{}, false)
+		if loadErr == nil {
+			loadErr = ackErr
 		}
-		req.Complete(st, loadErr)
 	}
-	return nil
+	return req.Complete(st, loadErr), nil
 }
 
 func (d *Device) handleRTS(h header) {
@@ -773,11 +787,11 @@ func (d *Device) handleRTR(h header) {
 	}
 }
 
-func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
+func (d *Device) handleRndvData(conn io.Reader, h header, cr *crcReader) (bool, error) {
 	req, ok := d.rndvIncoming.Take(devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq})
 	if !ok {
 		// Protocol violation: data for an unknown rendezvous.
-		return d.badFrame(h.src, "rendezvous data for unknown seq %d", h.seq)
+		return false, d.badFrame(h.src, "rendezvous data for unknown seq %d", h.seq)
 	}
 	var err error
 	if h.wireLen != uint64(req.RndvLen) {
@@ -788,7 +802,7 @@ func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
 			// these bytes are on their way.
 			br.expect(int(h.wireLen) - br.Buffered())
 		}
-		err = d.recvInto(req.Buf, conn, h, crc)
+		err = d.recvInto(req.Buf, conn, h, cr)
 	}
 	if err != nil {
 		// The rendezvous data stream died, failed its checksum or broke
@@ -797,14 +811,13 @@ func (d *Device) handleRndvData(conn io.Reader, h header, crc bool) error {
 		// same shape.
 		err = d.peerLost(int(h.src), err)
 	}
-	req.Complete(xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}, err)
-	return err
+	return req.Complete(xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}, err), err
 }
 
-func (d *Device) handleAck(h header) {
+func (d *Device) handleAck(h header) bool {
 	req, ok := d.pendingSync.Take(devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq})
 	if !ok {
-		return
+		return false
 	}
-	req.Complete(xdev.Status{Source: d.self, Bytes: req.Buf.WireLen()}, nil)
+	return req.Complete(xdev.Status{Source: d.self, Bytes: req.Buf.WireLen()}, nil)
 }
