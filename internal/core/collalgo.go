@@ -628,7 +628,7 @@ func (c *Intracomm) gatherBinomial(scratch any, blockElems int, bdt *Datatype,
 	if err != nil {
 		return err
 	}
-	if err := copyElems(scratch, 0, region, 0, blockElems); err != nil {
+	if err := fromScratch(scratch, region, 0, blockElems, bdt); err != nil {
 		return err
 	}
 	span := 1
@@ -659,33 +659,6 @@ func (c *Intracomm) gatherBinomial(scratch any, blockElems int, bdt *Datatype,
 		if err := fromScratch(sub, recvbuf, roff+abs*rcount*rdt.extent, rcount, rdt); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// copyElems copies count elements between same-typed slices.
-func copyElems(src any, soff int, dst any, doff, count int) error {
-	switch s := src.(type) {
-	case []byte:
-		copy(dst.([]byte)[doff:doff+count], s[soff:])
-	case []bool:
-		copy(dst.([]bool)[doff:doff+count], s[soff:])
-	case []uint16:
-		copy(dst.([]uint16)[doff:doff+count], s[soff:])
-	case []int16:
-		copy(dst.([]int16)[doff:doff+count], s[soff:])
-	case []int32:
-		copy(dst.([]int32)[doff:doff+count], s[soff:])
-	case []int64:
-		copy(dst.([]int64)[doff:doff+count], s[soff:])
-	case []float32:
-		copy(dst.([]float32)[doff:doff+count], s[soff:])
-	case []float64:
-		copy(dst.([]float64)[doff:doff+count], s[soff:])
-	case []any:
-		copy(dst.([]any)[doff:doff+count], s[soff:])
-	default:
-		return fmt.Errorf("core: copyElems: unsupported type %T", src)
 	}
 	return nil
 }

@@ -178,6 +178,10 @@ func toScratch(buf any, offset, count int, dt *Datatype) (any, error) {
 }
 
 func gatherInto[T any](src, dst []T, offset, count int, dt *Datatype) {
+	if dt.IsContiguous() && count > 0 {
+		copy(dst, src[offset:offset+count*dt.extent])
+		return
+	}
 	k := 0
 	for i := 0; i < count; i++ {
 		base := offset + i*dt.extent
@@ -188,7 +192,8 @@ func gatherInto[T any](src, dst []T, offset, count int, dt *Datatype) {
 	}
 }
 
-// fromScratch scatters a contiguous slice back into buf's dt layout.
+// fromScratch scatters a contiguous slice back into buf's dt layout
+// (memmove when dt is contiguous); a scratch of another type is an error.
 func fromScratch(scratch, buf any, offset, count int, dt *Datatype) error {
 	n, err := bufferElems(buf)
 	if err != nil {
@@ -199,39 +204,54 @@ func fromScratch(scratch, buf any, offset, count int, dt *Datatype) error {
 	}
 	switch s := buf.(type) {
 	case []byte:
-		scatterInto(scratch.([]byte), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []bool:
-		scatterInto(scratch.([]bool), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []uint16:
-		scatterInto(scratch.([]uint16), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []int16:
-		scatterInto(scratch.([]int16), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []int32:
-		scatterInto(scratch.([]int32), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []int64:
-		scatterInto(scratch.([]int64), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []float32:
-		scatterInto(scratch.([]float32), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []float64:
-		scatterInto(scratch.([]float64), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	case []any:
-		scatterInto(scratch.([]any), s, offset, count, dt)
+		return scatterInto(scratch, s, offset, count, dt)
 	}
 	return nil
 }
 
-func scatterInto[T any](scratch, dst []T, offset, count int, dt *Datatype) {
+func scatterInto[T any](from any, dst []T, offset, count int, dt *Datatype) error {
+	scratch, ok := from.([]T)
+	if !ok {
+		return mismatchErr(from, dst)
+	}
+	if dt.IsContiguous() && count > 0 {
+		copy(dst[offset:offset+count*dt.extent], scratch)
+		return nil
+	}
 	k := 0
 	for i := 0; i < count; i++ {
 		base := offset + i*dt.extent
 		for _, disp := range dt.disps {
 			if k >= len(scratch) {
-				return
+				return nil
 			}
 			dst[base+disp] = scratch[k]
 			k++
 		}
 	}
+	return nil
+}
+
+// mismatchErr reports a buffer whose element type differs from the
+// data bound for it (say, an Allreduce from []float64 into []int32).
+func mismatchErr(data, buf any) error {
+	return fmt.Errorf("core: %T data does not fit a %T buffer", data, buf)
 }
 
 // localCopy moves data between two typed buffer regions through the
@@ -422,17 +442,10 @@ func (c *Intracomm) Gatherv(sendbuf any, soff, scount int, sdt *Datatype,
 	}
 	c.recordAlgo(mpe.CollGatherv, algo, gatheredBytes(rcounts, rdt))
 	for i := 0; i < n; i++ {
-		at := roff + displs[i]*rdt.extent
-		if i == rank {
-			if err := localCopy(sendbuf, soff, scount, sdt, recvbuf, at, rcounts[i], rdt); err != nil {
-				return fmt.Errorf("core: Gatherv self: %w", err)
-			}
+		if i == rank || chooseBlockStream(payloadBytes(rcounts[i], rdt), rdt) {
 			continue
 		}
-		if chooseBlockStream(payloadBytes(rcounts[i], rdt), rdt) {
-			continue
-		}
-		if err := c.collRecv(recvbuf, at, rcounts[i], rdt, i, tagGather); err != nil {
+		if err := c.collRecv(recvbuf, roff+displs[i]*rdt.extent, rcounts[i], rdt, i, tagGather); err != nil {
 			return fmt.Errorf("core: Gatherv from %d: %w", i, err)
 		}
 	}
@@ -440,6 +453,10 @@ func (c *Intracomm) Gatherv(sendbuf any, soff, scount int, sdt *Datatype,
 		if err := c.streamBlocksIn(blocks); err != nil {
 			return fmt.Errorf("core: Gatherv streams: %w", err)
 		}
+	}
+	// Copied last: a root buffer it does not fit fails after the peers.
+	if err := localCopy(sendbuf, soff, scount, sdt, recvbuf, roff+displs[rank]*rdt.extent, rcounts[rank], rdt); err != nil {
+		return fmt.Errorf("core: Gatherv self: %w", err)
 	}
 	return nil
 }
@@ -488,9 +505,6 @@ func (c *Intracomm) Scatterv(sendbuf any, soff int, scounts, displs []int, sdt *
 	for i := 0; i < n; i++ {
 		at := soff + displs[i]*sdt.extent
 		if i == rank {
-			if err := localCopy(sendbuf, at, scounts[i], sdt, recvbuf, roff, rcount, rdt); err != nil {
-				return fmt.Errorf("core: Scatterv self: %w", err)
-			}
 			continue
 		}
 		if chooseBlockStream(payloadBytes(scounts[i], sdt), sdt) {
@@ -514,6 +528,10 @@ func (c *Intracomm) Scatterv(sendbuf any, soff int, scounts, displs []int, sdt *
 		if err := c.streamBlocksOut(blocks); err != nil {
 			return fmt.Errorf("core: Scatterv streams: %w", err)
 		}
+	}
+	// Copied last: a root buffer it does not fit fails after the peers.
+	if err := localCopy(sendbuf, soff+displs[rank]*sdt.extent, scounts[rank], sdt, recvbuf, roff, rcount, rdt); err != nil {
+		return fmt.Errorf("core: Scatterv self: %w", err)
 	}
 	return nil
 }
@@ -735,33 +753,47 @@ func (c *Intracomm) Allreduce(sendbuf any, soff int, recvbuf any, roff, count in
 		}
 		return c.Bcast(recvbuf, roff, count, dt, 0)
 	}
-	scratch, err := toScratch(sendbuf, soff, count, dt)
-	if err != nil {
-		return err
-	}
-	bdt, err := baseDt(scratch)
-	if err != nil {
-		return err
-	}
 	elems := count * dt.Size()
+	in, _, err := contiguousView(sendbuf, soff, count, dt, false)
+	if err != nil {
+		return err
+	}
+	bdt, err := baseDt(in)
+	if err != nil {
+		return err
+	}
+	// A contiguous layout reduces in place in recvbuf, where the
+	// contribution is copied once; others in sendbuf's gathered scratch.
+	work := in
+	if dt.IsContiguous() {
+		if work, _, err = contiguousView(recvbuf, roff, count, dt, false); err != nil {
+			return err
+		}
+		if err := fromScratch(in, work, 0, elems, bdt); err != nil {
+			return fmt.Errorf("core: Allreduce: %w", err)
+		}
+	}
 	bytes := payloadBytes(count, dt)
 	algo := c.chooseAllreduce(bytes, elems, dt, op)
 	c.recordAlgo(mpe.CollAllreduce, algo, bytes)
 	switch algo {
 	case mpe.AlgoReduceScatterAllgather:
-		if err := c.allreduceRSAG(scratch, elems, bdt, op); err != nil {
+		if err := c.allreduceRSAG(work, elems, bdt, op); err != nil {
 			return fmt.Errorf("core: Allreduce: %w", err)
 		}
 	case mpe.AlgoHierarchical:
-		if err := c.allreduceHier(scratch, elems, bdt, op); err != nil {
+		if err := c.allreduceHier(work, elems, bdt, op); err != nil {
 			return fmt.Errorf("core: Allreduce: %w", err)
 		}
 	default:
-		if err := c.allreduceRD(scratch, elems, bdt, op); err != nil {
+		if err := c.allreduceRD(work, elems, bdt, op); err != nil {
 			return err
 		}
 	}
-	return fromScratch(scratch, recvbuf, roff, count, dt)
+	if dt.IsContiguous() {
+		return nil
+	}
+	return fromScratch(work, recvbuf, roff, count, dt)
 }
 
 // ReduceScatter combines sum(recvcounts) items with op and scatters the

@@ -11,13 +11,13 @@ import (
 	"mpj/internal/xdev"
 )
 
-// runHybridWorldBench runs an n-rank world over the hybrid device with
+// runHybridWorld runs an n-rank world over the hybrid device with
 // a simulated rank→node placement: node-local pairs route over the smp
 // inner, cross-node pairs over the in-process niodev wire (full
 // framing and protocol). This is the closest a single address space
 // gets to a multi-node job, and the harness the flat-vs-hierarchical
 // collective comparison runs on.
-func runHybridWorldBench(b *testing.B, n int, nodeOf []int, fn func(p *Process, w *Intracomm) error) {
+func runHybridWorld(b testing.TB, n int, nodeOf []int, fn func(p *Process, w *Intracomm) error) {
 	b.Helper()
 	job := groupCounter.Add(1)
 	group := fmt.Sprintf("core-hyb-bench-%d", job)
@@ -142,7 +142,7 @@ func BenchmarkHybridColl(b *testing.B) {
 									defer restore()
 									elems := sz.bytes / 8
 									b.SetBytes(int64(sz.bytes))
-									runHybridWorldBench(b, np, placements[place], func(p *Process, w *Intracomm) error {
+									runHybridWorld(b, np, placements[place], func(p *Process, w *Intracomm) error {
 										in := make([]int64, elems)
 										for i := range in {
 											in[i] = int64(w.Rank() + i)

@@ -72,16 +72,43 @@ func (p segPlan) bounds(i int) (off, n int) {
 func putSendBuf(b *mpjbuf.Buffer) { devcore.PutBuffer(b) }
 
 // tempLike returns a contiguous temp slice with buf's element type,
-// drawing []byte temps from devcore's power-of-two pool. put releases
-// pooled storage and must be called exactly once, after the temp's
-// last use.
+// from mpjbuf's byte store unless it is []bool or []any. Pooled temps
+// are not zeroed: every temp is fully written by a receive or a copy
+// before it is read. put must be called exactly once, after last use.
 func tempLike(buf any, n int) (any, func(), error) {
-	if _, ok := buf.([]byte); ok {
-		b := devcore.GetSlice(n)
-		return b, func() { devcore.PutSlice(b) }, nil
+	switch buf.(type) {
+	case []byte:
+		return pooledTemp[byte](n)
+	case []uint16:
+		return pooledTemp[uint16](n)
+	case []int16:
+		return pooledTemp[int16](n)
+	case []int32:
+		return pooledTemp[int32](n)
+	case []int64:
+		return pooledTemp[int64](n)
+	case []float32:
+		return pooledTemp[float32](n)
+	case []float64:
+		return pooledTemp[float64](n)
 	}
 	t, err := allocLike(buf, n)
 	return t, func() {}, err
+}
+
+func pooledTemp[T mpjbuf.Elem](n int) (any, func(), error) {
+	t := mpjbuf.GetElems[T](n)
+	return t, func() { mpjbuf.PutElems(t) }, nil
+}
+
+// recycle releases the temps of a stream that ended without error;
+// after an error a posted receive may still land in them.
+func recycle(puts *[]func(), err *error) {
+	if *err == nil {
+		for _, put := range *puts {
+			put()
+		}
+	}
 }
 
 // contiguousView returns count items of dt at offset as a contiguous
@@ -175,20 +202,47 @@ type pendSeg struct {
 	off, n int
 }
 
-// recvStream posts windowed segment receives from one source and
-// delivers them in order, unpacking each into its recorded target
-// region as it completes. The caller drives it: post up to the window
-// limit ahead, then alternate deliver/post.
+// landingCap bounds a landing stream's posted receives: all 32 segments
+// of a 1 MiB payload, far below ibisdev's per-receive thread ceiling.
+const landingCap = 64
+
+// recvStream posts segment receives from one source and delivers them
+// in order, unpacking each into its recorded target region. A
+// ring-backed stream reuses collCfg.window slots: the caller posts that
+// many ahead, then alternates deliver/post. A landing stream (segments
+// land at their final place in view) posts up to its limit at once,
+// then one more per delivery.
 type recvStream struct {
 	c    *Comm
 	src  int
 	bdt  *Datatype
 	win  *mpjdev.Window
 	pend []pendSeg
+	view any     // landing streams only
+	plan segPlan // of view
+	next int     // next segment of plan to post
 }
 
 func (c *Comm) newRecvStream(src int, bdt *Datatype) *recvStream {
 	return &recvStream{c: c, src: src, bdt: bdt, win: mpjdev.NewWindow(collCfg.window)}
+}
+
+// newLandingStream starts a landing stream of plan's segments into view.
+func (c *Comm) newLandingStream(src int, bdt *Datatype, view any, plan segPlan, limit int) (*recvStream, error) {
+	r := &recvStream{c: c, src: src, bdt: bdt, win: mpjdev.NewWindow(limit), view: view, plan: plan}
+	for r.next < min(limit, plan.segs) {
+		if err := r.postNext(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// postNext posts a landing stream's next segment.
+func (r *recvStream) postNext() error {
+	off, cnt := r.plan.bounds(r.next)
+	r.next++
+	return r.post(r.view, off, cnt, segTag(r.next-1))
 }
 
 // post starts the receive of one segment destined for dst[off:off+n],
@@ -240,6 +294,12 @@ func (r *recvStream) deliverKeep() (*mpjbuf.Buffer, error) {
 		return nil, err
 	}
 	r.c.p.counters.CollSegsRecv.Add(1)
+	if r.view != nil && r.next < r.plan.segs {
+		if err := r.postNext(); err != nil {
+			putSendBuf(p.buf)
+			return nil, err
+		}
+	}
 	return p.buf, nil
 }
 
@@ -379,25 +439,14 @@ func (c *Intracomm) bcastPipeTree(buf any, offset, count int, dt *Datatype, pare
 			}
 		}
 	} else {
-		rs := c.newRecvStream(parent, bdt)
-		ahead := min(collCfg.window, plan.segs)
-		for s := 0; s < ahead; s++ {
-			off, cnt := plan.bounds(s)
-			if err := rs.post(view, off, cnt, segTag(s)); err != nil {
-				return err
-			}
+		rs, err := c.newLandingStream(parent, bdt, view, plan, landingCap)
+		if err != nil {
+			return err
 		}
 		for s := 0; s < plan.segs; s++ {
 			b, err := rs.deliverKeep()
 			if err != nil {
 				return err
-			}
-			if nxt := s + ahead; nxt < plan.segs {
-				off, cnt := plan.bounds(nxt)
-				if err := rs.post(view, off, cnt, segTag(nxt)); err != nil {
-					putSendBuf(b)
-					return err
-				}
 			}
 			if len(children) == 0 {
 				putSendBuf(b)
@@ -457,7 +506,7 @@ func (c *Intracomm) reducePipelined(scratch any, elems int, bdt *Datatype, op *O
 // fused two-level tree, so a node representative folds its local
 // members and its downstream representatives in one overlapped stream.
 func (c *Intracomm) reducePipeTree(scratch any, elems int, bdt *Datatype, op *Op,
-	parent int, children []int) error {
+	parent int, children []int) (err error) {
 	if parent < 0 && len(children) == 0 {
 		return nil
 	}
@@ -473,11 +522,7 @@ func (c *Intracomm) reducePipeTree(scratch any, elems int, bdt *Datatype, op *Op
 	}
 	streams := make([]*childStream, len(children))
 	var puts []func()
-	defer func() {
-		for _, put := range puts {
-			put()
-		}
-	}()
+	defer recycle(&puts, &err)
 	ahead := min(collCfg.window, plan.segs)
 	for i, ch := range children {
 		ring, put, err := tempLike(scratch, collCfg.window*plan.segElems)
@@ -546,7 +591,7 @@ func (c *Intracomm) reducePipeTree(scratch any, elems int, bdt *Datatype, op *Op
 // messages, the root holds only a window of segments per peer:
 // memory O(n·window·segment + message) instead of O(n·message).
 func (c *Intracomm) reduceStreamedFold(scratch any, elems int, bdt *Datatype, op *Op,
-	recvbuf any, roff, count int, dt *Datatype, root int) error {
+	recvbuf any, roff, count int, dt *Datatype, root int) (err error) {
 	n := c.Size()
 	rank := c.Rank()
 	plan := planSegments(elems, max(bdt.Base().Size(), 1), op.atom)
@@ -566,17 +611,12 @@ func (c *Intracomm) reduceStreamedFold(scratch any, elems int, bdt *Datatype, op
 	if err != nil {
 		return err
 	}
-	defer putAcc()
+	puts := []func(){putAcc}
+	defer recycle(&puts, &err)
 
 	ahead := min(collCfg.window, plan.segs)
 	streams := make([]*recvStream, n)
 	rings := make([]any, n)
-	var puts []func()
-	defer func() {
-		for _, put := range puts {
-			put()
-		}
-	}()
 	for i := 0; i < n; i++ {
 		if i == root {
 			continue
@@ -609,7 +649,7 @@ func (c *Intracomm) reduceStreamedFold(scratch any, elems int, bdt *Datatype, op
 		}
 	}
 	if root == n-1 {
-		if err := copyElems(scratch, 0, acc, 0, elems); err != nil {
+		if err := fromScratch(scratch, acc, 0, elems, bdt); err != nil {
 			return err
 		}
 	}
@@ -729,43 +769,26 @@ func (c *Intracomm) streamBlocksOut(blocks []*blockStream) error {
 	return nil
 }
 
-// streamBlocksIn drives the root side of a segmented gather: windowed
-// receives from every streaming peer at once, delivered segment-major.
+// streamBlocksIn drives the root side of a segmented gather: one
+// landing stream per streaming peer, all posted first, then delivered
+// peer by peer. The peers share landingCap posted receives, but each
+// keeps at least a window's worth.
 func (c *Intracomm) streamBlocksIn(blocks []*blockStream) error {
+	limit := max(collCfg.window, landingCap/max(len(blocks), 1))
 	recvs := make([]*recvStream, len(blocks))
 	for i, b := range blocks {
-		recvs[i] = c.newRecvStream(b.peer, b.bdt)
-		ahead := min(collCfg.window, b.plan.segs)
-		for s := 0; s < ahead; s++ {
-			off, cnt := b.plan.bounds(s)
-			if err := recvs[i].post(b.view, off, cnt, segTag(s)); err != nil {
-				return err
-			}
+		rs, err := c.newLandingStream(b.peer, b.bdt, b.view, b.plan, limit)
+		if err != nil {
+			return err
 		}
+		recvs[i] = rs
 	}
-	for s := 0; ; s++ {
-		active := false
-		for i, b := range blocks {
-			if s >= b.plan.segs {
-				continue
-			}
-			active = true
+	for i, b := range blocks {
+		for s := 0; s < b.plan.segs; s++ {
 			if err := recvs[i].deliver(); err != nil {
 				return err
 			}
-			ahead := min(collCfg.window, b.plan.segs)
-			if nxt := s + ahead; nxt < b.plan.segs {
-				off, cnt := b.plan.bounds(nxt)
-				if err := recvs[i].post(b.view, off, cnt, segTag(nxt)); err != nil {
-					return err
-				}
-			}
 		}
-		if !active {
-			break
-		}
-	}
-	for _, b := range blocks {
 		if b.writeback != nil {
 			if err := b.writeback(); err != nil {
 				return err

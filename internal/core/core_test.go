@@ -17,6 +17,12 @@ var groupCounter atomic.Int64
 // runs fn once per rank, each on its own goroutine.
 func runWorld(t *testing.T, n int, fn func(p *Process, w *Intracomm)) {
 	t.Helper()
+	runWorldOn(t, n, func() xdev.Device { return smpdev.New() }, fn)
+}
+
+// runWorldOn is runWorld over in-process devices made by newDev.
+func runWorldOn(t *testing.T, n int, newDev func() xdev.Device, fn func(p *Process, w *Intracomm)) {
+	t.Helper()
 	group := fmt.Sprintf("core-test-%d", groupCounter.Add(1))
 	procs := make([]*Process, n)
 	errs := make([]error, n)
@@ -25,7 +31,7 @@ func runWorld(t *testing.T, n int, fn func(p *Process, w *Intracomm)) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			procs[rank], errs[rank] = Init(smpdev.New(), xdev.Config{Rank: rank, Size: n, Group: group})
+			procs[rank], errs[rank] = Init(newDev(), xdev.Config{Rank: rank, Size: n, Group: group})
 		}(i)
 	}
 	wg.Wait()

@@ -51,91 +51,163 @@ func (o *Op) String() string { return o.name }
 // IsCommutative reports whether the op may be applied in any order.
 func (o *Op) IsCommutative() bool { return o.commute }
 
-// number covers the element types of arithmetic reductions.
-type number interface {
-	~int16 | ~int32 | ~int64 | ~float32 | ~float64 | ~uint8 | ~uint16
-}
+// opKind names a built-in element-wise op. Each runs as a loop written
+// out per element type, with no call per element.
+type opKind uint8
 
-func binOp[T any](f func(a, b T) T) func(in, inout []T) error {
-	return func(in, inout []T) error {
-		if len(in) != len(inout) {
-			return fmt.Errorf("core: reduction length mismatch %d vs %d", len(in), len(inout))
-		}
-		for i := range in {
-			inout[i] = f(in[i], inout[i])
-		}
-		return nil
-	}
-}
+const (
+	opMax opKind = iota
+	opMin
+	opSum
+	opProd
+	opBand
+	opBor
+	opBxor
+	opLand
+	opLor
+	opLxor
+)
 
-// numericApply dispatches a generic numeric combiner across the slice
-// types that support it.
-func numericApply(name string, f8 func(a, b float64) float64, fi func(a, b int64) int64) func(in, inout any) error {
-	return func(in, inout any) error {
-		switch a := in.(type) {
-		case []byte:
-			return binOp(func(x, y byte) byte { return byte(fi(int64(x), int64(y))) })(a, inout.([]byte))
-		case []uint16:
-			return binOp(func(x, y uint16) uint16 { return uint16(fi(int64(x), int64(y))) })(a, inout.([]uint16))
-		case []int16:
-			return binOp(func(x, y int16) int16 { return int16(fi(int64(x), int64(y))) })(a, inout.([]int16))
-		case []int32:
-			return binOp(func(x, y int32) int32 { return int32(fi(int64(x), int64(y))) })(a, inout.([]int32))
-		case []int64:
-			return binOp(fi)(a, inout.([]int64))
-		case []float32:
-			return binOp(func(x, y float32) float32 { return float32(f8(float64(x), float64(y))) })(a, inout.([]float32))
-		case []float64:
-			return binOp(f8)(a, inout.([]float64))
-		}
-		return fmt.Errorf("core: op %s unsupported for %T", name, in)
-	}
-}
-
-// bitApply dispatches a bitwise combiner across integer slice types.
-func bitApply(name string, fi func(a, b int64) int64) func(in, inout any) error {
-	return func(in, inout any) error {
-		switch a := in.(type) {
-		case []byte:
-			return binOp(func(x, y byte) byte { return byte(fi(int64(x), int64(y))) })(a, inout.([]byte))
-		case []uint16:
-			return binOp(func(x, y uint16) uint16 { return uint16(fi(int64(x), int64(y))) })(a, inout.([]uint16))
-		case []int16:
-			return binOp(func(x, y int16) int16 { return int16(fi(int64(x), int64(y))) })(a, inout.([]int16))
-		case []int32:
-			return binOp(func(x, y int32) int32 { return int32(fi(int64(x), int64(y))) })(a, inout.([]int32))
-		case []int64:
-			return binOp(fi)(a, inout.([]int64))
-		}
-		return fmt.Errorf("core: op %s unsupported for %T", name, in)
-	}
-}
-
-// logicalApply dispatches a boolean combiner over bools and integers
-// (non-zero meaning true, as in MPI).
-func logicalApply(name string, fb func(a, b bool) bool) func(in, inout any) error {
-	toI := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	fi := func(a, b int64) int64 { return toI(fb(a != 0, b != 0)) }
+// builtinApply dispatches a built-in element-wise op to its typed loop:
+// arithmetic (MAX..PROD) over every numeric type, bitwise (BAND..BXOR)
+// over the integer types, logical (LAND..LXOR) over bools and the
+// signed integers and bytes (non-zero meaning true, as in MPI).
+func builtinApply(name string, k opKind) func(in, inout any) error {
 	return func(in, inout any) error {
 		switch a := in.(type) {
 		case []bool:
-			return binOp(fb)(a, inout.([]bool))
+			if k >= opLand {
+				return foldBool(k, a, inout)
+			}
 		case []byte:
-			return binOp(func(x, y byte) byte { return byte(fi(int64(x), int64(y))) })(a, inout.([]byte))
+			return foldInt(k, a, inout)
+		case []uint16:
+			if k < opLand {
+				return foldInt(k, a, inout)
+			}
 		case []int16:
-			return binOp(func(x, y int16) int16 { return int16(fi(int64(x), int64(y))) })(a, inout.([]int16))
+			return foldInt(k, a, inout)
 		case []int32:
-			return binOp(func(x, y int32) int32 { return int32(fi(int64(x), int64(y))) })(a, inout.([]int32))
+			return foldInt(k, a, inout)
 		case []int64:
-			return binOp(fi)(a, inout.([]int64))
+			return foldInt(k, a, inout)
+		case []float32:
+			if k <= opProd {
+				return foldFloat(k, a, inout)
+			}
+		case []float64:
+			if k <= opProd {
+				return foldFloat(k, a, inout)
+			}
 		}
 		return fmt.Errorf("core: op %s unsupported for %T", name, in)
 	}
+}
+
+// foldTarget checks that inout pairs with in.
+func foldTarget[T any](in []T, inout any) ([]T, error) {
+	out, ok := inout.([]T)
+	if !ok {
+		return nil, mismatchErr(in, inout)
+	}
+	if len(in) != len(out) {
+		return nil, fmt.Errorf("core: reduction length mismatch %d vs %d", len(in), len(out))
+	}
+	return out[:len(in)], nil
+}
+
+// foldInt folds integers; results wrap as Go's fixed-width arithmetic.
+func foldInt[T uint8 | uint16 | int16 | int32 | int64](k opKind, in []T, inout any) error {
+	out, err := foldTarget(in, inout)
+	if err != nil {
+		return err
+	}
+	switch k {
+	case opMax, opMin:
+		for i, x := range in {
+			if (k == opMax && x > out[i]) || (k == opMin && x < out[i]) {
+				out[i] = x
+			}
+		}
+	case opSum:
+		for i, x := range in {
+			out[i] += x
+		}
+	case opProd:
+		for i, x := range in {
+			out[i] *= x
+		}
+	case opBand:
+		for i, x := range in {
+			out[i] &= x
+		}
+	case opBor:
+		for i, x := range in {
+			out[i] |= x
+		}
+	case opBxor:
+		for i, x := range in {
+			out[i] ^= x
+		}
+	default:
+		for i, x := range in {
+			t := logical(k, x != 0, out[i] != 0)
+			out[i] = 0
+			if t {
+				out[i] = 1
+			}
+		}
+	}
+	return nil
+}
+
+// foldFloat folds floating point through float64, so a float32 result
+// is the float64 one rounded once.
+func foldFloat[T float32 | float64](k opKind, in []T, inout any) error {
+	out, err := foldTarget(in, inout)
+	if err != nil {
+		return err
+	}
+	switch k {
+	case opMax, opMin:
+		for i, x := range in {
+			a, b := float64(x), float64(out[i])
+			if (k == opMax && a > b) || (k == opMin && a < b) {
+				b = a
+			}
+			out[i] = T(b)
+		}
+	case opSum:
+		for i, x := range in {
+			out[i] = T(float64(x) + float64(out[i]))
+		}
+	case opProd:
+		for i, x := range in {
+			out[i] = T(float64(x) * float64(out[i]))
+		}
+	}
+	return nil
+}
+
+func foldBool(k opKind, in []bool, inout any) error {
+	out, err := foldTarget(in, inout)
+	if err != nil {
+		return err
+	}
+	for i, x := range in {
+		out[i] = logical(k, x, out[i])
+	}
+	return nil
+}
+
+func logical(k opKind, a, b bool) bool {
+	switch k {
+	case opLand:
+		return a && b
+	case opLor:
+		return a || b
+	}
+	return a != b
 }
 
 // locApply implements MAXLOC/MINLOC over (value, index) pairs laid out
@@ -144,103 +216,47 @@ func locApply(name string, better func(a, b float64) bool) func(in, inout any) e
 	return func(in, inout any) error {
 		switch a := in.(type) {
 		case []int32:
-			b := inout.([]int32)
-			if len(a) != len(b) || len(a)%2 != 0 {
-				return fmt.Errorf("core: %s needs even-length (value,index) pairs", name)
-			}
-			for i := 0; i < len(a); i += 2 {
-				av, bv := float64(a[i]), float64(b[i])
-				if better(av, bv) || (av == bv && a[i+1] < b[i+1]) {
-					b[i], b[i+1] = a[i], a[i+1]
-				}
-			}
-			return nil
+			return locFold(name, better, a, inout)
 		case []int64:
-			b := inout.([]int64)
-			if len(a) != len(b) || len(a)%2 != 0 {
-				return fmt.Errorf("core: %s needs even-length (value,index) pairs", name)
-			}
-			for i := 0; i < len(a); i += 2 {
-				av, bv := float64(a[i]), float64(b[i])
-				if better(av, bv) || (av == bv && a[i+1] < b[i+1]) {
-					b[i], b[i+1] = a[i], a[i+1]
-				}
-			}
-			return nil
-		case []float64:
-			b := inout.([]float64)
-			if len(a) != len(b) || len(a)%2 != 0 {
-				return fmt.Errorf("core: %s needs even-length (value,index) pairs", name)
-			}
-			for i := 0; i < len(a); i += 2 {
-				if better(a[i], b[i]) || (a[i] == b[i] && a[i+1] < b[i+1]) {
-					b[i], b[i+1] = a[i], a[i+1]
-				}
-			}
-			return nil
+			return locFold(name, better, a, inout)
 		case []float32:
-			b := inout.([]float32)
-			if len(a) != len(b) || len(a)%2 != 0 {
-				return fmt.Errorf("core: %s needs even-length (value,index) pairs", name)
-			}
-			for i := 0; i < len(a); i += 2 {
-				av, bv := float64(a[i]), float64(b[i])
-				if better(av, bv) || (av == bv && a[i+1] < b[i+1]) {
-					b[i], b[i+1] = a[i], a[i+1]
-				}
-			}
-			return nil
+			return locFold(name, better, a, inout)
+		case []float64:
+			return locFold(name, better, a, inout)
 		}
 		return fmt.Errorf("core: op %s unsupported for %T", name, in)
 	}
 }
 
+func locFold[T int32 | int64 | float32 | float64](name string, better func(a, b float64) bool, a []T, inout any) error {
+	b, ok := inout.([]T)
+	if !ok {
+		return mismatchErr(a, inout)
+	}
+	if len(a) != len(b) || len(a)%2 != 0 {
+		return fmt.Errorf("core: %s needs even-length (value,index) pairs", name)
+	}
+	for i := 0; i < len(a); i += 2 {
+		av, bv := float64(a[i]), float64(b[i])
+		if better(av, bv) || (av == bv && a[i+1] < b[i+1]) {
+			b[i], b[i+1] = a[i], a[i+1]
+		}
+	}
+	return nil
+}
+
 // Built-in reduction operations (the mpijava MPI.MAX, MPI.SUM, ...).
 var (
-	MAX = &Op{name: "MAX", commute: true, apply: numericApply("MAX",
-		func(a, b float64) float64 {
-			if a > b {
-				return a
-			}
-			return b
-		},
-		func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})}
-	MIN = &Op{name: "MIN", commute: true, apply: numericApply("MIN",
-		func(a, b float64) float64 {
-			if a < b {
-				return a
-			}
-			return b
-		},
-		func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		})}
-	SUM = &Op{name: "SUM", commute: true, apply: numericApply("SUM",
-		func(a, b float64) float64 { return a + b },
-		func(a, b int64) int64 { return a + b })}
-	PROD = &Op{name: "PROD", commute: true, apply: numericApply("PROD",
-		func(a, b float64) float64 { return a * b },
-		func(a, b int64) int64 { return a * b })}
-	LAND = &Op{name: "LAND", commute: true, apply: logicalApply("LAND",
-		func(a, b bool) bool { return a && b })}
-	LOR = &Op{name: "LOR", commute: true, apply: logicalApply("LOR",
-		func(a, b bool) bool { return a || b })}
-	LXOR = &Op{name: "LXOR", commute: true, apply: logicalApply("LXOR",
-		func(a, b bool) bool { return a != b })}
-	BAND = &Op{name: "BAND", commute: true, apply: bitApply("BAND",
-		func(a, b int64) int64 { return a & b })}
-	BOR = &Op{name: "BOR", commute: true, apply: bitApply("BOR",
-		func(a, b int64) int64 { return a | b })}
-	BXOR = &Op{name: "BXOR", commute: true, apply: bitApply("BXOR",
-		func(a, b int64) int64 { return a ^ b })}
+	MAX    = &Op{name: "MAX", commute: true, apply: builtinApply("MAX", opMax)}
+	MIN    = &Op{name: "MIN", commute: true, apply: builtinApply("MIN", opMin)}
+	SUM    = &Op{name: "SUM", commute: true, apply: builtinApply("SUM", opSum)}
+	PROD   = &Op{name: "PROD", commute: true, apply: builtinApply("PROD", opProd)}
+	LAND   = &Op{name: "LAND", commute: true, apply: builtinApply("LAND", opLand)}
+	LOR    = &Op{name: "LOR", commute: true, apply: builtinApply("LOR", opLor)}
+	LXOR   = &Op{name: "LXOR", commute: true, apply: builtinApply("LXOR", opLxor)}
+	BAND   = &Op{name: "BAND", commute: true, apply: builtinApply("BAND", opBand)}
+	BOR    = &Op{name: "BOR", commute: true, apply: builtinApply("BOR", opBor)}
+	BXOR   = &Op{name: "BXOR", commute: true, apply: builtinApply("BXOR", opBxor)}
 	MAXLOC = &Op{name: "MAXLOC", commute: true, apply: locApply("MAXLOC",
 		func(a, b float64) bool { return a > b })}
 	MINLOC = &Op{name: "MINLOC", commute: true, apply: locApply("MINLOC",

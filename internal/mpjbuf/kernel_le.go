@@ -23,6 +23,33 @@ func view[T Elem](s []T) []byte {
 	return raw(s)
 }
 
+// GetElems returns n elements of T carved from a byte-store slab, so
+// typed scratch recycles like any transient byte slice. Contents are
+// unspecified: the caller writes every element before reading it, and
+// hands the slice back unsliced through PutElems. Booleans (whose memory
+// must hold 0 or 1) and a slab not aligned for T are allocated instead.
+func GetElems[T Elem](n int) []T {
+	var z T
+	if _, ok := any(z).(bool); ok || n <= 0 {
+		return make([]T, max(n, 0))
+	}
+	size := int(unsafe.Sizeof(z))
+	b := GetBytes(n * size)
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%unsafe.Alignof(z) != 0 {
+		PutBytes(b)
+		return make([]T, n)
+	}
+	return unsafe.Slice((*T)(p), cap(b)/size)[:n]
+}
+
+// PutElems recycles a slice from GetElems into the byte store.
+func PutElems[T Elem](s []T) {
+	if _, ok := any(s).([]bool); !ok && cap(s) > 0 {
+		PutBytes(raw(s[:cap(s)]))
+	}
+}
+
 func putElems[T Elem](dst []byte, src []T) { copy(dst, raw(src)) }
 
 func getElems[T Elem](dst []T, src []byte) {

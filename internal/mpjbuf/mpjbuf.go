@@ -678,9 +678,12 @@ func (b *Buffer) Wire() []byte {
 // EncodeWire writes the buffer's wire encoding into dst, which must be
 // at least WireLen() bytes, and returns the number of bytes written.
 // Unlike Wire it allocates nothing, so the destination can come from a
-// pool.
+// pool. It writes nothing to b: one buffer may be encoded for several
+// destinations at once.
 func (b *Buffer) EncodeWire(dst []byte) int {
-	n := copy(dst, b.wireHeader())
+	binary.BigEndian.PutUint32(dst[0:4], uint32(b.StaticLen()))
+	binary.BigEndian.PutUint32(dst[4:8], uint32(b.dynamic.Len()))
+	n := wireHeaderLen
 	n += copy(dst[n:], b.static)
 	n += copy(dst[n:], b.ext)
 	n += copy(dst[n:], b.dynamic.Bytes())

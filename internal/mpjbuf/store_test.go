@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -78,6 +79,55 @@ func TestStoreClasses(t *testing.T) {
 	PutBytes(nil)
 	if s := GetBytes(-3); len(s) != 0 {
 		t.Errorf("GetBytes(-3) has length %d", len(s))
+	}
+}
+
+// TestElemsAligned: a typed view of a store slab starts on its element
+// type's alignment for every class, holds what is written to it, and
+// goes back to the store whole.
+func TestElemsAligned(t *testing.T) {
+	elemsAligned[byte](t)
+	elemsAligned[uint16](t)
+	elemsAligned[int16](t)
+	elemsAligned[int32](t)
+	elemsAligned[int64](t)
+	elemsAligned[float32](t)
+	elemsAligned[float64](t)
+	if s := GetElems[bool](5); len(s) != 5 || s[0] || s[4] {
+		t.Errorf("GetElems[bool](5) = %v, want 5 fresh falses", s)
+	}
+	if s := GetElems[float64](0); len(s) != 0 {
+		t.Errorf("GetElems(0) has length %d", len(s))
+	}
+}
+
+func elemsAligned[T byte | uint16 | int16 | int32 | int64 | float32 | float64](t *testing.T) {
+	var z T
+	typ := reflect.TypeOf(z)
+	for k := 0; k <= 21; k++ {
+		for _, n := range []int{1<<k - 1, 1 << k, 1<<k + 3} {
+			if n <= 0 {
+				continue
+			}
+			s := GetElems[T](n)
+			if len(s) != n {
+				t.Fatalf("GetElems[%v](%d): length %d", typ, n, len(s))
+			}
+			if p := reflect.ValueOf(s).Pointer(); p%uintptr(typ.Align()) != 0 {
+				t.Fatalf("GetElems[%v](%d) at %#x: not %d-byte aligned", typ, n, p, typ.Align())
+			}
+			s[n-1], s[0] = T(2), T(1)
+			if s[0] != T(1) || (n > 1 && s[n-1] != T(2)) {
+				t.Fatalf("GetElems[%v](%d): ends do not hold their values", typ, n)
+			}
+			// Little-endian hosts carve the view from a slab (big-endian ones
+			// have no byte view and allocate).
+			cls := classFor(n * int(typ.Size()))
+			if c := cap(s) * int(typ.Size()); view(s) != nil && cls >= 0 && c != 1<<cls+classSlack {
+				t.Fatalf("GetElems[%v](%d): view covers %d bytes, not its whole slab", typ, n, c)
+			}
+			PutElems(s)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"mpj/internal/telemetry"
@@ -230,12 +231,22 @@ func (d *Daemon) fetch(url string, rank int) (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("mpjrt: fetch %s: HTTP %d", url, resp.StatusCode)
 	}
+	prog, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", fmt.Errorf("mpjrt: fetch %s: %w", url, err)
+	}
 	path := filepath.Join(d.scratch, fmt.Sprintf("prog-%d-%d", rank, time.Now().UnixNano()))
+	// The file is open for writing only while no fork can run: a rank
+	// started concurrently must not inherit the write descriptor, or
+	// exec of this program fails with "text file busy" until that
+	// child's own exec closes it.
+	syscall.ForkLock.RLock()
+	defer syscall.ForkLock.RUnlock()
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o755)
 	if err != nil {
 		return "", err
 	}
-	if _, err := io.Copy(f, resp.Body); err != nil {
+	if _, err := f.Write(prog); err != nil {
 		f.Close()
 		return "", err
 	}
