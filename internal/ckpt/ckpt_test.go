@@ -119,8 +119,16 @@ func TestRestoreAfterShrink(t *testing.T) {
 	dir := t.TempDir()
 	const n = 4
 	const victim = 2
+	// The victim may finalize while a slower survivor is still inside
+	// Checkpoint's exit barrier, so no survivor revokes before every
+	// survivor has returned from Checkpoint.
+	var checkpointed sync.WaitGroup
+	checkpointed.Add(n - 1)
 	runWorld(t, n, func(p *core.Process, w *core.Intracomm) {
 		err := ckpt.Checkpoint(w, dir, "pre-fail", ckpt.Region{Name: "grid", Data: rankState(w.Rank())})
+		if w.Rank() != victim {
+			checkpointed.Done()
+		}
 		if err != nil {
 			t.Errorf("rank %d: Checkpoint: %v", w.Rank(), err)
 			return
@@ -129,6 +137,7 @@ func TestRestoreAfterShrink(t *testing.T) {
 			p.Finalize()
 			return
 		}
+		checkpointed.Wait()
 		pid, _ := w.Group().PID(victim)
 		ck := p.Device().(xdev.PeerChecker)
 		for deadline := time.Now().Add(5 * time.Second); ck.PeerErr(pid) == nil; {

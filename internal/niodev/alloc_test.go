@@ -7,6 +7,7 @@ import (
 	"net"
 	"testing"
 
+	"mpj/internal/devcore"
 	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
@@ -54,6 +55,49 @@ func TestWriteMsgAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, send); n > c.max {
 			t.Errorf("%s send allocates %.1f times per call, want <= %.0f", c.name, n, c.max)
 		}
+	}
+}
+
+// TestBufferedPostAllocs: a small eager send that finds the writer role
+// held — copied into a pooled slice, queued, its request completed at
+// once — allocates nothing in steady state, and neither does the writer
+// taking and recycling the frame. The requests are made before the
+// count starts.
+func TestBufferedPostAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
+	}
+	const runs = 100
+	d := bareDevice()
+	d.crcOut = true
+	q := d.queues[1]
+	q.writing = true
+	seg := [][]byte{make([]byte, 512)}
+	h := header{typ: msgEager, tag: 1, wireLen: 512}
+	reqs := make([]*devcore.Request, 8+runs+1) // warm-up, AllocsPerRun's own call, then runs
+	for i := range reqs {
+		reqs[i] = d.core.NewRequest(devcore.SendReq, nil)
+	}
+	next := 0
+	post := func() {
+		req := reqs[next]
+		next++
+		if err := d.send(1, h, seg, req, xdev.Status{}, true); err != nil {
+			t.Fatal(err)
+		}
+		if !req.Done() {
+			t.Fatal("the send was not buffered")
+		}
+		batch := q.take()
+		completeFrames(batch, nil)
+		clear(batch)
+		q.batch = batch[:0]
+	}
+	for i := 0; i < 8; i++ {
+		post() // warm the slice pools and the queue's arrays
+	}
+	if n := testing.AllocsPerRun(runs, post); n != 0 {
+		t.Errorf("buffered post allocates %.1f times per send, want 0", n)
 	}
 }
 

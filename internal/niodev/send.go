@@ -27,17 +27,23 @@ import (
 //
 // A handler therefore waits for nothing but its own read, so a writer
 // blocked on a full connection is always drained by the peer's handler:
-// two ranks flooding each other cannot deadlock. The queue needs no
-// bound: every data frame belongs to a request the user holds (a
-// blocking Send waits on it), and control frames come at most one per
-// inbound RTS or sync-eager frame.
+// two ranks flooding each other cannot deadlock.
+//
+// Buffering bounds the queue: a may-block caller that finds the role
+// held, with standard-mode eager data under stageSegMax, copies the
+// payload into a pooled slice and completes its request at once, as MPI
+// lets a buffered eager send — but only while under maxBatchBytes are
+// queued to the peer; past that it waits for the wire (backpressure).
+// Every other data frame's request waits for the write, and control
+// frames come at most one per inbound RTS or sync-eager frame.
 //
 // Order: frames to one peer are written in append order, so the MPI
 // non-overtaking guarantee per (src,dst) holds, and Finish's bye goes
 // out behind every frame queued before it. Completion: a frame carrying
 // a request completes it once the frame is on the wire, never before —
 // buffer ownership returns to the user at completion. Failure: peer
-// death poisons the queue, failing every queued frame's request.
+// death poisons the queue, failing every queued frame's request (a
+// buffered frame's loss surfaces on the next operation naming the peer).
 
 const (
 	// maxBatchFrames caps the frames coalesced into one wire write, and
@@ -77,6 +83,7 @@ type sendFrame struct {
 	hdr  []byte   // encoded headerLen bytes from the devcore slice pool
 	segs [][]byte // payload segments; nil for control frames
 	wire int      // total payload bytes (header excluded)
+	own  []byte   // pooled copy of the payload once buffered, else nil
 
 	// req, when non-nil, is completed with st once the frame is on the
 	// wire (or with the peer's death error if it never gets there).
@@ -98,9 +105,23 @@ func getFrame() *sendFrame { return framePool.Get().(*sendFrame) }
 
 func putFrame(f *sendFrame) {
 	devcore.PutSlice(f.hdr)
+	devcore.PutSlice(f.own)
 	clear(f.segs)
 	*f = sendFrame{segs: f.segs[:0]}
 	framePool.Put(f)
+}
+
+// buffer copies f's payload into one pooled slice the frame owns, so
+// the sender's buffer is free, and detaches the request post completes.
+func (f *sendFrame) buffer() {
+	f.req = nil
+	f.own = devcore.GetSlice(f.wire)
+	n := 0
+	for _, s := range f.segs {
+		n += copy(f.own[n:], s)
+	}
+	clear(f.segs)
+	f.segs = append(f.segs[:0], f.own)
 }
 
 // completeFrames finishes frames that were written (err nil) or will
@@ -128,6 +149,7 @@ type peerQueue struct {
 	conn    net.Conn     // nil until Init has dialed the peer
 	frames  []*sendFrame // frames[head:] wait, oldest first
 	head    int
+	queued  int   // header and payload bytes in frames[head:]
 	writing bool  // the writer role is held
 	err     error // poison: the peer is gone or the device closed
 
@@ -152,8 +174,13 @@ func (q *peerQueue) take() []*sendFrame {
 		q.frames[q.head] = nil
 		q.head++
 	}
-	if q.head == len(q.frames) {
+	q.queued -= bytes
+	switch {
+	case q.head == len(q.frames):
 		q.frames, q.head = q.frames[:0], 0
+	case q.head > 32 && q.head > len(q.frames)/2:
+		// Mostly consumed, never empty: drop the prefix to bound the array.
+		q.frames, q.head = q.frames[q.head:], 0
 	}
 	return batch
 }
@@ -169,7 +196,7 @@ func (q *peerQueue) poison(err error) []*sendFrame {
 	}
 	dropped := append([]*sendFrame(nil), q.frames[q.head:]...)
 	clear(q.frames)
-	q.frames, q.head = q.frames[:0], 0
+	q.frames, q.head, q.queued = q.frames[:0], 0, 0
 	return dropped
 }
 
@@ -209,9 +236,9 @@ func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st 
 }
 
 // send queues one protocol frame to slot; req, when non-nil, completes
-// with st once the frame is on the wire. mayBlock says whether the
-// caller may write it itself (see the file comment); input handlers
-// pass false.
+// with st once the frame is on the wire, or at once if post buffers it.
+// mayBlock says whether the caller may write it itself (see the file
+// comment); input handlers pass false.
 //
 // The contract on error: req has NOT been completed, no frame was (or
 // will be) written, and the returned error is final — the peer's death
@@ -230,7 +257,7 @@ func (d *Device) send(slot int, h header, segments [][]byte, req *devcore.Reques
 
 // post appends f to slot's queue and makes sure a writer will carry it:
 // the current role holder, the caller itself (mayBlock), or a new
-// flusher.
+// flusher, buffering a small eager frame left to the holder.
 func (d *Device) post(slot int, f *sendFrame, mayBlock bool) error {
 	q := d.queue(slot)
 	if q == nil {
@@ -245,9 +272,19 @@ func (d *Device) post(slot int, f *sendFrame, mayBlock bool) error {
 		q.mu.Unlock()
 		return err
 	}
+	req, st := f.req, f.st // the holder may recycle f once q.mu is released
+	buffered := q.writing && mayBlock && req != nil && f.hdr[0] == msgEager &&
+		f.wire < stageSegMax && q.queued < maxBatchBytes
+	if buffered {
+		f.buffer()
+	}
 	q.frames = append(q.frames, f)
+	q.queued += len(f.hdr) + f.wire
 	if q.writing {
 		q.mu.Unlock()
+		if buffered {
+			req.Complete(st, nil)
+		}
 		return nil
 	}
 	q.writing = true

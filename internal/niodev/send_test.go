@@ -1,6 +1,7 @@
 package niodev
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -72,6 +73,36 @@ func (d *Device) queued(slot int) int {
 	return len(q.frames) - q.head
 }
 
+// queuedBytes reports the header and payload bytes waiting in slot's
+// queue.
+func (d *Device) queuedBytes(slot int) int {
+	q := d.queues[slot]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.queued
+}
+
+// waitUntil polls cond for up to 10 s and reports whether it came true,
+// failing the test if not.
+func waitUntil(t *testing.T, what string, cond func() bool) bool {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("timed out waiting for %s", what)
+			return false
+		}
+	}
+	return true
+}
+
+// writerHeld reports whether a writer holds slot's queue.
+func (d *Device) writerHeld(slot int) bool {
+	q := d.queues[slot]
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.writing
+}
+
 // TestPeerQueueBatchOrder checks the queue's FIFO contract: frames
 // posted while another writer holds the role are taken in post order, up
 // to the batch cap.
@@ -107,11 +138,12 @@ func TestPeerQueueBatchOrder(t *testing.T) {
 // queue level: a sender whose frame waits behind a wedged writer must
 // wake with the peer's death error when the peer dies, queued frames
 // must be failed rather than dropped, and later sends must fail fast.
+// The payload is stageSegMax or larger, so the frame is not buffered.
 func TestPeerQueuePoisonWakesBlockedEnqueuer(t *testing.T) {
 	d := bareDevice()
 	d.queues[1].writing = true // the wedged writer
 	req := d.core.NewRequest(devcore.SendReq, mpjbuf.New(0))
-	if err := d.send(1, header{typ: msgEager}, nil, req, xdev.Status{}, true); err != nil {
+	if err := d.send(1, header{typ: msgEager}, [][]byte{make([]byte, 8<<10)}, req, xdev.Status{}, true); err != nil {
 		t.Fatal(err)
 	}
 	woke := make(chan error, 1)
@@ -134,6 +166,112 @@ func TestPeerQueuePoisonWakesBlockedEnqueuer(t *testing.T) {
 	}
 	if err := d.send(1, header{typ: msgAck}, nil, nil, xdev.Status{}, false); !errors.Is(err, dead) {
 		t.Fatalf("post-poison send: %v, want the poison error", err)
+	}
+}
+
+// TestPeerQueueBufferedUpToBatchBytes is the buffered side of the same
+// contract: behind a wedged writer, small eager sends complete at once
+// until the queued bytes reach maxBatchBytes; the next send waits for
+// the wire and wakes with the peer's death error; poison drops the
+// buffered frames and hands their payload copies back to the byte
+// store; later sends fail fast.
+func TestPeerQueueBufferedUpToBatchBytes(t *testing.T) {
+	const payload = 1000 // its copy is the only slab of capacity ownCap
+	slab := mpjbuf.GetBytes(payload)
+	ownCap := cap(slab)
+	mpjbuf.PutBytes(slab)
+	var drawn atomic.Int64
+	mpjbuf.SetProbe(&mpjbuf.Probe{Store: func(capacity, d int) {
+		if capacity == ownCap {
+			drawn.Add(int64(d))
+		}
+	}})
+	defer mpjbuf.SetProbe(nil)
+
+	d := bareDevice()
+	q := d.queues[1]
+	q.writing = true // the wedged writer
+	seg := [][]byte{make([]byte, payload)}
+	h := header{typ: msgEager, wireLen: payload}
+	post := func() *devcore.Request {
+		req := d.core.NewRequest(devcore.SendReq, mpjbuf.New(0))
+		if err := d.send(1, h, seg, req, xdev.Status{}, true); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	buffered := 0
+	for q.queued < maxBatchBytes {
+		req := post()
+		if _, done, err := req.Test(); !done || err != nil {
+			t.Fatalf("send %d with %d bytes queued: done=%v err=%v, want buffered", buffered, q.queued, done, err)
+		}
+		buffered++
+	}
+	if want := (maxBatchBytes + headerLen + payload - 1) / (headerLen + payload); buffered != want {
+		t.Errorf("%d sends buffered, want %d (maxBatchBytes of frames)", buffered, want)
+	}
+	if n := drawn.Load(); n != int64(buffered) {
+		t.Errorf("%d payload copies drawn, want one per buffered send (%d)", n, buffered)
+	}
+
+	blocked := post()
+	if blocked.Done() {
+		t.Fatal("a send past maxBatchBytes completed before reaching the wire")
+	}
+	woke := make(chan error, 1)
+	go func() {
+		_, err := blocked.Wait()
+		woke <- err
+	}()
+	dead := errors.New("peer dead")
+	d.markPeerDead(1, dead)
+	select {
+	case err := <-woke:
+		if !errors.Is(err, dead) || !errors.Is(err, xdev.ErrPeerLost) {
+			t.Fatalf("blocked sender woke with %v, want the peer's death error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked sender never woke after peer death")
+	}
+	if d.queued(1) != 0 || q.queued != 0 {
+		t.Fatalf("%d frames / %d bytes still queued after poison", d.queued(1), q.queued)
+	}
+	if n := drawn.Load(); n != 0 {
+		t.Errorf("%d payload copies not returned to the byte store after poison", n)
+	}
+	if err := d.send(1, h, seg, nil, xdev.Status{}, true); !errors.Is(err, dead) {
+		t.Fatalf("post-poison send: %v, want the poison error", err)
+	}
+}
+
+// TestPeerQueueCompacts keeps a queue non-empty for 100k frames — the
+// writer always leaves some behind — and checks its backing array stays
+// near the live depth instead of growing with every frame ever queued.
+func TestPeerQueueCompacts(t *testing.T) {
+	d := bareDevice()
+	q := d.queues[1]
+	q.writing = true
+	post := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := d.send(1, header{typ: msgEager}, nil, nil, xdev.Status{}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const live = 100
+	post(live)
+	for sent := 0; sent < 100_000; sent += maxBatchFrames {
+		post(maxBatchFrames)
+		batch := q.take()
+		completeFrames(batch, nil)
+		q.batch = batch[:0]
+		if d.queued(1) != live {
+			t.Fatalf("%d frames queued, want %d", d.queued(1), live)
+		}
+	}
+	if c := cap(q.frames); c > 4*(live+maxBatchFrames) {
+		t.Errorf("cap(frames) = %d with %d frames live: consumed slots are kept", c, live)
 	}
 }
 
@@ -201,8 +339,9 @@ func TestSendEngineFlushOnFinish(t *testing.T) {
 
 // TestSendEngineBlockedEnqueueWokenByPeerDeath checks failure end to
 // end: with the connection to the peer wedged, one sender blocks in the
-// write and the others wait behind it; all must wake with ErrPeerLost
-// when the peer is declared dead.
+// write and the others, whose payloads are too big to buffer, wait
+// behind it; all must wake with ErrPeerLost when the peer is declared
+// dead.
 func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 	g := newGate(transport.NewInProc(0), "rank-1")
 	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
@@ -214,8 +353,8 @@ func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 		errsCh := make(chan error, senders)
 		for i := 0; i < senders; i++ {
 			go func() {
-				buf := mpjbuf.New(16)
-				buf.WriteInts([]int32{1}, 0, 1)
+				buf := mpjbuf.New(0)
+				buf.WriteBytes(make([]byte, 8<<10), 0, 8<<10) // too big to buffer
 				errsCh <- d.Send(buf, pids[1], 9, 0)
 			}()
 		}
@@ -241,16 +380,142 @@ func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 	})
 }
 
+// TestSendEngineBufferedBehindWedgedWriter is its buffered sibling: with
+// one sender blocked in a wedged write, small sends return at once until
+// maxBatchBytes are queued; the next one blocks, and both blocked
+// senders wake with ErrPeerLost when the peer is declared dead; later
+// sends fail fast.
+func TestSendEngineBufferedBehindWedgedWriter(t *testing.T) {
+	g := newGate(transport.NewInProc(0), "rank-1")
+	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank != 0 {
+			return // rank 1 just exists to be declared dead
+		}
+		g.armed.Store(true)
+		small := func() *mpjbuf.Buffer {
+			buf := mpjbuf.New(0)
+			buf.WriteBytes(make([]byte, 512), 0, 512)
+			return buf
+		}
+		errsCh := make(chan error, 2)
+		go func() { errsCh <- d.Send(small(), pids[1], 9, 0) }() // takes the role, wedges
+		if !waitUntil(t, "the first sender to take the writer role", func() bool { return d.writerHeld(1) }) {
+			return
+		}
+		for buffered := 0; d.queuedBytes(1) < maxBatchBytes; buffered++ {
+			if err := d.Send(small(), pids[1], 9, 0); err != nil {
+				t.Errorf("buffered send %d: %v", buffered, err)
+				return
+			}
+		}
+		depth := d.queued(1)
+		go func() { errsCh <- d.Send(small(), pids[1], 9, 0) }() // over the bound: waits
+		if !waitUntil(t, "the send over the bound to queue", func() bool { return d.queued(1) > depth }) {
+			return
+		}
+		select {
+		case err := <-errsCh:
+			t.Errorf("a sender returned %v before the peer died", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		d.markPeerDead(1, errors.New("test: simulated peer failure"))
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-errsCh:
+				if !errors.Is(err, xdev.ErrPeerLost) {
+					t.Errorf("blocked sender %d: %v, want ErrPeerLost", i, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Errorf("blocked sender %d still waiting after peer death", i)
+				return
+			}
+		}
+		if err := d.Send(small(), pids[1], 9, 0); !errors.Is(err, xdev.ErrPeerLost) {
+			t.Errorf("send after peer death: %v, want ErrPeerLost", err)
+		}
+	})
+}
+
+// TestSendEngineBufferedSendOwnsPayload: a buffered send has returned
+// the sender's buffer, so the sender may overwrite it at once; the
+// receiver must still get the bytes as they were at Send. The writer is
+// wedged while the sends are buffered, so every one of them is.
+func TestSendEngineBufferedSendOwnsPayload(t *testing.T) {
+	const msgs, size = 32, 512
+	g := newGate(transport.NewInProc(0), "rank-1")
+	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+		if rank == 1 {
+			out := make([]byte, size)
+			for i := 0; i <= msgs; i++ {
+				buf := mpjbuf.New(0)
+				if _, err := d.Recv(buf, pids[0], 3, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := buf.ReadBytes(out, 0, size); err != nil {
+					t.Error(err)
+					return
+				}
+				for j, b := range out {
+					if b != byte(i) {
+						t.Errorf("message %d byte %d = %#x, want %#x: the sender's later write leaked in", i, j, b, byte(i))
+						return
+					}
+				}
+			}
+			return
+		}
+		g.armed.Store(true)
+		src := make([]byte, size)
+		buf := mpjbuf.New(0)
+		fill := func(i int) {
+			for j := range src {
+				src[j] = byte(i)
+			}
+			buf.Reset()
+			buf.WriteBytes(src, 0, size)
+		}
+		first := mpjbuf.New(0)
+		first.WriteBytes(src, 0, size) // message 0
+		wedged := make(chan error, 1)
+		go func() { wedged <- d.Send(first, pids[1], 3, 0) }()
+		if !waitUntil(t, "the first sender to take the writer role", func() bool { return d.writerHeld(1) }) {
+			return
+		}
+		for i := 1; i <= msgs; i++ {
+			fill(i)
+			if err := d.Send(buf, pids[1], 3, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			fill(0xff) // scribble as soon as Send returns
+		}
+		if n := d.queued(1); n != msgs {
+			t.Errorf("%d frames queued behind the wedged writer, want %d buffered", n, msgs)
+		}
+		g.open()
+		if err := <-wedged; err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 // TestSendEngineManySendersOnePeer is the -race stress for the shared
 // queue: many goroutines funnel into one peer; per-(src,dst) order must
 // hold within each sender's tag stream, and every message must arrive
-// exactly once.
+// exactly once. Payloads cycle through 4 B and wire lengths of 4095 and
+// 4096 B, so frames buffered at post (under stageSegMax) and frames
+// written from the sender's buffer interleave in one queue.
 func TestSendEngineManySendersOnePeer(t *testing.T) {
 	const senders = 8
 	msgs := 200
 	if testing.Short() {
 		msgs = 50
 	}
+	one := mpjbuf.New(0)
+	one.WriteBytes([]byte{0}, 0, 1)
+	overhead := one.WireLen() - 1 // wire and section headers
+	sizes := []int{4, stageSegMax - 1 - overhead, stageSegMax - overhead}
 	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank == 0 {
 			var wg sync.WaitGroup
@@ -258,8 +523,19 @@ func TestSendEngineManySendersOnePeer(t *testing.T) {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
+					payload := make([]byte, sizes[len(sizes)-1])
 					for i := 0; i < msgs; i++ {
-						sendInts(t, d, pids[1], 100+s, []int32{int32(i)})
+						n := sizes[i%len(sizes)]
+						binary.LittleEndian.PutUint32(payload, uint32(i))
+						buf := mpjbuf.New(0)
+						buf.WriteBytes(payload, 0, n)
+						if buf.WireLen() != overhead+n {
+							t.Errorf("message %d: wire length %d, want %d", i, buf.WireLen(), overhead+n)
+						}
+						if err := d.Send(buf, pids[1], 100+s, 0); err != nil {
+							t.Errorf("send: %v", err)
+							return
+						}
 					}
 				}(s)
 			}
@@ -271,10 +547,20 @@ func TestSendEngineManySendersOnePeer(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
+				out := make([]byte, sizes[len(sizes)-1])
 				for i := 0; i < msgs; i++ {
-					got := recvInts(t, d, pids[0], 100+s, 1)
-					if len(got) != 1 || got[0] != int32(i) {
-						t.Errorf("tag %d msg %d: got %v, want [%d] (ordering violated)", 100+s, i, got, i)
+					buf := mpjbuf.New(0)
+					if _, err := d.Recv(buf, pids[0], 100+s, 0); err != nil {
+						t.Errorf("recv: %v", err)
+						return
+					}
+					n := sizes[i%len(sizes)]
+					if _, err := buf.ReadBytes(out, 0, n); err != nil {
+						t.Errorf("tag %d msg %d: %v", 100+s, i, err)
+						return
+					}
+					if got := binary.LittleEndian.Uint32(out); got != uint32(i) {
+						t.Errorf("tag %d msg %d: got message %d (ordering violated)", 100+s, i, got)
 						return
 					}
 				}
@@ -306,8 +592,14 @@ func TestSendCountersMatchFramesSent(t *testing.T) {
 				}(s)
 			}
 			wg.Wait()
-			// A blocking Send returns once its frame is written, and the
-			// writer counts a batch before completing its requests.
+			// A buffered Send returns before its frame is written, so
+			// read the counters once rank 1 has every frame and the
+			// writer, which counts a batch before it lets go of the
+			// role, is idle.
+			recvInts(t, d, pids[1], 1, 1)
+			if !waitUntil(t, "the writer to go idle", func() bool { return !d.writerHeld(1) }) {
+				return
+			}
 			st := d.Stats()
 			const frames = senders * msgs
 			if st.FramesCoalesced != frames {
@@ -320,7 +612,7 @@ func TestSendCountersMatchFramesSent(t *testing.T) {
 				t.Errorf("SendBatchBytes = %d, want %d", st.SendBatchBytes, frames*frameBytes)
 			}
 			intro := d.Introspect().(introspection)
-			if len(intro.Peers) != 1 || !intro.Peers[0].Connected || intro.Peers[0].SendQueue != 0 {
+			if len(intro.Peers) != 1 || !intro.Peers[0].Connected || intro.Peers[0].SendQueue != 0 || intro.Peers[0].SendQueueBytes != 0 {
 				t.Errorf("introspected peers = %+v, want one connected peer with nothing queued", intro.Peers)
 			}
 			return
@@ -330,6 +622,7 @@ func TestSendCountersMatchFramesSent(t *testing.T) {
 				recvInts(t, d, pids[0], 100+s, 1)
 			}
 		}
+		sendInts(t, d, pids[0], 1, []int32{1})
 	})
 }
 

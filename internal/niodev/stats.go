@@ -35,8 +35,10 @@ type peerState struct {
 	Connected bool   `json:"connected"`
 	Err       string `json:"err,omitempty"`
 	// SendQueue is the number of frames queued for this peer and not
-	// yet taken by a writer.
-	SendQueue int `json:"sendQueue,omitempty"`
+	// yet taken by a writer, SendQueueBytes their header and payload
+	// bytes (buffering stops at maxBatchBytes).
+	SendQueue      int `json:"sendQueue,omitempty"`
+	SendQueueBytes int `json:"sendQueueBytes,omitempty"`
 }
 
 // introspection is the live-state dump the telemetry endpoint serves:
@@ -56,7 +58,7 @@ func (d *Device) Introspect() any {
 			continue
 		}
 		q.mu.Lock()
-		ps := peerState{Slot: slot, Connected: q.conn != nil, SendQueue: len(q.frames) - q.head}
+		ps := peerState{Slot: slot, Connected: q.conn != nil, SendQueue: len(q.frames) - q.head, SendQueueBytes: q.queued}
 		q.mu.Unlock()
 		if err := d.core.PeerErr(uint64(slot)); err != nil {
 			ps.Err = err.Error()

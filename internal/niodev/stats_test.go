@@ -1,6 +1,9 @@
 package niodev
 
 import (
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,4 +127,25 @@ func TestAsyncRendezvousProgress(t *testing.T) {
 			sendInts(t, d, pids[0], 1, []int32{1})
 		}
 	})
+}
+
+// TestIntrospectSendQueueBytes: /introspect reports, per peer, the
+// frames queued and their header and payload bytes — the figure the
+// buffering bound (maxBatchBytes) applies to.
+func TestIntrospectSendQueueBytes(t *testing.T) {
+	d := bareDevice()
+	d.queues[1].writing = true // a writer is busy: posts only append
+	const frames, payload = 3, 100
+	for i := 0; i < frames; i++ {
+		if err := d.send(1, header{typ: msgEager}, [][]byte{make([]byte, payload)}, nil, xdev.Status{}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	peers := d.Introspect().(introspection).Peers
+	if len(peers) != 1 || peers[0].SendQueue != frames || peers[0].SendQueueBytes != frames*(headerLen+payload) {
+		t.Fatalf("introspected peers = %+v, want %d frames of %d bytes queued", peers, frames, headerLen+payload)
+	}
+	if b, err := json.Marshal(peers[0]); err != nil || !strings.Contains(string(b), fmt.Sprintf(`"sendQueueBytes":%d`, frames*(headerLen+payload))) {
+		t.Errorf("peer state JSON = %s (%v), want sendQueueBytes", b, err)
+	}
 }
