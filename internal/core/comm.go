@@ -332,17 +332,27 @@ func WaitAll(reqs []*Request) ([]*Status, error) {
 	return sts, nil
 }
 
+// innerPool recycles WaitAny's array of device requests; mpjdev.WaitAny
+// keeps no reference to the array once it returns.
+var innerPool = sync.Pool{New: func() any { return new([]*mpjdev.Request) }}
+
 // WaitAny blocks until one of the non-nil requests completes,
 // returning its index and status. It uses the poll-free peek-based
 // machinery of mpjdev (paper §IV-E.1), so blocked waiters cost no CPU.
 func WaitAny(reqs []*Request) (int, *Status, error) {
-	inner := make([]*mpjdev.Request, len(reqs))
-	for i, r := range reqs {
+	p := innerPool.Get().(*[]*mpjdev.Request)
+	inner := (*p)[:0]
+	for _, r := range reqs {
+		var x *mpjdev.Request
 		if r != nil {
-			inner[i] = r.inner
+			x = r.inner
 		}
+		inner = append(inner, x)
 	}
 	idx, ist, err := mpjdev.WaitAny(inner)
+	clear(inner)
+	*p = inner
+	innerPool.Put(p)
 	if err != nil {
 		return idx, nil, err
 	}

@@ -100,6 +100,7 @@ func RunConformance(t *testing.T, run JobRunner, opts Options) {
 	t.Run("ConcurrentTraffic", func(t *testing.T) { testConcurrent(t, run) })
 	t.Run("Counters", func(t *testing.T) { testCounters(t, run, opts.RendezvousAt) })
 	t.Run("RMA", func(t *testing.T) { testRMA(t, run) })
+	t.Run("Attachment", func(t *testing.T) { testAttachment(t, run) })
 	if opts.HasPeek {
 		t.Run("Peek", func(t *testing.T) { testPeek(t, run) })
 	}
@@ -577,6 +578,36 @@ func testCounters(t *testing.T, run JobRunner, rendezvousAt int) {
 		}
 		if st.EagerSent != 1 {
 			t.Errorf("rank 1: eagerSent=%d, want 1 (the go-ahead)", st.EagerSent)
+		}
+	})
+}
+
+// testAttachment checks the attachment contract mpjdev's Waitany relies
+// on: a value reads back, nil clears it, and a later value may be of
+// another type.
+func testAttachment(t *testing.T, run JobRunner) {
+	run(t, 2, func(d xdev.Device, rank int, pids []xdev.ProcessID) {
+		if rank == 1 {
+			send(t, d, pids[0], 4, []int64{1})
+			return
+		}
+		buf := mpjbuf.New(0)
+		req, err := d.IRecv(buf, pids[1], 4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := new(int)
+		req.SetAttachment(v)
+		if got := req.Attachment(); got != v {
+			t.Errorf("attachment = %v, want the stored pointer", got)
+		}
+		req.SetAttachment(nil)
+		if got := req.Attachment(); got != nil {
+			t.Errorf("attachment = %v after clearing", got)
+		}
+		req.SetAttachment("another type")
+		if _, err := req.Wait(); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -26,6 +26,7 @@ package ibisdev
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -155,10 +156,12 @@ func (d *Device) release() { d.threads.Add(-1) }
 
 // request wraps the inner request, holding the worker's result.
 type request struct {
-	done       chan struct{}
-	status     xdev.Status
-	err        error
-	attachment atomic.Value
+	done   chan struct{}
+	status xdev.Status
+	err    error
+
+	mu         sync.Mutex
+	attachment any
 }
 
 // Wait blocks until the worker thread finishes the operation.
@@ -177,11 +180,20 @@ func (r *request) Test() (xdev.Status, bool, error) {
 	}
 }
 
-// SetAttachment stores opaque upper-layer state on the request.
-func (r *request) SetAttachment(v any) { r.attachment.Store(v) }
+// SetAttachment stores opaque upper-layer state on the request; nil
+// clears it.
+func (r *request) SetAttachment(v any) {
+	r.mu.Lock()
+	r.attachment = v
+	r.mu.Unlock()
+}
 
 // Attachment returns the value stored by SetAttachment.
-func (r *request) Attachment() any { return r.attachment.Load() }
+func (r *request) Attachment() any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.attachment
+}
 
 // ISend starts a send on a fresh worker thread (the Ibis pattern).
 func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {

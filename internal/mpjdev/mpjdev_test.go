@@ -19,16 +19,24 @@ var groupCounter atomic.Int64
 func runJob(t *testing.T, n int, fn func(c *Comm, rank int)) {
 	t.Helper()
 	group := fmt.Sprintf("mpjdev-test-%d", groupCounter.Add(1))
+	runJobOn(t, n, func() xdev.Device { return smpdev.New() }, func(rank int) xdev.Config {
+		return xdev.Config{Rank: rank, Size: n, Group: group}
+	}, fn)
+}
+
+// runJobOn is runJob over devices made by newDev and configured by cfg.
+func runJobOn(t *testing.T, n int, newDev func() xdev.Device, cfg func(rank int) xdev.Config, fn func(c *Comm, rank int)) {
+	t.Helper()
 	devs := make([]xdev.Device, n)
 	comms := make([]*Comm, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
-		devs[i] = smpdev.New()
+		devs[i] = newDev()
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			pids, err := devs[rank].Init(xdev.Config{Rank: rank, Size: n, Group: group})
+			pids, err := devs[rank].Init(cfg(rank))
 			if err != nil {
 				errs[rank] = err
 				return

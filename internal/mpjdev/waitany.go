@@ -24,24 +24,35 @@ import (
 //  2. the request belongs to another queued WaitAny — that object is
 //     removed from the queue and woken, and the peeker keeps peeking;
 //  3. the request belongs to no WaitAny — it is ignored.
+//
+// The queue exists so that a blocked Waitany burns no CPU, and only a
+// call that must block pays for it: WaitAny tests first and returns a
+// request that has already completed with no allocation, attachment or
+// queue traffic. Only when none has does it attach, test once more and
+// join the queue. Under a record/replay session every call goes
+// through peek (see WaitAny).
 
-// waitAnyRef is the attachment a Request carries while a WaitAny waits
-// on it: the WaitAny object and the request's index in its array.
-type waitAnyRef struct {
-	w   *waitAny
-	idx int
-}
-
-// waitAny is one blocked Waitany call.
 // replayActive is implemented by devices that can host a record/replay
 // session (internal/replay). While a session is installed, WaitAny
-// must not consume completions through its Test fast path.
+// must not consume completions through a Test scan.
 type replayActive interface {
 	ReplayActive() bool
 }
 
+// waitAnyRef is the attachment a Request carries while a WaitAny waits
+// on it: the WaitAny object, the request and its index in the array.
+// It names the request directly rather than through the caller's
+// array, which may be reused once the call returns while a peeker
+// still holds the reference.
+type waitAnyRef struct {
+	w   *waitAny
+	req *Request
+	idx int
+}
+
+// waitAny is one blocked Waitany call.
 type waitAny struct {
-	reqs []*Request
+	refs []waitAnyRef // one per non-nil request; the attachments
 
 	done    chan struct{} // closed on delivery
 	promote chan struct{} // signaled when this object must take over peek
@@ -52,6 +63,25 @@ type waitAny struct {
 	err error
 
 	delivered bool // guarded by the owning queue's mutex
+}
+
+// attach makes every request of reqs point back at w, so a completion
+// popped by any peeker from now on reaches w.
+func (w *waitAny) attach(reqs []*Request) {
+	w.refs = make([]waitAnyRef, 0, len(reqs)) // never grows: the pointers stay valid
+	for i, r := range reqs {
+		if r != nil {
+			w.refs = append(w.refs, waitAnyRef{w: w, req: r, idx: i})
+			r.inner.SetAttachment(&w.refs[len(w.refs)-1])
+		}
+	}
+}
+
+// detach removes the attachments attach set.
+func (w *waitAny) detach() {
+	for i := range w.refs {
+		w.refs[i].req.inner.SetAttachment(nil)
+	}
 }
 
 // waitQueue is the per-device WaitanyQue of the paper.
@@ -151,46 +181,35 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 		return -1, Status{}, ErrNoActiveRequests
 	}
 
-	w := &waitAny{
-		reqs:    reqs,
-		done:    make(chan struct{}),
-		promote: make(chan struct{}, 1),
-	}
-	// Attach before testing so a completion racing with registration
-	// still reaches us through peek.
-	for i, r := range reqs {
-		if r != nil {
-			r.inner.SetAttachment(&waitAnyRef{w: w, idx: i})
-		}
-	}
-	clear := func() {
-		for _, r := range reqs {
-			if r != nil {
-				r.inner.SetAttachment(nil)
-			}
+	// Test first: a request that has already completed comes back
+	// before anything is allocated or attached — the common case when
+	// WaitAny drains posted receives that traffic keeps satisfying.
+	// Skipped under record/replay: whether a completion beats WaitAny is
+	// a timing race, so a scan would make the pop-decision stream's
+	// length depend on scheduling — routing every delivery through Peek
+	// keeps the recorded and replayed streams the same length.
+	ra, ok := dev.(replayActive)
+	scan := !ok || !ra.ReplayActive()
+	if scan {
+		if i, st, ok, err := TestAny(reqs); ok || err != nil {
+			return i, st, err
 		}
 	}
 
-	// Fast path: some request already completed (Test also collects it
-	// from the device completion queue). Skipped under record/replay:
-	// whether a completion beats WaitAny here is a timing race, so the
-	// fast path would make the pop-decision stream's length depend on
-	// scheduling — routing every delivery through Peek keeps the
-	// recorded and replayed streams the same length.
-	if ra, ok := dev.(replayActive); !ok || !ra.ReplayActive() {
-		for i, r := range reqs {
-			if r == nil {
-				continue
-			}
-			st, ok, err := r.Test()
-			if err != nil {
-				clear()
-				return i, Status{}, err
-			}
-			if ok {
-				clear()
-				return i, st, nil
-			}
+	// Register to block. A completion that landed after the scan but
+	// before its attachment may already have been popped by a peeker
+	// that found nothing attached (scenario 3), so scan once more: from
+	// here on a completion is either seen by this scan or reaches us
+	// through peek.
+	w := &waitAny{
+		done:    make(chan struct{}),
+		promote: make(chan struct{}, 1),
+	}
+	w.attach(reqs)
+	if scan {
+		if i, st, ok, err := TestAny(reqs); ok || err != nil {
+			w.detach()
+			return i, st, err
 		}
 	}
 
@@ -209,10 +228,10 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 	isPeeker, alreadyDone := q.enqueue(w)
 	if alreadyDone {
 		// A racing peek delivered our completion before we joined the
-		// queue (the attach-before-test window). The results are
+		// queue (the window between attach and enqueue). The results are
 		// published before done closes, so synchronize on it.
 		<-w.done
-		clear()
+		w.detach()
 		return w.idx, w.st, w.err
 	}
 
@@ -220,7 +239,7 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 		if !isPeeker {
 			select {
 			case <-w.done:
-				clear()
+				w.detach()
 				return w.idx, w.st, w.err
 			case <-w.promote:
 				isPeeker = true
@@ -230,19 +249,19 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 		// Peek duty (front of the WaitanyQue).
 		xr, err := dev.Peek()
 		if err != nil {
-			// Device shut down: fail ourselves and pass duty on.
+			// Device shut down, or it has no completion queue (ibisdev):
+			// fail ourselves and pass duty on.
 			q.deliver(w, -1, Status{}, err)
 			q.promoteFront()
-			clear()
+			w.detach()
 			return w.idx, w.st, w.err
 		}
 		ref, ok := xr.Attachment().(*waitAnyRef)
 		if !ok {
 			continue // scenario 3: nobody is waiting on this request
 		}
-		target := ref.w.reqs[ref.idx]
-		xst, _, terr := target.inner.Test()
-		st := target.comm.status(xst)
+		xst, _, terr := ref.req.inner.Test()
+		st := ref.req.comm.status(xst)
 		if !q.deliver(ref.w, ref.idx, st, terr) {
 			continue // stale: that WaitAny already returned
 		}
@@ -250,7 +269,7 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 			// Scenario 1: our own request completed; wake the next
 			// WaitAny to take over peeking.
 			q.promoteFront()
-			clear()
+			w.detach()
 			return w.idx, w.st, w.err
 		}
 		// Scenario 2: keep peeking on behalf of the queue.

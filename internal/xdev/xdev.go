@@ -73,7 +73,8 @@ type Request interface {
 	Wait() (Status, error)
 	// Test reports without blocking whether the operation has completed.
 	Test() (Status, bool, error)
-	// SetAttachment associates opaque upper-layer state with the request.
+	// SetAttachment associates opaque upper-layer state with the
+	// request; nil clears it, and successive values may differ in type.
 	SetAttachment(v any)
 	// Attachment returns the value set by SetAttachment, or nil.
 	Attachment() any

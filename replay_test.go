@@ -15,8 +15,9 @@ import (
 
 // replayRoundTrip records a run of body, replays it while re-recording
 // the observed decisions, and requires (a) a divergence-free replay
-// and (b) per-rank decision logs byte-identical to the recording.
-func replayRoundTrip(t *testing.T, n int, opts Options, body func(p *Process) error) {
+// and (b) per-rank decision logs byte-identical to the recording. It
+// returns the recording's directory.
+func replayRoundTrip(t *testing.T, n int, opts Options, body func(p *Process) error) string {
 	t.Helper()
 	recDir, obsDir := t.TempDir(), t.TempDir()
 
@@ -48,6 +49,7 @@ func replayRoundTrip(t *testing.T, n int, opts Options, body func(p *Process) er
 				r, recorded, observed)
 		}
 	}
+	return recDir
 }
 
 // replayDevices is the matrix every wildcard shape replays on. ibisdev
@@ -234,21 +236,34 @@ func TestReplayHybridClaims(t *testing.T) {
 
 // TestReplayWaitany exercises the completion-pop decision stream:
 // WaitAny's pop order over racing requests is recorded and enforced.
+// Each round also holds a request that has already completed when
+// WaitAny is entered; under a session it is popped like the rest, so
+// it appears in the recorded stream and replays in place.
 func TestReplayWaitany(t *testing.T) {
 	const rounds = 5
+	const earlyTag, syncTag = 100, 200
 	body := func(p *Process) error {
 		w := p.World()
 		if w.Rank() == 0 {
 			for r := 0; r < rounds; r++ {
-				reqs := make([]*Request, w.Size()-1)
-				bufs := make([][]int32, w.Size()-1)
+				reqs := make([]*Request, w.Size())
+				bufs := make([][]int32, w.Size())
 				for i := range reqs {
 					bufs[i] = make([]int32, 1)
+					src, tag := i, r
+					if i == 0 {
+						src, tag = 1, earlyTag+r
+					}
 					var err error
-					reqs[i], err = w.Irecv(bufs[i], 0, 1, INT, i+1, r)
+					reqs[i], err = w.Irecv(bufs[i], 0, 1, INT, src, tag)
 					if err != nil {
 						return err
 					}
+				}
+				// Rank 1 sends the early message before this one, so
+				// reqs[0] has completed once it returns.
+				if _, err := w.Recv(make([]int32, 1), 0, 1, INT, 1, syncTag+r); err != nil {
+					return err
 				}
 				for done := 0; done < len(reqs); done++ {
 					if _, _, err := WaitAny(reqs); err != nil {
@@ -259,6 +274,13 @@ func TestReplayWaitany(t *testing.T) {
 			return nil
 		}
 		for r := 0; r < rounds; r++ {
+			if w.Rank() == 1 {
+				for _, tag := range []int{earlyTag + r, syncTag + r} {
+					if err := w.Send([]int32{int32(r)}, 0, 1, INT, 0, tag); err != nil {
+						return err
+					}
+				}
+			}
 			if err := w.Send([]int32{int32(r)}, 0, 1, INT, 0, r); err != nil {
 				return err
 			}
@@ -270,7 +292,20 @@ func TestReplayWaitany(t *testing.T) {
 			continue // no completion queue: Peek unsupported
 		}
 		t.Run(d.name, func(t *testing.T) {
-			replayRoundTrip(t, 4, d.opts, body)
+			dir := replayRoundTrip(t, 4, d.opts, body)
+			recs, err := replay.ReadLog(filepath.Join(dir, replay.LogName(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			early := 0
+			for _, rec := range recs {
+				if rec.Kind == "pop" && rec.Tag >= earlyTag && rec.Tag < earlyTag+rounds {
+					early++
+				}
+			}
+			if early != rounds {
+				t.Errorf("recorded %d pops of an already-complete request, want %d", early, rounds)
+			}
 		})
 	}
 }
