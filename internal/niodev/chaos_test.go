@@ -206,9 +206,9 @@ func TestChaosKillOneRankMidTraffic(t *testing.T) {
 	}
 }
 
-// TestChaosResetMidRendezvous cuts rank 0's write channel partway
-// through a large rendezvous transfer: past the hello and RTS control
-// traffic, well before the ~512 KiB payload completes. The receiver's
+// TestChaosResetMidRendezvous cuts the connection partway through
+// what rank 0 writes of a large rendezvous transfer: past the hello and
+// RTS control traffic, well before the ~512 KiB payload completes. The receiver's
 // blocked Recv must fail with ErrPeerLost (it answered the RTS and is
 // owed data that will never arrive) and the sender's Send must report
 // the failure rather than pretend success.
@@ -249,7 +249,7 @@ func TestChaosResetMidRendezvous(t *testing.T) {
 }
 
 // TestChaosCorruptFrame flips a bit in rank 0's wire traffic shortly
-// after the handshake (the 12-byte hello itself stays clean, so the
+// after the handshake (the 16-byte hello itself stays clean, so the
 // job wires up). The receiver's CRC check must reject the frame —
 // counted in FramesCorrupt, surfaced as ErrCorruptFrame — and declare
 // the peer lost. Never silent corruption.

@@ -78,15 +78,16 @@ func (d *Device) markPeerGone(slot int, cause error, graceful bool) {
 	// crashed one, so both cases drain.
 	d.failQueued(slot, err)
 	if !graceful {
-		// Close the write channel so a writer blocked mid-frame fails
-		// instead of wedging; Close is safe against a concurrent Write.
-		// Not done for a graceful departure: the peer is still draining
-		// byes in its shutdown window, and closing our half would feed
-		// it an EOF it miscounts as our death — its own shutdown closes
-		// both ends moments later anyway.
+		// Close the connection so a writer blocked mid-frame fails
+		// instead of wedging and the input handler's read ends; Close is
+		// safe against a concurrent Write. Not done for a graceful
+		// departure: the peer is still draining byes in its shutdown
+		// window, and closing our end would feed it an EOF it miscounts
+		// as our death — its own shutdown closes the connection moments
+		// later anyway.
 		if q := d.queue(slot); q != nil {
-			if wc := q.writeConn(); wc != nil {
-				wc.Close()
+			if c := q.link(); c != nil {
+				c.Close()
 			}
 		}
 	}
@@ -123,7 +124,7 @@ func (d *Device) abortLocal(ab *xdev.AbortError, wait bool) {
 // shutdown closes the device: the core fails every pending request
 // with failErr (before the completion queue closes, so Peek/Waitany
 // drain them as errored completions rather than losing them), then the
-// transport is torn down — listener, write channels, read channels.
+// transport is torn down — connections and listener.
 func (d *Device) shutdown(failErr error, wait bool) {
 	if d.closed.Swap(true) {
 		return
@@ -132,13 +133,13 @@ func (d *Device) shutdown(failErr error, wait bool) {
 	// Poison every send queue before the connections close: queued
 	// frames fail their requests, no flusher starts after this (so the
 	// handlerWG wait below joins them all), and closing the conns fails
-	// any write in flight.
+	// any write in flight and ends the input handlers' reads.
 	for slot, q := range d.queues {
 		if q == nil {
 			continue
 		}
 		d.failQueued(slot, failErr)
-		if c := q.writeConn(); c != nil {
+		if c := q.link(); c != nil {
 			c.Close()
 		}
 	}
@@ -146,11 +147,11 @@ func (d *Device) shutdown(failErr error, wait bool) {
 	if d.listener != nil {
 		d.listener.Close()
 	}
-	d.rcmu.Lock()
-	for _, c := range d.rconns {
+	d.amu.Lock()
+	for _, c := range d.accepted {
 		c.Close()
 	}
-	d.rcmu.Unlock()
+	d.amu.Unlock()
 	if wait {
 		d.handlerWG.Wait()
 	}

@@ -12,19 +12,20 @@
 //     — never the input handler, which must stay unblocked to avoid the
 //     mutual-large-send deadlock the paper describes (Figs. 6–8).
 //
-// Faithful structural choices:
+// Faithful structural choices, and one departure:
 //
-//   - two connections per process pair, one used exclusively for
-//     writing and one for reading, mirroring the paper's split between
-//     blocking write channels and non-blocking read channels;
-//   - a per-destination lock serializing writers to each write channel,
+//   - one full-duplex connection per process pair, where the paper
+//     opens a write and a read channel: the split is Java NIO's, and on
+//     one socket a reply carries the ACK of the message it answers
+//     (DESIGN.md §3);
+//   - a per-destination lock serializing writers to each connection,
 //     held as a writer role: concurrent senders queue their frames
 //     behind the holder, whose write carries them, and an input handler
 //     only ever queues (send.go);
 //   - a single receive-communication-sets lock guarding message
 //     matching, with the paper's four-key matching scheme (§IV-E.2,
 //     package match);
-//   - one input-handler goroutine per inbound connection plays the role
+//   - one input-handler goroutine per connection plays the role
 //     of the select()-driven progress engine: Go's blocking reads on a
 //     per-peer goroutine are the idiomatic equivalent of NIO channel
 //     multiplexing.
@@ -69,8 +70,8 @@ type Device struct {
 	listener   net.Listener
 	eagerLimit int
 
-	// Write channels: one frame queue per destination slot (nil for
-	// self), holding the conn and the writer role that is the paper's
+	// One frame queue per destination slot (nil for self), holding the
+	// pair's connection and the writer role that is the paper's
 	// per-destination channel lock (send.go).
 	queues []*peerQueue
 
@@ -86,12 +87,14 @@ type Device struct {
 	pendingSync  *devcore.PendingSet // eager-sync send awaiting ACK
 	rndvIncoming *devcore.PendingSet // receive awaiting rendezvous data
 
-	// Inbound (read) channels accepted from peers, closed by Finish so
-	// input handlers terminate without waiting for the peer to exit.
-	rcmu   sync.Mutex
-	rconns []net.Conn
+	// Accept side, guarded by amu: every accepted connection, which
+	// shutdown closes even mid-handshake (a silent dialer cannot hold
+	// Finish), and the slots whose hello was admitted.
+	amu      sync.Mutex
+	accepted []net.Conn
+	admitted []bool
 
-	inboundWG sync.WaitGroup // one count per expected inbound conn
+	linked    chan struct{} // a value per linked peer; Init awaits Size-1
 	handlerWG sync.WaitGroup
 	closed    atomic.Bool
 	initDone  bool
@@ -114,8 +117,8 @@ func New() *Device {
 }
 
 // Init joins the job described by cfg: it listens on its own address,
-// dials a dedicated write channel to every peer, and waits for every
-// peer's write channel to arrive (the inbound read channels).
+// dials the peers it should (dials), and waits until it has one
+// connection to every peer, however it was made.
 func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 	if d.initDone {
 		return nil, xdev.Errf(DeviceName, "init", "device already initialized")
@@ -164,62 +167,83 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			return nil, &xdev.Error{Dev: DeviceName, Op: "listen", Err: err}
 		}
 		d.listener = l
-		d.inboundWG.Add(cfg.Size - 1)
+		d.admitted = make([]bool, cfg.Size)
+		d.linked = make(chan struct{}, cfg.Size-1)
 		d.handlerWG.Add(1)
 		go d.acceptLoop()
 
+		deadline := time.Now().Add(connectTimeout)
 		for slot := 0; slot < cfg.Size; slot++ {
-			if slot == cfg.Rank {
+			if !dials(cfg.Rank, slot) {
 				continue
 			}
-			conn, err := d.dialPeer(cfg.Addrs[slot], slot)
+			conn, crc, err := d.dialPeer(slot, deadline)
+			if err == nil {
+				err = d.attach(slot, conn, crc)
+			}
 			if err != nil {
 				d.Finish()
 				return nil, &xdev.Error{Dev: DeviceName, Op: "connect to slot " + fmt.Sprint(slot), Err: err}
 			}
-			q := d.queues[slot]
-			q.mu.Lock()
-			q.conn = conn
-			q.mu.Unlock()
 		}
-		// Wait for every peer's write channel to reach us, so the job
-		// is fully wired before Init returns anywhere.
-		if err := waitTimeout(&d.inboundWG, connectTimeout); err != nil {
+		if err := awaitN(d.linked, cfg.Size-1, time.Until(deadline)); err != nil {
 			d.Finish()
-			return nil, &xdev.Error{Dev: DeviceName, Op: "await inbound connections", Err: err}
+			return nil, &xdev.Error{Dev: DeviceName, Op: "await peer connections", Err: err}
 		}
 	}
 	d.initDone = true
 	return append([]xdev.ProcessID(nil), d.pids...), nil
 }
 
-// dialPeer dials addr, retrying with jittered exponential backoff
-// until the peer's listener is up, and introduces itself with a hello
-// frame advertising this side's checksum setting.
-func (d *Device) dialPeer(addr string, slot int) (net.Conn, error) {
-	var flags uint32
-	if d.crcOut {
-		flags |= helloFlagCRC
-	}
-	// Seed from (rank, slot) so simultaneous dialers desynchronize
-	// deterministically.
-	bo := transport.NewBackoff(2*time.Millisecond, 250*time.Millisecond,
-		int64(d.cfg.Rank)*int64(d.cfg.Size)+int64(slot)+1)
-	deadline := time.Now().Add(connectTimeout)
+// dials reports whether rank dials peer: the higher rank of a pair
+// does, which meets fewer refusals (DESIGN.md §3).
+func dials(rank, peer int) bool { return rank > peer }
+
+// dialBackoff is rank's retry schedule for slot: a peer that listens a
+// moment late costs about that moment.
+func dialBackoff(rank, size, slot int) *transport.Backoff {
+	return transport.NewBackoff(100*time.Microsecond, 250*time.Millisecond, int64(rank)*int64(size)+int64(slot)+1)
+}
+
+// dialPeer dials slot, retrying until its listener is up, and exchanges
+// hellos: ours names both ranks and carries our checksum flag, and the
+// reply must name them back. It reports whether the peer checksums.
+func (d *Device) dialPeer(slot int, deadline time.Time) (net.Conn, bool, error) {
+	bo := dialBackoff(d.cfg.Rank, d.cfg.Size, slot)
 	var lastErr error
 	for time.Now().Before(deadline) {
-		conn, err := d.tr.Dial(addr)
-		if err == nil {
-			if err := writeHello(conn, uint32(d.cfg.Rank), flags); err != nil {
-				conn.Close()
-				return nil, err
-			}
-			return conn, nil
+		conn, err := d.tr.Dial(d.cfg.Addrs[slot])
+		if err != nil {
+			lastErr = err
+			time.Sleep(bo.Next())
+			continue
 		}
-		lastErr = err
-		time.Sleep(bo.Next())
+		// A peer that never answers fails Init; a transport without
+		// deadlines (the in-process pipe) leaves that to shutdown.
+		_ = conn.SetDeadline(deadline)
+		err = writeHello(conn, uint32(d.cfg.Rank), uint32(slot), d.helloFlags())
+		var from, to, flags uint32
+		if err == nil {
+			from, to, flags, err = readHello(conn)
+		}
+		if err == nil && (int(from) != slot || int(to) != d.cfg.Rank) {
+			err = fmt.Errorf("%w: reply from slot %d to slot %d", errBadHello, from, to)
+		}
+		if err != nil {
+			conn.Close()
+			return nil, false, err
+		}
+		_ = conn.SetDeadline(time.Time{})
+		return conn, flags&helloFlagCRC != 0, nil
 	}
-	return nil, fmt.Errorf("gave up after %v: %w", connectTimeout, lastErr)
+	return nil, false, fmt.Errorf("gave up after %v: %w", connectTimeout, lastErr)
+}
+
+func (d *Device) helloFlags() uint32 {
+	if d.crcOut {
+		return helloFlagCRC
+	}
+	return 0
 }
 
 func (d *Device) acceptLoop() {
@@ -227,47 +251,90 @@ func (d *Device) acceptLoop() {
 	for {
 		conn, err := d.listener.Accept()
 		if err != nil {
-			return // listener closed by Finish
+			return // listener closed by shutdown
+		}
+		d.amu.Lock()
+		d.accepted = append(d.accepted, conn)
+		d.amu.Unlock()
+		if d.closed.Load() { // shutdown may have closed the list before conn joined
+			conn.Close()
+			return
 		}
 		d.handlerWG.Add(1)
 		go func() {
 			defer d.handlerWG.Done()
-			slot, flags, err := readHello(conn)
-			if err != nil || int(slot) >= d.cfg.Size {
+			if err := d.admit(conn); err != nil {
 				conn.Close()
-				return
 			}
-			d.rcmu.Lock()
-			d.rconns = append(d.rconns, conn)
-			alreadyClosed := d.closed.Load()
-			d.rcmu.Unlock()
-			if alreadyClosed {
-				conn.Close()
-				return
-			}
-			d.inboundWG.Done()
-			d.inputHandler(conn, slot, flags&helloFlagCRC != 0)
 		}()
 	}
 }
 
-// waitTimeout waits for wg or fails after the timeout. The explicit
-// Timer (instead of time.After) is stopped on the success path so the
-// common case does not leak a pending timer for the full timeout.
-func waitTimeout(wg *sync.WaitGroup, timeout time.Duration) error {
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
+// admit is the acceptor's half of the handshake: it reads the dialer's
+// hello, admits one per peer that dials this rank, answers with our
+// hello (before attach lets writers at conn) and attaches conn.
+func (d *Device) admit(conn net.Conn) error {
+	from, to, flags, err := readHello(conn)
+	if err != nil {
+		return err
+	}
+	d.amu.Lock()
+	switch {
+	case int(to) != d.cfg.Rank || from >= uint32(d.cfg.Size) || !dials(int(from), d.cfg.Rank):
+		err = fmt.Errorf("%w: slot %d may not dial slot %d at slot %d", errBadHello, from, to, d.cfg.Rank)
+	case d.admitted[from]:
+		err = fmt.Errorf("%w: slot %d is already connected", errBadHello, from)
+	default:
+		d.admitted[from] = true
+	}
+	d.amu.Unlock()
+	if err != nil {
+		return &xdev.Error{Dev: DeviceName, Op: "accept", Err: err}
+	}
+	if err := writeHello(conn, to, from, d.helloFlags()); err != nil {
+		return err
+	}
+	return d.attach(int(from), conn, flags&helloFlagCRC != 0)
+}
+
+// attach makes conn slot's connection, written by the queue's writer role
+// and read by a new input handler, unless the queue is poisoned (the
+// device is closing or the peer dead).
+func (d *Device) attach(slot int, conn net.Conn, crc bool) error {
+	q := d.queues[slot]
+	q.mu.Lock()
+	err := q.err
+	if err == nil {
+		q.conn = conn
+		// Added under q.mu with q unpoisoned: before shutdown's Wait.
+		d.handlerWG.Add(1)
+		go func() {
+			defer d.handlerWG.Done()
+			d.inputHandler(conn, uint32(slot), crc)
+		}()
+	}
+	q.mu.Unlock()
+	if err != nil {
+		conn.Close()
+		return err
+	}
+	d.linked <- struct{}{} // never blocks: one per slot, Size-1 buffered
+	return nil
+}
+
+// awaitN receives n values from ch, failing once timeout has passed. It
+// starts no goroutine, so a wait that times out leaves nothing behind.
+func awaitN(ch <-chan struct{}, n int, timeout time.Duration) error {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
-	select {
-	case <-done:
-		return nil
-	case <-t.C:
-		return fmt.Errorf("timed out after %v", timeout)
+	for i := 0; i < n; i++ {
+		select {
+		case <-ch:
+		case <-t.C:
+			return fmt.Errorf("%d of %d after %v", i, n, timeout)
+		}
 	}
+	return nil
 }
 
 // ID returns this process's ProcessID.
@@ -296,7 +363,7 @@ func (d *Device) Finish() error {
 // sayGoodbye queues a best-effort bye frame to every live peer and
 // waits, bounded, for them to be written. Each bye sits behind every
 // frame queued to its peer before Finish (flush-on-finalize). A wedged
-// write channel cannot turn Finish into a hang: shutdown closes the
+// connection cannot turn Finish into a hang: shutdown closes the
 // connections right afterwards and that peer sees EOF (a loss) instead.
 func (d *Device) sayGoodbye() {
 	if d.closed.Load() {

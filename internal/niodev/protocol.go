@@ -3,6 +3,7 @@ package niodev
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -43,10 +44,10 @@ const hdrFlagCRC = 0x01
 
 const helloMagic = 0x4d504a45 // "MPJE"
 
-// helloFlagCRC advertises in the hello handshake that every frame on
-// this connection carries CRC-32C integrity checksums. The receiver
+// helloFlagCRC advertises in a hello that every frame its writer puts
+// on the connection carries CRC-32C integrity checksums. The reader
 // then treats a frame without the flag — or with a mismatching
-// checksum — as corrupt.
+// checksum — as corrupt. Each direction follows its own writer's flag.
 const helloFlagCRC = 0x01
 
 // castagnoli is the CRC-32C table shared by all frame checksums.
@@ -107,24 +108,30 @@ func verifyHeader(raw []byte) error {
 	return nil
 }
 
-func writeHello(c net.Conn, slot uint32, flags uint32) error {
-	var b [12]byte
+// errBadHello marks a handshake the acceptor or the dialer rejects.
+var errBadHello = errors.New("niodev: bad hello")
+
+// writeHello writes the hello each side sends once, the dialer first,
+// naming its writer and reader and carrying the writer's flags.
+func writeHello(c net.Conn, from, to, flags uint32) error {
+	var b [16]byte
 	binary.BigEndian.PutUint32(b[0:4], helloMagic)
-	binary.BigEndian.PutUint32(b[4:8], slot)
-	binary.BigEndian.PutUint32(b[8:12], flags)
+	binary.BigEndian.PutUint32(b[4:8], from)
+	binary.BigEndian.PutUint32(b[8:12], to)
+	binary.BigEndian.PutUint32(b[12:16], flags)
 	_, err := c.Write(b[:])
 	return err
 }
 
-func readHello(c net.Conn) (slot, flags uint32, err error) {
-	var b [12]byte
+func readHello(c net.Conn) (from, to, flags uint32, err error) {
+	var b [16]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	if binary.BigEndian.Uint32(b[0:4]) != helloMagic {
-		return 0, 0, fmt.Errorf("niodev: bad hello magic")
+		return 0, 0, 0, fmt.Errorf("%w: magic %#x", errBadHello, binary.BigEndian.Uint32(b[0:4]))
 	}
-	return binary.BigEndian.Uint32(b[4:8]), binary.BigEndian.Uint32(b[8:12]), nil
+	return binary.BigEndian.Uint32(b[4:8]), binary.BigEndian.Uint32(b[8:12]), binary.BigEndian.Uint32(b[12:16]), nil
 }
 
 // crcReader accumulates a CRC-32C over everything read through it, so
@@ -509,16 +516,19 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 	return xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}, nil
 }
 
-// inputHandler is the progress engine for one inbound connection (read
-// channel) from peer slot src. It mirrors the paper's input-handler
+// inputHandler is the progress engine for the connection to peer slot
+// src, reading what src writes. It mirrors the paper's input-handler
 // pseudocode (Figs. 5 and 8): it must never block on anything except
-// reading its own channel, so every frame it sends — ACK, RTR,
+// reading its connection, so every frame it sends — ACK, RTR,
 // rendezvous data, a forwarded revoke — is queued for a writer
 // goroutine (send.go).
 //
 // When the loop exits on an error while the device is still live, the
 // peer is declared dead: its pending requests fail with ErrPeerLost
 // and blocked waiters wake (the failure-detection half of the device).
+// markPeerDead poisons the queue before it closes the connection, so
+// queued frames fail with the death error. After a bye the connection
+// is left to shutdown (see markPeerGone).
 func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
 	// Inbound frames are read through a buffered reader sized to the
 	// sender's batch cap: a coalesced batch from the peer arrives
@@ -532,7 +542,6 @@ func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
 		br.expect = e.Expect
 	}
 	err := d.readLoop(br, src, crc)
-	conn.Close()
 	if err != nil && !d.closed.Load() {
 		d.markPeerDead(int(src), err)
 	}

@@ -28,16 +28,16 @@ func TestHelloRoundTrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		if err := writeHello(a, 42, helloFlagCRC); err != nil {
+		if err := writeHello(a, 42, 7, helloFlagCRC); err != nil {
 			t.Errorf("writeHello: %v", err)
 		}
 	}()
-	slot, flags, err := readHello(b)
+	from, to, flags, err := readHello(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if slot != 42 {
-		t.Fatalf("slot = %d", slot)
+	if from != 42 || to != 7 {
+		t.Fatalf("hello from %d to %d, want from 42 to 7", from, to)
 	}
 	if flags&helloFlagCRC == 0 {
 		t.Fatalf("flags = %#x, want CRC bit set", flags)
@@ -48,9 +48,9 @@ func TestHelloBadMagic(t *testing.T) {
 	a, b := transport.Pipe(64)
 	defer a.Close()
 	defer b.Close()
-	go a.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1, 0, 0, 0, 0})
-	if _, _, err := readHello(b); err == nil {
-		t.Fatal("bad magic accepted")
+	go a.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	if _, _, _, err := readHello(b); !errors.Is(err, errBadHello) {
+		t.Fatalf("bad magic: %v, want errBadHello", err)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestInputHandlerDropsUnknownMessageType(t *testing.T) {
 	defer devs[0].Finish()
 	defer devs[1].Finish()
 
-	// Inject a garbage frame on rank 0's write channel to rank 1: rank
+	// Inject a garbage frame on rank 0's connection to rank 1: rank
 	// 1's input handler must reject it (the hello negotiated checksums,
 	// and this frame has none), count it as corrupt, and declare rank 0
 	// dead rather than silently processing garbage.
@@ -126,7 +126,7 @@ func TestWriteMsgWithoutChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Finish()
-	// Slot 0 is self: no write channel exists.
+	// Slot 0 is self: no connection exists.
 	if err := d.send(0, header{typ: msgEager}, nil, nil, xdev.Status{}, true); err == nil {
 		t.Fatal("send to self's missing channel succeeded")
 	}

@@ -19,7 +19,7 @@ import (
 // length field in a frame header sizes an allocation or a read before it
 // has been checked against what the protocol allows.
 
-// sink is a write channel that swallows what the handlers answer.
+// sink is a connection that swallows what the handlers answer.
 type sink struct{ net.Conn }
 
 func (sink) Write(p []byte) (int, error) { return len(p), nil }

@@ -94,9 +94,9 @@ type sendFrame struct {
 	req *devcore.Request
 	st  xdev.Status
 
-	// sent, when non-nil, is marked done once the frame is written or
-	// failed (broadcast waits on it).
-	sent *sync.WaitGroup
+	// sent, when non-nil, receives a value once the frame is written or
+	// failed; broadcast sizes its buffer to the frames it waits on.
+	sent chan<- struct{}
 }
 
 var framePool = sync.Pool{New: func() any { return new(sendFrame) }}
@@ -136,14 +136,14 @@ func completeFrames(frames []*sendFrame, err error) {
 			}
 		}
 		if f.sent != nil {
-			f.sent.Done()
+			f.sent <- struct{}{}
 		}
 		putFrame(f)
 	}
 }
 
-// peerQueue is one peer's write channel and the frames waiting for it.
-// mu is never held across I/O.
+// peerQueue is one peer's connection, as written to, and the frames
+// waiting for it. mu is never held across I/O.
 type peerQueue struct {
 	mu      sync.Mutex
 	conn    net.Conn     // nil until Init has dialed the peer
@@ -200,8 +200,8 @@ func (q *peerQueue) poison(err error) []*sendFrame {
 	return dropped
 }
 
-// writeConn returns the queue's write channel.
-func (q *peerQueue) writeConn() net.Conn {
+// link returns the queue's connection.
+func (q *peerQueue) link() net.Conn {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.conn
@@ -416,21 +416,22 @@ func (d *Device) failQueued(slot int, err error) {
 // writer. With wait > 0 it then waits, at most that long, for the frames
 // to reach the wire — each behind everything queued to its peer before.
 func (d *Device) broadcast(h header, skip int, wait time.Duration) {
-	var sent sync.WaitGroup
+	sent := make(chan struct{}, len(d.pids))
+	posted := 0
 	for slot := range d.pids {
 		if slot == d.cfg.Rank || slot == skip || d.peerErr(slot) != nil {
 			continue
 		}
 		f := d.newFrame(h, nil, nil, xdev.Status{})
-		f.sent = &sent
-		sent.Add(1)
+		f.sent = sent
 		if d.post(slot, f, false) != nil {
 			// Best effort: a peer that is already gone cannot be told.
-			sent.Done()
 			putFrame(f)
+			continue
 		}
+		posted++
 	}
 	if wait > 0 {
-		_ = waitTimeout(&sent, wait) // a wedged peer sees EOF instead
+		_ = awaitN(sent, posted, wait) // a wedged peer sees EOF instead
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,30 +15,26 @@ import (
 	"mpj/internal/xdev"
 )
 
-// gate wraps a transport so that the connections it dials to addresses
-// ending in suffix stop accepting writes once armed: Write blocks until
-// the gate opens or the connection is closed — a peer that has stopped
-// reading, produced without reaching into the device.
+// gate wedges a device's connection to one peer: once wedged, writes on
+// it block until the gate opens or the connection is closed — a peer
+// that has stopped reading, produced without reaching into the peer.
+// Reads are untouched, so the wedged rank still hears its peer.
 type gate struct {
-	xdev.Transport
-	suffix  string
-	armed   atomic.Bool
 	release chan struct{}
 	once    sync.Once
 }
 
-func newGate(inner xdev.Transport, suffix string) *gate {
-	return &gate{Transport: inner, suffix: suffix, release: make(chan struct{})}
-}
+func newGate() *gate { return &gate{release: make(chan struct{})} }
 
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
-func (g *gate) Dial(addr string) (net.Conn, error) {
-	c, err := g.Transport.Dial(addr)
-	if err != nil || !strings.HasSuffix(addr, g.suffix) {
-		return c, err
-	}
-	return &gatedConn{Conn: c, g: g, closed: make(chan struct{})}, nil
+// wedge routes d's writes to slot through the gate. The input handler
+// reads through its own reference to the connection, which stays bare.
+func (g *gate) wedge(d *Device, slot int) {
+	q := d.queues[slot]
+	q.mu.Lock()
+	q.conn = &gatedConn{Conn: q.conn, g: g, closed: make(chan struct{})}
+	q.mu.Unlock()
 }
 
 type gatedConn struct {
@@ -50,12 +45,10 @@ type gatedConn struct {
 }
 
 func (c *gatedConn) Write(p []byte) (int, error) {
-	if c.g.armed.Load() {
-		select {
-		case <-c.g.release:
-		case <-c.closed:
-			return 0, net.ErrClosed
-		}
+	select {
+	case <-c.g.release:
+	case <-c.closed:
+		return 0, net.ErrClosed
 	}
 	return c.Conn.Write(p)
 }
@@ -343,12 +336,12 @@ func TestSendEngineFlushOnFinish(t *testing.T) {
 // behind it; all must wake with ErrPeerLost when the peer is declared
 // dead.
 func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
-	g := newGate(transport.NewInProc(0), "rank-1")
-	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	g := newGate()
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank != 0 {
 			return // rank 1 just exists to be declared dead
 		}
-		g.armed.Store(true)
+		g.wedge(d, 1)
 		const senders = 3
 		errsCh := make(chan error, senders)
 		for i := 0; i < senders; i++ {
@@ -386,12 +379,12 @@ func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 // senders wake with ErrPeerLost when the peer is declared dead; later
 // sends fail fast.
 func TestSendEngineBufferedBehindWedgedWriter(t *testing.T) {
-	g := newGate(transport.NewInProc(0), "rank-1")
-	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	g := newGate()
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank != 0 {
 			return // rank 1 just exists to be declared dead
 		}
-		g.armed.Store(true)
+		g.wedge(d, 1)
 		small := func() *mpjbuf.Buffer {
 			buf := mpjbuf.New(0)
 			buf.WriteBytes(make([]byte, 512), 0, 512)
@@ -442,8 +435,8 @@ func TestSendEngineBufferedBehindWedgedWriter(t *testing.T) {
 // wedged while the sends are buffered, so every one of them is.
 func TestSendEngineBufferedSendOwnsPayload(t *testing.T) {
 	const msgs, size = 32, 512
-	g := newGate(transport.NewInProc(0), "rank-1")
-	runJob(t, 2, xdev.Config{Dialer: g}, func(d *Device, rank int, pids []xdev.ProcessID) {
+	g := newGate()
+	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
 		if rank == 1 {
 			out := make([]byte, size)
 			for i := 0; i <= msgs; i++ {
@@ -465,7 +458,7 @@ func TestSendEngineBufferedSendOwnsPayload(t *testing.T) {
 			}
 			return
 		}
-		g.armed.Store(true)
+		g.wedge(d, 1)
 		src := make([]byte, size)
 		buf := mpjbuf.New(0)
 		fill := func(i int) {
@@ -789,16 +782,10 @@ func mutualFlood(t *testing.T, d *Device, rank int, peer xdev.ProcessID, n int, 
 // rank 2 is wedged; rank 1 revokes a context and then sends rank 0 an
 // eager message, which rank 0's handler for rank 1 must still deliver.
 func TestRevokeForwardNeverBlocksHandler(t *testing.T) {
-	var g *gate
-	devs := chaosJob(t, 3, func(rank int, base xdev.Transport) xdev.Transport {
-		if rank != 0 {
-			return base
-		}
-		g = newGate(base, "rank-2")
-		return g
-	})
+	devs := chaosJob(t, 3, nil)
+	g := newGate()
 	t.Cleanup(g.open) // runs before chaosJob's Finish
-	g.armed.Store(true)
+	g.wedge(devs[0], 2)
 
 	if err := devs[1].Revoke(5); err != nil {
 		t.Fatal(err)

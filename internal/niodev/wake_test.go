@@ -11,9 +11,9 @@ import (
 	"mpj/internal/xdev"
 )
 
-// orderSpy logs, in call order, the Reads on the connections rank 1's
-// listener accepts (its input handler's read channel) and the Writes on
-// the connection rank 1 dials (its write channel) in a two-rank job.
+// orderSpy logs, in call order, the Reads (its input handler's) and the
+// Writes on rank 1's end of the one connection of a two-rank job,
+// whether rank 1 dialed it or accepted it.
 type orderSpy struct {
 	xdev.Transport
 	rank1 string // rank 1's listen address
@@ -39,7 +39,7 @@ func (s *orderSpy) Listen(addr string) (net.Listener, error) {
 func (s *orderSpy) Dial(addr string) (net.Conn, error) {
 	c, err := s.Transport.Dial(addr)
 	if err != nil || addr == s.rank1 {
-		return c, err // rank 0's write channel
+		return c, err // rank 0's end
 	}
 	return orderConn{c, s}, nil
 }

@@ -12,14 +12,15 @@ import (
 )
 
 // FaultPlan describes deterministic, seeded faults a Faulty transport
-// injects into the connections it dials. Byte thresholds are jittered
-// per connection (±25%, derived from Seed and the connection's dial
-// order) so repeated runs with the same seed fail at the same points
+// injects into its connections. Byte thresholds are jittered per
+// connection (±25%, derived from Seed and the order connections are
+// made) so repeated runs with the same seed fail at the same points
 // while different seeds explore different interleavings.
 //
-// All faults apply to connections obtained through Dial; Listen
-// passes through to the inner transport untouched, so wrapping one
-// rank's dialer faults exactly that rank's write channels.
+// Byte faults apply to the connections Dial returns and Listen's
+// listener accepts alike, on the wrapping side's writes and reads, so
+// wrapping one rank's transport faults exactly what that rank writes
+// and reads, whichever side dialed. Refusals apply to Dial.
 type FaultPlan struct {
 	// Seed drives the per-connection threshold jitter.
 	Seed int64
@@ -72,8 +73,28 @@ func (f *Faulty) Dials(addr string) int {
 	return f.dials[addr]
 }
 
-// Listen delegates to the inner transport.
-func (f *Faulty) Listen(addr string) (net.Listener, error) { return f.inner.Listen(addr) }
+// Listen listens through the inner transport; the connections it
+// accepts carry the plan's byte-count faults.
+func (f *Faulty) Listen(addr string) (net.Listener, error) {
+	l, err := f.inner.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return faultListener{l, f}, nil
+}
+
+type faultListener struct {
+	net.Listener
+	f *Faulty
+}
+
+func (l faultListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.f.wrap(conn, l.f.nextSeq()), nil
+}
 
 // Dial refuses the first DialRefusals attempts per address, then dials
 // through the inner transport and wraps the connection with the plan's
@@ -82,8 +103,6 @@ func (f *Faulty) Dial(addr string) (net.Conn, error) {
 	f.mu.Lock()
 	f.dials[addr]++
 	attempt := f.dials[addr]
-	seq := f.connSeq
-	f.connSeq++
 	f.mu.Unlock()
 	if attempt <= f.plan.DialRefusals {
 		return nil, fmt.Errorf("faulty: connection refused (planned, attempt %d/%d) to %q",
@@ -93,11 +112,20 @@ func (f *Faulty) Dial(addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.wrap(conn, seq), nil
+	return f.wrap(conn, f.nextSeq()), nil
+}
+
+// nextSeq numbers the connections the plan wraps, in the order they are
+// made; the number seeds each one's threshold jitter.
+func (f *Faulty) nextSeq() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.connSeq++
+	return f.connSeq - 1
 }
 
 // jitter scales base by a deterministic factor in [0.75, 1.25] derived
-// from the plan seed and the connection's dial order.
+// from the plan seed and the connection's order.
 func (f *Faulty) jitter(base int64, seq int64) int64 {
 	if base <= 0 {
 		return -1
@@ -122,7 +150,7 @@ func (f *Faulty) wrap(conn net.Conn, seq int64) net.Conn {
 	}
 }
 
-// faultConn applies byte-count faults to one dialed connection.
+// faultConn applies byte-count faults to one connection.
 // Thresholds < 0 are disabled.
 type faultConn struct {
 	net.Conn

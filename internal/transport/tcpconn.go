@@ -24,19 +24,25 @@ func (l tcpListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return withExpect(c), nil
+}
+
+// withExpect wraps a TCP connection, dialed or accepted, in a tcpConn;
+// anything else is returned as it is.
+func withExpect(c net.Conn) net.Conn {
 	tc, ok := c.(*net.TCPConn)
 	if !ok {
-		return c, nil
+		return c
 	}
 	rc, err := tc.SyscallConn()
 	if err != nil {
-		return c, nil
+		return c
 	}
-	return &tcpConn{TCPConn: tc, rc: rc, lowat: 1}, nil
+	return &tcpConn{TCPConn: tc, rc: rc, lowat: 1}
 }
 
-// tcpConn is an accepted TCP connection whose reader can announce a
-// bulk payload; everything else is *net.TCPConn's.
+// tcpConn is a TCP connection whose reader can announce a bulk payload;
+// everything else is *net.TCPConn's.
 type tcpConn struct {
 	*net.TCPConn
 	rc     syscall.RawConn

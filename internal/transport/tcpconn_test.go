@@ -52,12 +52,23 @@ func pattern(n int) []byte {
 
 // An announced payload arrives whole however the peer dribbles it, and
 // the frames after it — which a buffered reader may have swallowed with
-// its tail — are read with the mark back at one byte.
+// its tail — are read with the mark back at one byte. Either end of a
+// connection may be the reader.
 func TestExpectDeliversPayloadAndFollowers(t *testing.T) {
-	w, r := tcpPair(t)
+	t.Run("accepted reads", func(t *testing.T) {
+		dialed, accepted := tcpPair(t)
+		expectPayloadAndFollowers(t, dialed, accepted)
+	})
+	t.Run("dialed reads", func(t *testing.T) {
+		dialed, accepted := tcpPair(t)
+		expectPayloadAndFollowers(t, accepted, dialed)
+	})
+}
+
+func expectPayloadAndFollowers(t *testing.T, w, r net.Conn) {
 	e, ok := r.(interface{ Expect(n int) })
 	if !ok {
-		t.Fatalf("accepted connection %T does not take Expect", r)
+		t.Fatalf("connection %T does not take Expect", r)
 	}
 	payload := pattern(1<<20 + 13)
 	go func() {

@@ -35,8 +35,16 @@ func (TCP) Listen(addr string) (net.Listener, error) {
 	return tcpListener{l}, nil
 }
 
-// Dial connects to a TCP listener.
-func (TCP) Dial(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+// Dial connects to a TCP listener. The connection takes the Expect
+// hint, like an accepted one: either end of a pair may be the one that
+// reads a bulk payload.
+func (TCP) Dial(addr string) (net.Conn, error) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return withExpect(c), nil
+}
 
 // InProc is an in-memory transport. Listeners are registered in the
 // transport instance under their address string; Dial matches by
