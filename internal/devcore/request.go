@@ -27,8 +27,7 @@ const (
 // Wait, Test or Peek (the Myrinet eXpress completion-queue discipline
 // that makes peek() possible).
 type Request struct {
-	c    *Core
-	kind Kind
+	c *Core
 
 	// Buf is the message buffer: the user's receive buffer for
 	// receives, the packed send buffer for sends.
@@ -43,6 +42,13 @@ type Request struct {
 	// the wire length the announcement promised; the data frame must
 	// repeat it.
 	RndvLen int
+
+	// RndvCRC is a rendezvous send's payload checksum, computed by the
+	// sending thread while its handshake is in flight. rndvSteps counts
+	// the two events the data frame waits for — that checksum done and
+	// READY_TO_RECV in — so whichever comes second posts it (RndvStep).
+	RndvCRC   uint32
+	rndvSteps atomic.Uint32
 
 	// Pin is the slot a receive is pinned on when that is not
 	// expressible in the match pattern (mxsim's IRecvFrom advisory,
@@ -113,6 +119,7 @@ type Request struct {
 	// cqSlot is the completion queue's intrusive membership flag,
 	// owned by cqueue under its lock (see cqueue.Entry).
 	cqSlot bool
+	kind   Kind // shares cqSlot's padded word: Request stays 240 bytes on 64-bit
 }
 
 // CQSlot implements cqueue.Entry.
@@ -193,6 +200,12 @@ func (r *Request) SetSeq(seq uint64) {
 func (r *Request) SetReplayID(peer int64, tag, ctx int32, seq uint64) {
 	r.rPeer, r.rTag, r.rCtx, r.rSeq = peer, tag, ctx, seq
 }
+
+// RndvStep records one of the two events a rendezvous send's data frame
+// waits for and reports whether it was the second. The atomic orders
+// RndvCRC, written before the sending thread's step, before whichever
+// side posts reads it.
+func (r *Request) RndvStep() bool { return r.rndvSteps.Add(1) == 2 }
 
 // SetClaimDecision attaches a dual-post arbitration decision; the core
 // resolves (and under replay verifies) it when the request matches.

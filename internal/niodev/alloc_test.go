@@ -146,6 +146,63 @@ func TestMatchedEagerHandlerAllocs(t *testing.T) {
 	}
 }
 
+// TestRndvSendAllocs pins a whole rendezvous send through the device —
+// isend (request, RTS, checksum), READY_TO_RECV at the input handler,
+// the data frame posted and written — at rndvSendAllocs allocations,
+// the Request itself and the gather list writeBatch hands to WriteTo, in
+// both hand-off orders: the RTR before the checksum (the sending thread writes the
+// payload) and after it (the handler queues it behind a held writer
+// role, whose holder writes it). Both segment lists are built into
+// arrays on the stack.
+func TestRndvSendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
+	}
+	const rndvSendAllocs = 2
+	large := make([]float64, 1<<17) // 1 MiB: above DefaultEagerLimit
+	t.Cleanup(func() { beforeRndvChecksum = func() {} })
+	for _, order := range []handoff{rtrFirst, sumFirst} {
+		d := bareDevice()
+		d.crcOut = true
+		q := d.queues[1]
+		var b mpjbuf.Buffer
+		var seq uint64 // isend draws 1, 2, ... on a fresh device
+		rtr := func() { d.handleRTR(header{typ: msgRTR, src: 1, seq: seq}) }
+		beforeRndvChecksum = func() {}
+		if order == rtrFirst {
+			beforeRndvChecksum = rtr
+		}
+		send := func() {
+			if err := mpjbuf.Borrow(&b, large, 0, len(large)); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			if order == sumFirst {
+				q.writing = true // the handler only queues; the holder below writes
+			}
+			req, err := d.isend(&b, d.pids[1], 1, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if order == sumFirst {
+				rtr()
+				d.writeQueued(1, q, 0)
+			}
+			if !req.Done() {
+				t.Fatalf("%v: the send did not complete", order)
+			}
+			req.Wait()
+			b.Reset()
+		}
+		for i := 0; i < 8; i++ {
+			send() // warm the slice pools, the pending set and the queue's buffers
+		}
+		if n := testing.AllocsPerRun(100, send); n > rndvSendAllocs {
+			t.Errorf("%v: rendezvous send allocates %.1f times, want <= %d", order, n, rndvSendAllocs)
+		}
+	}
+}
+
 // TestSendPathMpjbufAllocs pins what a steady-state send asks of mpjbuf
 // — pack into a reused buffer (a copied section for an eager message, a
 // borrowed one for a rendezvous message), WireLen, the segment list into

@@ -738,17 +738,5 @@ func TestNoGoroutineLeakAfterFinish(t *testing.T) {
 			}
 		})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		after := runtime.NumGoroutine()
-		if after <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines before Init=%d after Finish=%d\n%s", before, after, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }

@@ -261,7 +261,42 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	if d.rec.Enabled() {
 		d.rec.EventSeq(mpe.RendezvousRTS, int32(slot), int32(tag), int32(context), int64(wireLen), seq)
 	}
+	// The payload checksum overlaps the handshake's round trip: this
+	// pass and the input handler's READY_TO_RECV race, and whichever
+	// finishes second posts the data frame — here, written by this thread.
+	var segs [4][]byte
+	s := buf.AppendSegments(segs[:0])
+	if d.crcOut {
+		beforeRndvChecksum()
+		req.RndvCRC = payloadCRC(s)
+	}
+	if req.RndvStep() {
+		d.postRndvData(slot, req, seq, s, true)
+	}
 	return req, nil
+}
+
+// beforeRndvChecksum runs as a rendezvous checksum starts; tests replace
+// it to order the pass against READY_TO_RECV.
+var beforeRndvChecksum = func() {}
+
+// postRndvData posts a rendezvous send's payload once both its checksum
+// and READY_TO_RECV are in; mayBlock as for send. A post that fails
+// completes req with the failure.
+func (d *Device) postRndvData(slot int, req *devcore.Request, seq uint64, segs [][]byte, mayBlock bool) {
+	wireLen := req.Buf.WireLen()
+	h := header{
+		typ: msgRndvData, src: uint32(d.cfg.Rank),
+		tag: req.SendTag, ctx: req.SendCtx,
+		seq: seq, wireLen: uint64(wireLen), payCRC: req.RndvCRC,
+	}
+	if err := d.send(slot, h, segs, req, xdev.Status{Source: d.self, Bytes: wireLen}, mayBlock); err != nil {
+		req.Complete(xdev.Status{}, err)
+		return
+	}
+	if d.rec.Enabled() {
+		d.rec.EventSeq(mpe.RendezvousData, int32(slot), h.tag, h.ctx, int64(wireLen), seq)
+	}
 }
 
 // ISend starts a standard-mode non-blocking send.
@@ -775,25 +810,16 @@ func (d *Device) handleRTR(h header) {
 	if !ok {
 		return // duplicate, or drained by peer death / shutdown
 	}
+	if !req.RndvStep() {
+		return // the sending thread is still checksumming; it posts the payload
+	}
 	// Queue the payload without writing it: the input handler must not
 	// block on a bulk write, or two processes simultaneously sending
 	// large messages to each other could deadlock (paper §IV-A.2). The
 	// current writer to h.src, or a flusher started for it (the paper's
 	// forked rendezvous writer), carries the frame and completes req.
-	wireLen := req.Buf.WireLen()
-	dh := header{
-		typ: msgRndvData, src: uint32(d.cfg.Rank),
-		tag: req.SendTag, ctx: req.SendCtx,
-		seq: h.seq, wireLen: uint64(wireLen),
-	}
-	st := xdev.Status{Source: d.self, Bytes: wireLen}
-	if err := d.send(int(h.src), dh, req.Buf.Segments(), req, st, false); err != nil {
-		req.Complete(xdev.Status{}, err)
-		return
-	}
-	if d.rec.Enabled() {
-		d.rec.EventSeq(mpe.RendezvousData, int32(h.src), req.SendTag, req.SendCtx, int64(wireLen), h.seq)
-	}
+	var segs [4][]byte
+	d.postRndvData(int(h.src), req, h.seq, req.Buf.AppendSegments(segs[:0]), false)
 }
 
 func (d *Device) handleRndvData(conn io.Reader, h header, cr *crcReader) (bool, error) {

@@ -216,12 +216,15 @@ func (d *Device) queue(slot int) *peerQueue {
 }
 
 // newFrame builds a frame for h and segments, encoding the header (with
-// checksums when negotiated) into a pooled slice.
+// checksums when negotiated; a rendezvous payload's comes in h) into a
+// pooled slice.
 func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st xdev.Status) *sendFrame {
 	hdr := devcore.GetSlice(headerLen)
 	if d.crcOut {
 		h.flags |= hdrFlagCRC
-		h.payCRC = payloadCRC(segments)
+		if h.typ != msgRndvData { // isend summed it during the handshake
+			h.payCRC = payloadCRC(segments)
+		}
 	}
 	h.encode(hdr)
 	f := getFrame()

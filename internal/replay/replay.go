@@ -183,8 +183,8 @@ type Session struct {
 
 	// Send-sequence streams sit under their own lock: NextSeq runs on
 	// every send and must not contend with decision appends.
-	seqMu sync.Mutex
-	seqs  map[seqKey]uint64
+	seqMu  sync.Mutex
+	seqs   map[seqKey]uint64
 	claimN int
 	div    *DivergenceError
 	closed bool
