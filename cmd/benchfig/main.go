@@ -14,6 +14,7 @@
 //	benchfig -exp many-recv        # §VI 650 simultaneous receives
 //	benchfig -exp pingpong-method  # §V modified ping-pong technique
 //	benchfig -exp live-pingpong    # in-process niodev ping-pong sweep
+//	benchfig -exp live-pingpong -fabric gige   # ... over an emulated fabric
 //	benchfig -exp qualitative      # the §II feature comparison table
 package main
 
@@ -27,6 +28,8 @@ import (
 	"mpj/internal/expt"
 	"mpj/internal/netsim"
 	"mpj/internal/perfmodel"
+	"mpj/internal/transport"
+	"mpj/internal/xdev"
 )
 
 func main() {
@@ -36,6 +39,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every figure and experiment")
 	matrixN := flag.Int("matrix", 600, "matrix dimension for -exp VA (paper: 3000)")
 	msgs := flag.Int("msgs", 100, "message count for -exp VA")
+	fabric := flag.String("fabric", "", "emulated fabric for -exp live-pingpong: fast, gige, mx (default: raw in-memory)")
 	flag.Parse()
 
 	switch {
@@ -44,11 +48,11 @@ func main() {
 			printFigure(id)
 			fmt.Println()
 		}
-		runExperiment("VA", *matrixN, *msgs)
-		runExperiment("many-recv", 0, 0)
-		runExperiment("pingpong-method", 0, 0)
-		runExperiment("qualitative", 0, 0)
-		runExperiment("live-pingpong", 0, 0)
+		runExperiment("VA", *matrixN, *msgs, "")
+		runExperiment("many-recv", 0, 0, "")
+		runExperiment("pingpong-method", 0, 0, "")
+		runExperiment("qualitative", 0, 0, "")
+		runExperiment("live-pingpong", 0, 0, *fabric)
 	case *figID != 0:
 		printFigure(*figID)
 		if *svgPath != "" {
@@ -64,7 +68,7 @@ func main() {
 			fmt.Printf("wrote %s\n", *svgPath)
 		}
 	case *exp != "":
-		runExperiment(*exp, *matrixN, *msgs)
+		runExperiment(*exp, *matrixN, *msgs, *fabric)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -100,7 +104,7 @@ func printFigure(id int) {
 	w.Flush()
 }
 
-func runExperiment(name string, matrixN, msgs int) {
+func runExperiment(name string, matrixN, msgs int, fabric string) {
 	switch name {
 	case "VA":
 		fmt.Printf("§V-A ANY_SOURCE overlap: %d pending wildcard receives during a %dx%d matmul\n",
@@ -180,7 +184,18 @@ func runExperiment(name string, matrixN, msgs int) {
 		w.Flush()
 
 	case "live-pingpong":
-		fmt.Println("Live in-process niodev ping-pong (this implementation's real software path)")
+		var tr xdev.Transport = transport.NewInProc(256 << 10)
+		over := "raw in-memory transport"
+		if fabric != "" {
+			f, err := netsim.FabricByName(fabric)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "benchfig:", err)
+				os.Exit(2)
+			}
+			tr = transport.NewShaped(f.SocketBufBytes, f.LatencyUS*1e-6, f.BytesPerSecond())
+			over = "emulated " + f.Name
+		}
+		fmt.Printf("Live in-process niodev ping-pong over %s (this implementation's real software path)\n", over)
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "bytes\thalf-RTT\tMbps\tprotocol")
 		for _, size := range []int{1, 64, 1 << 10, 16 << 10, 128 << 10, 1 << 20, 4 << 20} {
@@ -188,7 +203,7 @@ func runExperiment(name string, matrixN, msgs int) {
 			if size >= 1<<20 {
 				reps = 20
 			}
-			res, err := expt.PingPongLive(size, reps, 0)
+			res, err := expt.PingPongLive(tr, size, reps, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchfig:", err)
 				os.Exit(1)

@@ -77,7 +77,8 @@ func TestCommandsRun(t *testing.T) {
 		{"benchfig-fig10", []string{"run", "./cmd/benchfig", "-fig", "10"}, "Figure 10"},
 		{"benchfig-qualitative", []string{"run", "./cmd/benchfig", "-exp", "qualitative"}, "thread-safe communication"},
 		{"benchfig-many-recv", []string{"run", "./cmd/benchfig", "-exp", "many-recv"}, "posted 650/650"},
-		{"pingpong", []string{"run", "./cmd/pingpong", "-max", "4096", "-reps", "5"}, "bytes"},
+		// Myrinet keeps the emulated sweep near 2 s; GigE takes twice that.
+		{"benchfig-live-pingpong", []string{"run", "./cmd/benchfig", "-exp", "live-pingpong", "-fabric", "mx"}, "emulated Myrinet 2G"},
 	}
 	for _, c := range cases {
 		c := c

@@ -202,8 +202,13 @@ type pendSeg struct {
 	off, n int
 }
 
-// landingCap bounds a landing stream's posted receives: all 32 segments
-// of a 1 MiB payload, far below ibisdev's per-receive thread ceiling.
+// landingCap bounds a landing stream's posted receives. 64 covers all
+// 32 segments of a 1 MiB payload at the default segment size, so such a
+// Bcast posts its whole stream on entry and no segment arrives
+// unexpected. Each posted receive holds a request and a posted-set
+// entry until its segment lands; the cap keeps that per-collective
+// state independent of the payload size when a payload is cut into
+// many small segments (MPJ_COLL_SEGMENT).
 const landingCap = 64
 
 // recvStream posts segment receives from one source and delivers them

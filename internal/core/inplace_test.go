@@ -92,6 +92,88 @@ func TestLandingBcastNoUnexpected(t *testing.T) {
 	}
 }
 
+// TestLandingStreamsBounded: a landing stream must not post a large
+// payload whole. With 1 KiB segments a 1 MiB Bcast is 1024 segments per
+// receiver and a Gather of 256 KiB blocks is 768 at the root; on the
+// product devices each side holds its sends until the other side's
+// posting has settled, and by then no receiver may have more than 64
+// receives posted for one collective (landingCap, pinned here as a
+// number so that raising the constant fails the test).
+func TestLandingStreamsBounded(t *testing.T) {
+	restore := setColl(1<<10, defaultCollWindow, forceAuto)
+	defer restore()
+	const np, elems, block, maxPosted = 4, 1 << 17, 1 << 15, 64
+	for _, dev := range []string{"smpdev", "niodev"} {
+		t.Run(dev, func(t *testing.T) {
+			var mu sync.Mutex
+			devs := make([]xdev.Device, np)
+			collWorlds[dev](t, func(p *Process, w *Intracomm) {
+				rank := w.Rank()
+				mu.Lock()
+				devs[rank] = p.Device()
+				mu.Unlock()
+				if err := w.Barrier(); err != nil {
+					t.Errorf("%s: Barrier: %v", dev, err)
+					return
+				}
+				mu.Lock()
+				root, others := devs[:1], append([]xdev.Device(nil), devs[1:]...)
+				mu.Unlock()
+				buf := make([]float64, elems)
+				if rank == 0 {
+					for i := range buf {
+						buf[i] = float64(i) + 0.5
+					}
+					if n := settledPosted(others); n == 0 || n > (np-1)*maxPosted {
+						t.Errorf("%s: Bcast receivers posted %d receives, want 1..%d", dev, n, (np-1)*maxPosted)
+					}
+				}
+				if err := w.Bcast(buf, 0, elems, DOUBLE, 0); err != nil {
+					t.Errorf("%s rank %d: Bcast: %v", dev, rank, err)
+					return
+				}
+				if buf[elems-1] != float64(elems-1)+0.5 {
+					t.Errorf("%s rank %d: Bcast payload wrong", dev, rank)
+				}
+				send := make([]float64, block)
+				for i := range send {
+					send[i] = float64(rank*block + i)
+				}
+				var recv []float64
+				if rank == 0 {
+					recv = make([]float64, np*block)
+				} else if n := settledPosted(root); rank == 1 && (n == 0 || n > maxPosted) {
+					t.Errorf("%s: Gather root posted %d receives, want 1..%d", dev, n, maxPosted)
+				}
+				if err := w.Gather(send, 0, block, DOUBLE, recv, 0, block, DOUBLE, 0); err != nil {
+					t.Errorf("%s rank %d: Gather: %v", dev, rank, err)
+					return
+				}
+				for i, v := range recv {
+					if v != float64(i) {
+						t.Errorf("%s: Gather: recv[%d] = %v, want %d", dev, i, v, i)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// settledPosted polls the devices' posted-receive depth until it is
+// non-zero and has held still for 5 ms (10 s at most), and returns it.
+func settledPosted(devs []xdev.Device) int {
+	last, since := -1, time.Now()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if n := postedRecvs(devs); n != last {
+			last, since = n, time.Now()
+		} else if n > 0 && time.Since(since) >= 5*time.Millisecond {
+			break
+		}
+	}
+	return last
+}
+
 // TestLandingStreamsBoundedOnIbisdev: ibisdev runs one thread per
 // posted receive and refuses more than DefaultMaxThreads, so a landing
 // stream must not post a large payload whole. With 1 KiB segments a

@@ -473,10 +473,13 @@ func (c *Core) Probe(p match.Pattern, op string) (*Arrival, error) {
 }
 
 // Peek blocks until some request completes and returns it — the
-// completion-queue primitive beneath mpjdev's Waitany (§IV-E.1). After
-// shutdown drains, it reports the abort cause or the closed shape.
-// With a record/replay session installed the pop is logged, and under
-// replay reordered to the recorded pop sequence (see peekSession).
+// completion-queue primitive beneath mpjdev's Waitany (§IV-E.1). A
+// request is queued just before its completion flag flips, so every
+// pop waits for the flip: the caller may read its status through Test.
+// After shutdown drains, it reports the abort cause or the closed
+// shape. With a record/replay session installed the pop is logged, and
+// under replay reordered to the recorded pop sequence (see
+// peekSession).
 func (c *Core) Peek() (*Request, error) {
 	if s := c.session.Load(); s != nil {
 		return c.peekSession(s)
@@ -485,6 +488,7 @@ func (c *Core) Peek() (*Request, error) {
 	if err != nil {
 		return nil, c.peekErr()
 	}
+	r.await()
 	return r, nil
 }
 

@@ -348,3 +348,94 @@ func TestBufferPoolReset(t *testing.T) {
 	}
 	PutBuffer(c)
 }
+
+// completeHeld runs r.Complete on its own goroutine and holds it inside
+// the window between the completion-queue push and the flag flip until
+// release is called; done closes when Complete returns.
+func completeHeld(t *testing.T, r *Request, st xdev.Status) (release func(), done <-chan struct{}) {
+	entered, hold, fin := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	betweenPushAndFlip = func() {
+		close(entered)
+		<-hold
+	}
+	t.Cleanup(func() { betweenPushAndFlip = func() {} })
+	go func() {
+		r.Complete(st, nil)
+		close(fin)
+	}()
+	<-entered
+	return func() { close(hold) }, fin
+}
+
+// untilReturnedOrParked waits until a call has returned or has parked
+// on r's wake channel (or blocks elsewhere for a second), and reports
+// whether it returned.
+func untilReturnedOrParked(r *Request, returned <-chan struct{}) bool {
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		select {
+		case <-returned:
+			return true
+		default:
+		}
+		if r.parked.Load() != nil {
+			return false
+		}
+	}
+	return false
+}
+
+// TestCompletionWindow drives a Wait and a Peek into Complete's window
+// between queueing a request and flipping its flag.
+// A request Wait has handed back must not stay queued for a later
+// Peek, and a request Peek hands back must already read as complete
+// with its real status — mpjdev's WaitAny reads it through Test.
+func TestCompletionWindow(t *testing.T) {
+	want := xdev.Status{Tag: 9, Bytes: 3}
+	t.Run("Wait", func(t *testing.T) {
+		c := New("test")
+		r := c.NewRequest(RecvReq, nil)
+		release, done := completeHeld(t, r, want)
+		returned := make(chan struct{})
+		var got xdev.Status
+		go func() {
+			got, _ = r.Wait()
+			close(returned)
+		}()
+		untilReturnedOrParked(r, returned)
+		release()
+		<-returned
+		<-done
+		if got != want {
+			t.Fatalf("Wait status = %+v, want %+v", got, want)
+		}
+		if n := c.cq.Len(); n != 0 {
+			t.Fatalf("%d completions still queued after Wait returned the request", n)
+		}
+		if p, ok, _ := c.cq.TryPeek(); ok {
+			t.Fatalf("Peek returned %p after Wait had collected it", p)
+		}
+	})
+	t.Run("Peek", func(t *testing.T) {
+		c := New("test")
+		r := c.NewRequest(RecvReq, nil)
+		release, done := completeHeld(t, r, want)
+		returned := make(chan struct{})
+		var popped *Request
+		go func() {
+			popped, _ = c.Peek()
+			close(returned)
+		}()
+		if untilReturnedOrParked(r, returned) {
+			st, ok, _ := popped.Test()
+			release()
+			<-done
+			t.Fatalf("Peek returned the request before its flag flipped: Test = %+v, %v", st, ok)
+		}
+		release()
+		<-returned
+		<-done
+		if st, ok, err := popped.Test(); popped != r || !ok || err != nil || st != want {
+			t.Fatalf("Peek = %p (want %p), Test = %+v, %v, %v", popped, r, st, ok, err)
+		}
+	})
+}

@@ -149,6 +149,7 @@ func (c *Core) peekSession(s *replay.Session) (*Request, error) {
 		if err != nil {
 			return nil, c.peekErr()
 		}
+		r.await()
 		c.popObserved(s, r.popKey())
 		return r, nil
 	}
@@ -166,6 +167,7 @@ func (c *Core) peekSession(s *replay.Session) (*Request, error) {
 			if err != nil {
 				return nil, c.peekErr()
 			}
+			r.await()
 			c.popObserved(s, r.popKey())
 			return r, nil
 		}
@@ -177,6 +179,7 @@ func (c *Core) peekSession(s *replay.Session) (*Request, error) {
 		}
 		r, ok, closed := c.cq.TryPeek()
 		if ok {
+			r.await()
 			rk := r.popKey()
 			if rk == k {
 				c.popObserved(s, k)

@@ -276,14 +276,23 @@ func (r *Request) Complete(st xdev.Status, err error) bool {
 	}
 	r.status = st
 	r.err = err
+	// Queue, then flip: a Wait or Test that sees the flag collects a
+	// request already queued, so it cannot stay behind for a later Peek.
+	// A peeker can pop it before the flip; Core.Peek awaits the flip
+	// before handing it out, so the status it reads is this one.
+	r.c.cq.Push(r)
+	betweenPushAndFlip()
 	r.state.Store(1)
 	ch := r.parked.Load()
 	if ch != nil {
 		close(*ch)
 	}
-	r.c.cq.Push(r)
 	return ch != nil
 }
+
+// betweenPushAndFlip runs in Complete after the push and before the
+// flag flips; tests replace it to hold a completion in that window.
+var betweenPushAndFlip = func() {}
 
 // Done reports (without blocking) whether the request has completed.
 func (r *Request) Done() bool {

@@ -1,7 +1,9 @@
 // Package devtest provides a conformance suite run against every xdev
-// device implementation (niodev, mxdev, smpdev, ibisdev), checking the
-// semantics the upper layers rely on: matching, ordering, wildcards,
-// send modes, probe, thread-multiple safety and (optionally) peek.
+// device implementation — the product devices (niodev, smpdev,
+// hybriddev) and the paper-comparison apparatus (mxdev, ibisdev) —
+// checking the semantics the upper layers rely on: matching, ordering,
+// wildcards, send modes, probe, thread-multiple safety and (optionally)
+// peek.
 package devtest
 
 import (

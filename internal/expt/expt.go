@@ -25,7 +25,6 @@ import (
 	"mpj/internal/mpjbuf"
 	"mpj/internal/niodev"
 	"mpj/internal/smpdev"
-	"mpj/internal/transport"
 	"mpj/internal/xdev"
 )
 
@@ -256,14 +255,15 @@ type PingPongResult struct {
 }
 
 // PingPongLive measures round trips of size-byte messages between two
-// in-process ranks over the real niodev stack (in-memory transport),
-// reporting the mean half round-trip time and derived bandwidth. This
-// measures this implementation's genuine software overheads — packing,
-// matching, protocol — without a network.
-func PingPongLive(size, reps int, eagerLimit int) (PingPongResult, error) {
+// in-process ranks over the real niodev stack and the given transport,
+// reporting the mean half round-trip time and derived bandwidth. Over
+// a plain in-memory transport (transport.NewInProc) this measures the
+// implementation's genuine software overheads — packing, matching,
+// protocol — without a network; over transport.NewShaped it adds a
+// wall-clock emulation of a fabric's latency and bandwidth.
+func PingPongLive(tr xdev.Transport, size, reps int, eagerLimit int) (PingPongResult, error) {
 	res := PingPongResult{Bytes: size}
 	group := nextJob("expt-pp")
-	tr := transport.NewInProc(256 << 10)
 	addrs := []string{group + "/0", group + "/1"}
 
 	var wg sync.WaitGroup

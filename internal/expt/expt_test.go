@@ -3,6 +3,10 @@ package expt
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"mpj/internal/netsim"
+	"mpj/internal/transport"
 )
 
 func TestAnySourceOverlapBothModes(t *testing.T) {
@@ -67,7 +71,7 @@ func TestManyPendingReceivesIbisFails(t *testing.T) {
 }
 
 func TestPingPongLiveEagerAndRendezvous(t *testing.T) {
-	small, err := PingPongLive(1024, 50, 0)
+	small, err := PingPongLive(transport.NewInProc(256<<10), 1024, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestPingPongLiveEagerAndRendezvous(t *testing.T) {
 		t.Fatalf("small: %+v", small)
 	}
 	// Force rendezvous with a tiny eager limit.
-	large, err := PingPongLive(1<<20, 5, 1024)
+	large, err := PingPongLive(transport.NewInProc(256<<10), 1<<20, 5, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,5 +88,27 @@ func TestPingPongLiveEagerAndRendezvous(t *testing.T) {
 	}
 	if large.Bandwidth <= small.Bandwidth {
 		t.Fatalf("bandwidth should rise with size: %v vs %v", large.Bandwidth, small.Bandwidth)
+	}
+}
+
+// TestPingPongLiveShapedFabric runs the live ping-pong over the emulated
+// Gigabit Ethernet fabric, built the way benchfig's -fabric flag builds
+// it: a small message's half round trip must take at least the
+// fabric's one-way latency (21 us). An unknown fabric name is an error.
+func TestPingPongLiveShapedFabric(t *testing.T) {
+	if _, err := netsim.FabricByName("nosuch"); err == nil {
+		t.Error("unknown fabric accepted")
+	}
+	f, err := netsim.FabricByName("gige")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := transport.NewShaped(f.SocketBufBytes, f.LatencyUS*1e-6, f.BytesPerSecond())
+	res, err := PingPongLive(tr, 4, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HalfRTT < 21*time.Microsecond {
+		t.Fatalf("half round trip %v unbelievably fast for emulated GigE", res.HalfRTT)
 	}
 }

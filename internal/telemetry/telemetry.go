@@ -59,7 +59,8 @@ type Source struct {
 }
 
 // Introspector is implemented by devices that can dump their live
-// progress-engine state (all four devices in this repository).
+// progress-engine state: every device in this repository, the product
+// devices (niodev, smpdev, hybrid) and the apparatus (mxdev, ibisdev).
 type Introspector interface {
 	Introspect() any
 }

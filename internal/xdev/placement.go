@@ -28,9 +28,12 @@ import (
 var ErrBadNodeMap = errors.New("xdev: malformed node map")
 
 // ParseNodeMap parses an MPJ_NODE_MAP value into a slot->node-id
-// slice of length size. size <= 0 skips the length check (the block
-// form then defines the job size). An empty string returns (nil, nil):
-// placement simply unknown.
+// slice of length size. The map is outside input, so a block count is
+// checked against size before any rank is placed: a map placing more
+// ranks than the job has fails at once, whatever its counts. size <= 0
+// skips the length check for the per-rank list form, whose length its
+// text bounds, and so rejects every block. An empty string returns
+// (nil, nil): placement simply unknown.
 func ParseNodeMap(s string, size int) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -38,7 +41,18 @@ func ParseNodeMap(s string, size int) ([]int, error) {
 	}
 	entries := strings.Split(s, ",")
 	block := strings.Contains(s, ":")
-	var raw []string // one node label per rank, in rank order
+	// Normalize labels (numeric or named) to dense ids in order of
+	// first appearance.
+	ids := make(map[string]int)
+	idOf := func(label string) int {
+		id, ok := ids[label]
+		if !ok {
+			id = len(ids)
+			ids[label] = id
+		}
+		return id
+	}
+	var nodeOf []int
 	for i, e := range entries {
 		e = strings.TrimSpace(e)
 		if e == "" {
@@ -46,37 +60,30 @@ func ParseNodeMap(s string, size int) ([]int, error) {
 		}
 		if block {
 			name, cntStr, ok := strings.Cut(e, ":")
-			if !ok || strings.TrimSpace(name) == "" {
+			name = strings.TrimSpace(name)
+			if !ok || name == "" {
 				return nil, fmt.Errorf("%w: entry %q is not name:count", ErrBadNodeMap, e)
 			}
 			cnt, err := strconv.Atoi(strings.TrimSpace(cntStr))
 			if err != nil || cnt <= 0 {
 				return nil, fmt.Errorf("%w: entry %q has invalid count", ErrBadNodeMap, e)
 			}
+			if cnt > size-len(nodeOf) {
+				return nil, fmt.Errorf("%w: %q places more ranks than the job's %d", ErrBadNodeMap, s, size)
+			}
+			id := idOf(name)
 			for j := 0; j < cnt; j++ {
-				raw = append(raw, strings.TrimSpace(name))
+				nodeOf = append(nodeOf, id)
 			}
 		} else {
 			if _, err := strconv.Atoi(e); err != nil {
 				return nil, fmt.Errorf("%w: entry %q is not a node id (use name:count for named nodes)", ErrBadNodeMap, e)
 			}
-			raw = append(raw, e)
+			nodeOf = append(nodeOf, idOf(e))
 		}
 	}
-	if size > 0 && len(raw) != size {
-		return nil, fmt.Errorf("%w: %q places %d ranks, job has %d", ErrBadNodeMap, s, len(raw), size)
-	}
-	// Normalize labels (numeric or named) to dense ids in order of
-	// first appearance.
-	ids := make(map[string]int)
-	nodeOf := make([]int, len(raw))
-	for i, label := range raw {
-		id, ok := ids[label]
-		if !ok {
-			id = len(ids)
-			ids[label] = id
-		}
-		nodeOf[i] = id
+	if size > 0 && len(nodeOf) != size {
+		return nil, fmt.Errorf("%w: %q places %d ranks, job has %d", ErrBadNodeMap, s, len(nodeOf), size)
 	}
 	return nodeOf, nil
 }

@@ -5,11 +5,17 @@
 // the mpjdev and core layers above. Contexts and tags pass through the
 // device solely for message matching.
 //
-// Implementations in this repository:
+// Implementations in this repository. The product devices, which the
+// mpj package links and Options.Device / MPJ_DEVICE select:
 //
-//   - niodev  — pure-Go TCP device with eager and rendezvous protocols
+//   - niodev    — pure-Go TCP device with eager and rendezvous protocols
+//   - smpdev    — shared-memory device for ranks within one process
+//   - hybriddev — routes node-local peers over smpdev, remote over niodev
+//
+// The paper-comparison apparatus, linked only by tests and the
+// paper-figure commands:
+//
 //   - mxdev   — device over the simulated Myrinet eXpress library (mxsim)
-//   - smpdev  — shared-memory device for ranks within one process
 //   - ibisdev — an MPJ/Ibis-style baseline (thread per operation)
 package xdev
 

@@ -10,9 +10,16 @@
 //	internal/mpjdev           — rank-level device layer, Waitany/peek
 //	internal/xdev             — the pluggable device API (Fig. 2)
 //	internal/niodev           — pure-Go TCP device (eager + rendezvous)
-//	internal/mxdev, mxsim     — device over a simulated Myrinet eXpress
 //	internal/smpdev           — shared-memory device for SMP ranks
+//	internal/hybriddev        — smpdev within a node, niodev across nodes
 //	internal/mpjbuf           — the buffering API (static + dynamic)
+//
+// Those three devices are the product: this package links them and
+// Options.Device selects among them. The paper's comparison devices —
+// internal/mxdev over a simulated Myrinet eXpress (mxsim) and the
+// MPJ/Ibis-style internal/ibisdev — and the fabric models and
+// experiments behind its figures (netsim, perfmodel, expt) are
+// apparatus: the tests and cmd/benchfig link them, the product does not.
 //
 // Every communication path is safe at MPI_THREAD_MULTIPLE: any
 // goroutine of a rank may send, receive, probe or wait concurrently.

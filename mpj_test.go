@@ -2,10 +2,10 @@ package mpj
 
 import (
 	"fmt"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRunLocalAllreduce(t *testing.T) {
@@ -96,46 +96,13 @@ func TestRunLocalRejectsBadConfig(t *testing.T) {
 	if err := RunLocalOpts(1, &Options{Device: "nosuch"}, func(p *Process) error { return nil }); err == nil {
 		t.Error("unknown device accepted")
 	}
-	if err := RunLocalOpts(1, &Options{Fabric: "nosuch"}, func(p *Process) error { return nil }); err == nil {
-		t.Error("unknown fabric accepted")
-	}
 }
 
-func TestRunLocalShapedFabric(t *testing.T) {
-	// Over the emulated Gigabit Ethernet fabric a small round trip
-	// must take at least two one-way latencies (2 * 21 us).
-	err := RunLocalOpts(2, &Options{Fabric: "gige"}, func(p *Process) error {
-		w := p.World()
-		buf := make([]int32, 1)
-		if w.Rank() == 0 {
-			start := time.Now()
-			if err := w.Send([]int32{1}, 0, 1, INT, 1, 0); err != nil {
-				return err
-			}
-			if _, err := w.Recv(buf, 0, 1, INT, 1, 0); err != nil {
-				return err
-			}
-			if rtt := time.Since(start); rtt < 42*time.Microsecond {
-				return fmt.Errorf("round trip %v unbelievably fast for emulated GigE", rtt)
-			}
-		} else {
-			if _, err := w.Recv(buf, 0, 1, INT, 0, 0); err != nil {
-				return err
-			}
-			if err := w.Send(buf, 0, 1, INT, 0, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestDevicesList sees the apparatus devices too: the root test binary
+// links them (apparatus_test.go).
 func TestDevicesList(t *testing.T) {
 	devs := Devices()
-	want := []string{"ibisdev", "mxdev", "niodev", "smpdev"}
+	want := []string{"hybrid", "ibisdev", "mxdev", "niodev", "smpdev"}
 	for _, w := range want {
 		found := false
 		for _, d := range devs {
@@ -145,6 +112,31 @@ func TestDevicesList(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("device %q not registered (have %v)", w, devs)
+		}
+	}
+}
+
+// TestProductLinksOnlyProductDevices keeps the paper-comparison
+// apparatus out of the product: the mpj package links niodev, smpdev
+// and hybriddev, and none of the simulated devices, fabric models or
+// experiments.
+func TestProductLinksOnlyProductDevices(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "mpj").Output()
+	if err != nil {
+		t.Fatalf("go list -deps mpj: %v", err)
+	}
+	deps := make(map[string]bool)
+	for _, p := range strings.Fields(string(out)) {
+		deps[p] = true
+	}
+	for _, p := range []string{"ibisdev", "mxdev", "mxsim", "netsim", "perfmodel", "expt"} {
+		if deps["mpj/internal/"+p] {
+			t.Errorf("product package links apparatus mpj/internal/%s", p)
+		}
+	}
+	for _, p := range []string{"niodev", "smpdev", "hybriddev"} {
+		if !deps["mpj/internal/"+p] {
+			t.Errorf("product package does not link mpj/internal/%s", p)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"mpj/internal/core"
 	"mpj/internal/mpe"
-	"mpj/internal/netsim"
 	"mpj/internal/replay"
 	"mpj/internal/rma"
 	"mpj/internal/telemetry"
@@ -21,7 +20,9 @@ import (
 // Options configures how a job's processes communicate.
 type Options struct {
 	// Device selects the communication device: "niodev" (default),
-	// "hybrid", "mxdev", "smpdev" or "ibisdev".
+	// "smpdev" or "hybrid" — the product devices. The mxdev and ibisdev
+	// paper-comparison devices are selectable only in a program that
+	// links them (the repository's tests and paper-figure commands).
 	Device string
 	// NodeMap assigns ranks to nodes ("0,0,1,1" or "nodeA:2,nodeB:2",
 	// see MPJ_NODE_MAP). The hybrid device routes node-local traffic
@@ -34,10 +35,6 @@ type Options struct {
 	// EagerLimit overrides the eager→rendezvous switch point in bytes
 	// (niodev only; default 128 KiB, the paper's TCP figure).
 	EagerLimit int
-	// Fabric, when non-empty, runs niodev over an in-memory link shaped
-	// to the named fabric ("fast", "gige", "mx") — wall-clock latency
-	// and bandwidth emulation (see internal/netsim).
-	Fabric string
 	// ThreadLevel is the requested MPI thread level; the provided
 	// level is always ThreadMultiple.
 	ThreadLevel ThreadLevel
@@ -88,7 +85,6 @@ func (o *Options) withDefaults() Options {
 		}
 		out.NodeMap = o.NodeMap
 		out.EagerLimit = o.EagerLimit
-		out.Fabric = o.Fabric
 		out.ThreadLevel = o.ThreadLevel
 		out.Tracing = o.Tracing
 		out.TraceDir = o.TraceDir
@@ -160,17 +156,7 @@ func RunLocalOpts(n int, opts *Options, body func(p *Process) error) error {
 		return fmt.Errorf("mpj: node map: %w", err)
 	}
 
-	var dialer xdev.Transport
-	switch {
-	case o.Fabric != "":
-		f, err := netsim.FabricByName(o.Fabric)
-		if err != nil {
-			return err
-		}
-		dialer = transport.NewShaped(f.SocketBufBytes, f.LatencyUS*1e-6, f.BytesPerSecond())
-	default:
-		dialer = transport.NewInProc(0)
-	}
+	dialer := transport.NewInProc(0)
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("%s/rank-%d", job, i)
