@@ -41,8 +41,7 @@ const version = 1
 // region count, payload length, payload CRC, header CRC.
 const headerLen = 4 + 4 + 4 + 4 + 8 + 4 + 4
 
-// crcTab is the Castagnoli table, matching the wire CRC the devices
-// negotiate.
+// crcTab is the Castagnoli table, matching niodev's wire CRC.
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
 
 // manifestName is the per-checkpoint manifest file.

@@ -22,7 +22,7 @@ type Counters struct {
 	// connection-level failure (read/write error, EOF, corruption).
 	PeersLost atomic.Uint64
 	// FramesCorrupt counts wire frames rejected by the integrity check
-	// (niodev's negotiated CRC32).
+	// (niodev's per-frame CRC-32C).
 	FramesCorrupt atomic.Uint64
 	// RequestsFailed counts requests completed with an error (peer
 	// death, device close, abort, corruption).

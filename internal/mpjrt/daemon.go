@@ -302,10 +302,10 @@ func (d *Daemon) start(c *conn, spec *StartSpec) {
 	}
 	d.jobs[spec.JobID] = append(d.jobs[spec.JobID], cmd)
 	d.mu.Unlock()
+	target := ""
 	if maddr := metricsAddrOf(spec.Env); maddr != "" {
-		target := fmt.Sprintf("%s/rank-%d", spec.JobID, spec.Rank)
+		target = fmt.Sprintf("%s/rank-%d", spec.JobID, spec.Rank)
 		d.agg.Add(target, maddr)
-		defer d.agg.Remove(target)
 	}
 	d.maybeMonitor(spec)
 
@@ -323,6 +323,10 @@ func (d *Daemon) start(c *conn, spec *StartSpec) {
 		} else {
 			code = -1
 		}
+	}
+	// A dead rank leaves /metrics before any event reports its exit.
+	if target != "" {
+		d.agg.Remove(target)
 	}
 	d.forget(spec.JobID, cmd)
 	if code != 0 {

@@ -29,7 +29,6 @@ func TestWriteMsgAllocs(t *testing.T) {
 
 	d := bareDevice()
 	d.queues[1].conn = c1
-	d.crcOut = true
 
 	for _, c := range []struct {
 		name string
@@ -69,7 +68,6 @@ func TestBufferedPostAllocs(t *testing.T) {
 	}
 	const runs = 100
 	d := bareDevice()
-	d.crcOut = true
 	q := d.queues[1]
 	q.writing = true
 	seg := [][]byte{make([]byte, 512)}
@@ -101,10 +99,10 @@ func TestBufferedPostAllocs(t *testing.T) {
 	}
 }
 
-// The input handler's matched-eager path with checksums on — match the
-// posted receive, stream the payload through the connection's crcReader
-// into the user buffer, verify it, complete the request — allocates
-// nothing. The receives are posted before the count starts.
+// The input handler's matched-eager path — match the posted receive,
+// stream the payload through the connection's crcReader into the user
+// buffer, verify it, complete the request — allocates nothing. The
+// receives are posted before the count starts.
 func TestMatchedEagerHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
@@ -116,7 +114,7 @@ func TestMatchedEagerHandlerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := msg.Wire()
-	h := header{typ: msgEager, flags: hdrFlagCRC, src: 1, tag: 1, wireLen: uint64(len(payload)),
+	h := header{typ: msgEager, src: 1, tag: 1, wireLen: uint64(len(payload)),
 		payCRC: crc32.Checksum(payload, castagnoli)}
 	rd := bytes.NewReader(payload)
 	cr := &crcReader{r: rd}
@@ -132,7 +130,7 @@ func TestMatchedEagerHandlerAllocs(t *testing.T) {
 	next := 0
 	handle := func() {
 		rd.Reset(payload)
-		if _, err := d.handleEager(rd, h, cr); err != nil {
+		if _, err := d.handleEager(h, cr); err != nil {
 			t.Fatal(err)
 		}
 		if _, done, err := reqs[next].Test(); !done || err != nil {
@@ -163,7 +161,6 @@ func TestRndvSendAllocs(t *testing.T) {
 	t.Cleanup(func() { beforeRndvChecksum = func() {} })
 	for _, order := range []handoff{rtrFirst, sumFirst} {
 		d := bareDevice()
-		d.crcOut = true
 		q := d.queues[1]
 		var b mpjbuf.Buffer
 		var seq uint64 // isend draws 1, 2, ... on a fresh device

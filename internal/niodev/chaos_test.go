@@ -249,7 +249,7 @@ func TestChaosResetMidRendezvous(t *testing.T) {
 }
 
 // TestChaosCorruptFrame flips a bit in rank 0's wire traffic shortly
-// after the handshake (the 16-byte hello itself stays clean, so the
+// after the handshake (the 12-byte hello itself stays clean, so the
 // job wires up). The receiver's CRC check must reject the frame —
 // counted in FramesCorrupt, surfaced as ErrCorruptFrame — and declare
 // the peer lost. Never silent corruption.

@@ -87,9 +87,9 @@ func TestRecoveryConformanceInProc(t *testing.T) {
 		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }))
 }
 
-// TestUserMemoryConformanceInProc runs with checksums on (the runner's
-// default), so under -race the CRC pass — Go code reading the borrowed
-// array — would see a scribble before completion that a raw write hides.
+// Under -race, TestUserMemoryConformanceInProc's CRC pass — Go code
+// reading the borrowed array — would see a scribble before completion
+// that a raw write hides.
 func TestUserMemoryConformanceInProc(t *testing.T) {
 	devtest.RunUserMemory(t,
 		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }),

@@ -48,10 +48,10 @@ func sendHello(t *testing.T, tr xdev.Transport, addr string, from, to uint32) er
 		t.Fatalf("dial %s: %v", addr, err)
 	}
 	defer c.Close()
-	if err := writeHello(c, from, to, helloFlagCRC); err != nil {
+	if err := writeHello(c, from, to); err != nil {
 		t.Fatalf("write hello: %v", err)
 	}
-	_, _, _, err = readHello(c)
+	_, _, err = readHello(c)
 	return err
 }
 
@@ -90,7 +90,7 @@ func TestHelloRejectedTyped(t *testing.T) {
 	} {
 		a, b := transport.Pipe(64)
 		go func() {
-			if err := writeHello(a, tc.from, tc.to, 0); err != nil {
+			if err := writeHello(a, tc.from, tc.to); err != nil {
 				t.Errorf("%s: write hello: %v", tc.name, err)
 			}
 		}()

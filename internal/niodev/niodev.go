@@ -99,8 +99,6 @@ type Device struct {
 	closed    atomic.Bool
 	initDone  bool
 
-	crcOut bool // compute frame checksums on outgoing frames
-
 	rec mpe.Recorder
 }
 
@@ -156,7 +154,6 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			d.queues[slot] = &peerQueue{}
 		}
 	}
-	d.crcOut = !cfg.DisableChecksum
 
 	if cfg.Size > 1 {
 		if len(cfg.Addrs) != cfg.Size {
@@ -177,9 +174,9 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			if !dials(cfg.Rank, slot) {
 				continue
 			}
-			conn, crc, err := d.dialPeer(slot, deadline)
+			conn, err := d.dialPeer(slot, deadline)
 			if err == nil {
-				err = d.attach(slot, conn, crc)
+				err = d.attach(slot, conn)
 			}
 			if err != nil {
 				d.Finish()
@@ -206,9 +203,8 @@ func dialBackoff(rank, size, slot int) *transport.Backoff {
 }
 
 // dialPeer dials slot, retrying until its listener is up, and exchanges
-// hellos: ours names both ranks and carries our checksum flag, and the
-// reply must name them back. It reports whether the peer checksums.
-func (d *Device) dialPeer(slot int, deadline time.Time) (net.Conn, bool, error) {
+// hellos: ours names both ranks, and the reply must name them back.
+func (d *Device) dialPeer(slot int, deadline time.Time) (net.Conn, error) {
 	bo := dialBackoff(d.cfg.Rank, d.cfg.Size, slot)
 	var lastErr error
 	for time.Now().Before(deadline) {
@@ -221,29 +217,22 @@ func (d *Device) dialPeer(slot int, deadline time.Time) (net.Conn, bool, error) 
 		// A peer that never answers fails Init; a transport without
 		// deadlines (the in-process pipe) leaves that to shutdown.
 		_ = conn.SetDeadline(deadline)
-		err = writeHello(conn, uint32(d.cfg.Rank), uint32(slot), d.helloFlags())
-		var from, to, flags uint32
+		err = writeHello(conn, uint32(d.cfg.Rank), uint32(slot))
+		var from, to uint32
 		if err == nil {
-			from, to, flags, err = readHello(conn)
+			from, to, err = readHello(conn)
 		}
 		if err == nil && (int(from) != slot || int(to) != d.cfg.Rank) {
 			err = fmt.Errorf("%w: reply from slot %d to slot %d", errBadHello, from, to)
 		}
 		if err != nil {
 			conn.Close()
-			return nil, false, err
+			return nil, err
 		}
 		_ = conn.SetDeadline(time.Time{})
-		return conn, flags&helloFlagCRC != 0, nil
+		return conn, nil
 	}
-	return nil, false, fmt.Errorf("gave up after %v: %w", connectTimeout, lastErr)
-}
-
-func (d *Device) helloFlags() uint32 {
-	if d.crcOut {
-		return helloFlagCRC
-	}
-	return 0
+	return nil, fmt.Errorf("gave up after %v: %w", connectTimeout, lastErr)
 }
 
 func (d *Device) acceptLoop() {
@@ -274,7 +263,7 @@ func (d *Device) acceptLoop() {
 // hello, admits one per peer that dials this rank, answers with our
 // hello (before attach lets writers at conn) and attaches conn.
 func (d *Device) admit(conn net.Conn) error {
-	from, to, flags, err := readHello(conn)
+	from, to, err := readHello(conn)
 	if err != nil {
 		return err
 	}
@@ -291,16 +280,16 @@ func (d *Device) admit(conn net.Conn) error {
 	if err != nil {
 		return &xdev.Error{Dev: DeviceName, Op: "accept", Err: err}
 	}
-	if err := writeHello(conn, to, from, d.helloFlags()); err != nil {
+	if err := writeHello(conn, to, from); err != nil {
 		return err
 	}
-	return d.attach(int(from), conn, flags&helloFlagCRC != 0)
+	return d.attach(int(from), conn)
 }
 
 // attach makes conn slot's connection, written by the queue's writer role
 // and read by a new input handler, unless the queue is poisoned (the
 // device is closing or the peer dead).
-func (d *Device) attach(slot int, conn net.Conn, crc bool) error {
+func (d *Device) attach(slot int, conn net.Conn) error {
 	q := d.queues[slot]
 	q.mu.Lock()
 	err := q.err
@@ -310,7 +299,7 @@ func (d *Device) attach(slot int, conn net.Conn, crc bool) error {
 		d.handlerWG.Add(1)
 		go func() {
 			defer d.handlerWG.Done()
-			d.inputHandler(conn, uint32(slot), crc)
+			d.inputHandler(conn, uint32(slot))
 		}()
 	}
 	q.mu.Unlock()

@@ -31,31 +31,19 @@ const (
 )
 
 // headerLen is the fixed wire header:
-// type(1) flags(1) pad(2) src(4) tag(4) ctx(4) seq(8) wireLen(8)
-// payCRC(4) hdrCRC(4).
+// type(1) pad(3) src(4) tag(4) ctx(4) seq(8) wireLen(8) payCRC(4) hdrCRC(4).
 //
-// hdrCRC covers bytes [0:36) and payCRC the payload bytes, both
-// CRC-32C (Castagnoli); they are computed only when the sender
-// negotiated checksums in its hello (flags bit 0), and zero otherwise.
+// Every frame carries both checksums, CRC-32C (Castagnoli): hdrCRC over
+// bytes [0:36), zero padding included, and payCRC over the payload.
 const headerLen = 40
 
-// hdrFlagCRC marks a frame whose payCRC/hdrCRC fields are valid.
-const hdrFlagCRC = 0x01
-
 const helloMagic = 0x4d504a45 // "MPJE"
-
-// helloFlagCRC advertises in a hello that every frame its writer puts
-// on the connection carries CRC-32C integrity checksums. The reader
-// then treats a frame without the flag — or with a mismatching
-// checksum — as corrupt. Each direction follows its own writer's flag.
-const helloFlagCRC = 0x01
 
 // castagnoli is the CRC-32C table shared by all frame checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type header struct {
 	typ     uint8
-	flags   uint8
 	src     uint32
 	tag     int32
 	ctx     int32
@@ -66,25 +54,19 @@ type header struct {
 
 func (h header) encode(dst []byte) {
 	dst[0] = h.typ
-	dst[1] = h.flags
-	dst[2], dst[3] = 0, 0
+	dst[1], dst[2], dst[3] = 0, 0, 0
 	binary.BigEndian.PutUint32(dst[4:8], h.src)
 	binary.BigEndian.PutUint32(dst[8:12], uint32(h.tag))
 	binary.BigEndian.PutUint32(dst[12:16], uint32(h.ctx))
 	binary.BigEndian.PutUint64(dst[16:24], h.seq)
 	binary.BigEndian.PutUint64(dst[24:32], h.wireLen)
 	binary.BigEndian.PutUint32(dst[32:36], h.payCRC)
-	var hdrCRC uint32
-	if h.flags&hdrFlagCRC != 0 {
-		hdrCRC = crc32.Checksum(dst[0:36], castagnoli)
-	}
-	binary.BigEndian.PutUint32(dst[36:40], hdrCRC)
+	binary.BigEndian.PutUint32(dst[36:40], crc32.Checksum(dst[0:36], castagnoli))
 }
 
 func decodeHeader(src []byte) header {
 	return header{
 		typ:     src[0],
-		flags:   src[1],
 		src:     binary.BigEndian.Uint32(src[4:8]),
 		tag:     int32(binary.BigEndian.Uint32(src[8:12])),
 		ctx:     int32(binary.BigEndian.Uint32(src[12:16])),
@@ -94,12 +76,8 @@ func decodeHeader(src []byte) header {
 	}
 }
 
-// verifyHeader checks the integrity of a raw frame header read from a
-// connection whose hello negotiated checksums.
+// verifyHeader checks a raw frame header against its hdrCRC.
 func verifyHeader(raw []byte) error {
-	if raw[1]&hdrFlagCRC == 0 {
-		return fmt.Errorf("niodev: frame missing negotiated checksum: %w", xdev.ErrCorruptFrame)
-	}
 	want := binary.BigEndian.Uint32(raw[36:40])
 	if got := crc32.Checksum(raw[0:36], castagnoli); got != want {
 		return fmt.Errorf("niodev: header checksum mismatch (got %#x want %#x): %w",
@@ -112,39 +90,41 @@ func verifyHeader(raw []byte) error {
 var errBadHello = errors.New("niodev: bad hello")
 
 // writeHello writes the hello each side sends once, the dialer first,
-// naming its writer and reader and carrying the writer's flags.
-func writeHello(c net.Conn, from, to, flags uint32) error {
-	var b [16]byte
+// naming its writer and reader.
+func writeHello(c net.Conn, from, to uint32) error {
+	var b [12]byte
 	binary.BigEndian.PutUint32(b[0:4], helloMagic)
 	binary.BigEndian.PutUint32(b[4:8], from)
 	binary.BigEndian.PutUint32(b[8:12], to)
-	binary.BigEndian.PutUint32(b[12:16], flags)
 	_, err := c.Write(b[:])
 	return err
 }
 
-func readHello(c net.Conn) (from, to, flags uint32, err error) {
-	var b [16]byte
+func readHello(c net.Conn) (from, to uint32, err error) {
+	var b [12]byte
 	if _, err := io.ReadFull(c, b[:]); err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	if binary.BigEndian.Uint32(b[0:4]) != helloMagic {
-		return 0, 0, 0, fmt.Errorf("%w: magic %#x", errBadHello, binary.BigEndian.Uint32(b[0:4]))
+		return 0, 0, fmt.Errorf("%w: magic %#x", errBadHello, binary.BigEndian.Uint32(b[0:4]))
 	}
-	return binary.BigEndian.Uint32(b[4:8]), binary.BigEndian.Uint32(b[8:12]), binary.BigEndian.Uint32(b[12:16]), nil
+	return binary.BigEndian.Uint32(b[4:8]), binary.BigEndian.Uint32(b[8:12]), nil
 }
 
-// crcReader accumulates a CRC-32C over everything read through it, so
-// payloads streamed straight into user buffers can still be verified.
+// crcReader accumulates a CRC-32C over, and a count of, everything read
+// through it, so payloads streamed straight into user buffers can still
+// be verified.
 type crcReader struct {
 	r   io.Reader
 	sum uint32
+	n   int64
 }
 
 func (c *crcReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	if n > 0 {
 		c.sum = crc32.Update(c.sum, castagnoli, p[:n])
+		c.n += int64(n)
 	}
 	return n, err
 }
@@ -266,10 +246,8 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	// finishes second posts the data frame — here, written by this thread.
 	var segs [4][]byte
 	s := buf.AppendSegments(segs[:0])
-	if d.crcOut {
-		beforeRndvChecksum()
-		req.RndvCRC = payloadCRC(s)
-	}
+	beforeRndvChecksum()
+	req.RndvCRC = payloadCRC(s)
 	if req.RndvStep() {
 		d.postRndvData(slot, req, seq, s, true)
 	}
@@ -564,7 +542,7 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 // markPeerDead poisons the queue before it closes the connection, so
 // queued frames fail with the death error. After a bye the connection
 // is left to shutdown (see markPeerGone).
-func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
+func (d *Device) inputHandler(conn net.Conn, src uint32) {
 	// Inbound frames are read through a buffered reader sized to the
 	// sender's batch cap: a coalesced batch from the peer arrives
 	// in one (or few) bulk reads instead of two reads per frame, the
@@ -576,7 +554,7 @@ func (d *Device) inputHandler(conn net.Conn, src uint32, crc bool) {
 	if e, ok := conn.(interface{ Expect(n int) }); ok {
 		br.expect = e.Expect
 	}
-	err := d.readLoop(br, src, crc)
+	err := d.readLoop(br, src)
 	if err != nil && !d.closed.Load() {
 		d.markPeerDead(int(src), err)
 	}
@@ -591,24 +569,19 @@ type bulkReader struct {
 	expect func(n int)
 }
 
-func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
+func (d *Device) readLoop(conn io.Reader, src uint32) error {
 	hdr := make([]byte, headerLen)
 	br, _ := conn.(*bulkReader)
-	// cr checksums payloads streamed into user buffers; nil when the
-	// hello did not negotiate checksums.
-	var cr *crcReader
-	if crc {
-		cr = &crcReader{r: conn}
-	}
+	// cr checksums every payload as it is read, whether into a user
+	// buffer or a staging slice.
+	cr := &crcReader{r: conn}
 	for {
 		if _, err := io.ReadFull(conn, hdr); err != nil {
 			return err // connection closed (Finish, abort, or peer exit)
 		}
-		if crc {
-			if err := verifyHeader(hdr); err != nil {
-				d.noteCorrupt(src, err)
-				return err
-			}
+		if err := verifyHeader(hdr); err != nil {
+			d.noteCorrupt(src)
+			return err
 		}
 		h := decodeHeader(hdr)
 		if h.src != src {
@@ -625,13 +598,13 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 				// Checked before the length sizes a staging slice.
 				return d.badFrame(src, "eager frame of %d bytes exceeds the eager limit %d", h.wireLen, d.eagerLimit)
 			}
-			woke, err = d.handleEager(conn, h, cr)
+			woke, err = d.handleEager(h, cr)
 		case msgRTS:
 			d.handleRTS(h)
 		case msgRTR:
 			d.handleRTR(h)
 		case msgRndvData:
-			woke, err = d.handleRndvData(conn, h, cr)
+			woke, err = d.handleRndvData(h, cr)
 		case msgAck:
 			woke = d.handleAck(h)
 		case msgAbort:
@@ -667,57 +640,53 @@ func (d *Device) readLoop(conn io.Reader, src uint32, crc bool) error {
 // fields cannot be right, rejected before anything is allocated or read
 // on their strength.
 func (d *Device) badFrame(src uint32, format string, args ...any) error {
-	err := fmt.Errorf("niodev: "+format+": %w", append(args, xdev.ErrCorruptFrame)...)
-	d.noteCorrupt(src, err)
-	return err
+	d.noteCorrupt(src)
+	return fmt.Errorf("niodev: "+format+": %w", append(args, xdev.ErrCorruptFrame)...)
 }
 
 // noteCorrupt records a frame rejected by the integrity check.
-func (d *Device) noteCorrupt(src uint32, err error) {
+func (d *Device) noteCorrupt(src uint32) {
 	d.core.Counters.FramesCorrupt.Add(1)
 	if d.rec.Enabled() {
 		d.rec.Event(mpe.FrameCorrupt, int32(src), -1, -1, 0)
 	}
-	_ = err
 }
 
-// checkPayload verifies a payload's CRC against the frame header's.
-func checkPayload(sum uint32, h header) error {
-	if sum == h.payCRC {
-		return nil
-	}
-	return fmt.Errorf("niodev: payload checksum mismatch (got %#x want %#x): %w",
-		sum, h.payCRC, xdev.ErrCorruptFrame)
-}
-
-// recvInto streams h's payload from conn straight into buf (Fig. 5's
-// receive into the user buffer). Only a connection whose hello
-// negotiated checksums pays for one: the stream then passes through the
-// connection's crcReader cr so even the zero-copy path is integrity
-// checked.
-func (d *Device) recvInto(buf *mpjbuf.Buffer, conn io.Reader, h header, cr *crcReader) error {
-	if cr == nil {
-		return buf.LoadWireFrom(conn, int(h.wireLen))
-	}
-	cr.sum = 0
-	err := buf.LoadWireFrom(cr, int(h.wireLen))
-	if err == nil {
-		if err = checkPayload(cr.sum, h); err != nil {
-			d.noteCorrupt(h.src, err)
+// checkPayload verifies the CRC cr summed over h's payload, once a read
+// of it through cr ended with err, counting a mismatch as a corrupt frame.
+func (d *Device) checkPayload(cr *crcReader, h header, err error) error {
+	if err != nil {
+		// A corrupt payload can fail to parse before it is all read: the
+		// rest decides between corruption and a stream or format error.
+		if _, rerr := io.CopyN(io.Discard, cr, int64(h.wireLen)-cr.n); rerr != nil {
+			return err
 		}
+	}
+	if cr.sum != h.payCRC {
+		d.noteCorrupt(h.src)
+		return fmt.Errorf("niodev: payload checksum mismatch (got %#x want %#x): %w",
+			cr.sum, h.payCRC, xdev.ErrCorruptFrame)
 	}
 	return err
 }
 
+// recvInto streams h's payload through the connection's crcReader cr
+// straight into buf (Fig. 5's receive into the user buffer), so even the
+// zero-copy path is integrity checked.
+func (d *Device) recvInto(buf *mpjbuf.Buffer, h header, cr *crcReader) error {
+	cr.sum, cr.n = 0, 0
+	return d.checkPayload(cr, h, buf.LoadWireFrom(cr, int(h.wireLen)))
+}
+
 // handleEager, handleRndvData and handleAck report whether completing
 // the frame's request woke a waiter parked on it.
-func (d *Device) handleEager(conn io.Reader, h header, cr *crcReader) (bool, error) {
+func (d *Device) handleEager(h header, cr *crcReader) (bool, error) {
 	env := match.Concrete{Ctx: h.ctx, Tag: h.tag, Src: uint64(h.src)}
 	st := xdev.Status{Source: d.pids[h.src], Tag: int(h.tag), Bytes: int(h.wireLen)}
 
 	if req, ok := d.core.MatchPosted(env, h.seq); ok {
 		// Matched: receive directly into the user buffer.
-		err := d.recvInto(req.Buf, conn, h, cr)
+		err := d.recvInto(req.Buf, h, cr)
 		if err != nil {
 			// Torn or corrupt frame: the peer is about to be declared
 			// dead (the read loop exits on the returned error), so this
@@ -738,16 +707,11 @@ func (d *Device) handleEager(conn io.Reader, h header, cr *crcReader) (bool, err
 	// must proceed while this payload drains — so MatchOrPark retries
 	// the match afterwards in case a receive was posted meanwhile.
 	data := devcore.GetSlice(int(h.wireLen))
-	if _, err := io.ReadFull(conn, data); err != nil {
+	cr.sum, cr.n = 0, 0
+	_, err := io.ReadFull(cr, data)
+	if err = d.checkPayload(cr, h, err); err != nil {
 		devcore.PutSlice(data)
 		return false, err
-	}
-	if cr != nil {
-		if err := checkPayload(crc32.Checksum(data, castagnoli), h); err != nil {
-			devcore.PutSlice(data)
-			d.noteCorrupt(h.src, err)
-			return false, err
-		}
 	}
 	arr := &devcore.Arrival{
 		Src: uint64(h.src), Tag: h.tag, Ctx: h.ctx, Seq: h.seq,
@@ -822,7 +786,7 @@ func (d *Device) handleRTR(h header) {
 	d.postRndvData(int(h.src), req, h.seq, req.Buf.AppendSegments(segs[:0]), false)
 }
 
-func (d *Device) handleRndvData(conn io.Reader, h header, cr *crcReader) (bool, error) {
+func (d *Device) handleRndvData(h header, cr *crcReader) (bool, error) {
 	req, ok := d.rndvIncoming.Take(devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq})
 	if !ok {
 		// Protocol violation: data for an unknown rendezvous.
@@ -832,12 +796,12 @@ func (d *Device) handleRndvData(conn io.Reader, h header, cr *crcReader) (bool, 
 	if h.wireLen != uint64(req.RndvLen) {
 		err = d.badFrame(h.src, "rendezvous data of %d bytes for an announcement of %d", h.wireLen, req.RndvLen)
 	} else {
-		if br, ok := conn.(*bulkReader); ok && br.expect != nil {
+		if br, ok := cr.r.(*bulkReader); ok && br.expect != nil {
 			// The announced length was just checked against the RTS, so
 			// these bytes are on their way.
 			br.expect(int(h.wireLen) - br.Buffered())
 		}
-		err = d.recvInto(req.Buf, conn, h, cr)
+		err = d.recvInto(req.Buf, h, cr)
 	}
 	if err != nil {
 		// The rendezvous data stream died, failed its checksum or broke

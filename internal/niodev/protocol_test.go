@@ -28,19 +28,16 @@ func TestHelloRoundTrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	go func() {
-		if err := writeHello(a, 42, 7, helloFlagCRC); err != nil {
+		if err := writeHello(a, 42, 7); err != nil {
 			t.Errorf("writeHello: %v", err)
 		}
 	}()
-	from, to, flags, err := readHello(b)
+	from, to, err := readHello(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != 42 || to != 7 {
 		t.Fatalf("hello from %d to %d, want from 42 to 7", from, to)
-	}
-	if flags&helloFlagCRC == 0 {
-		t.Fatalf("flags = %#x, want CRC bit set", flags)
 	}
 }
 
@@ -48,8 +45,8 @@ func TestHelloBadMagic(t *testing.T) {
 	a, b := transport.Pipe(64)
 	defer a.Close()
 	defer b.Close()
-	go a.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0})
-	if _, _, _, err := readHello(b); !errors.Is(err, errBadHello) {
+	go a.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1, 0, 0, 0, 0})
+	if _, _, err := readHello(b); !errors.Is(err, errBadHello) {
 		t.Fatalf("bad magic: %v, want errBadHello", err)
 	}
 }
@@ -87,9 +84,9 @@ func TestInputHandlerDropsUnknownMessageType(t *testing.T) {
 	defer devs[1].Finish()
 
 	// Inject a garbage frame on rank 0's connection to rank 1: rank
-	// 1's input handler must reject it (the hello negotiated checksums,
-	// and this frame has none), count it as corrupt, and declare rank 0
-	// dead rather than silently processing garbage.
+	// 1's input handler must reject it (its header checksum does not
+	// match), count it as corrupt, and declare rank 0 dead rather than
+	// silently processing garbage.
 	hdr := make([]byte, headerLen)
 	hdr[0] = 0xff
 	if err := devs[0].injectRaw(1, hdr); err != nil {

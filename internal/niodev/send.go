@@ -215,16 +215,12 @@ func (d *Device) queue(slot int) *peerQueue {
 	return d.queues[slot]
 }
 
-// newFrame builds a frame for h and segments, encoding the header (with
-// checksums when negotiated; a rendezvous payload's comes in h) into a
-// pooled slice.
+// newFrame builds a frame for h and segments, encoding the header with
+// both checksums (a rendezvous payload's comes in h) into a pooled slice.
 func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st xdev.Status) *sendFrame {
 	hdr := devcore.GetSlice(headerLen)
-	if d.crcOut {
-		h.flags |= hdrFlagCRC
-		if h.typ != msgRndvData { // isend summed it during the handshake
-			h.payCRC = payloadCRC(segments)
-		}
+	if h.typ != msgRndvData { // isend summed it during the handshake
+		h.payCRC = payloadCRC(segments)
 	}
 	h.encode(hdr)
 	f := getFrame()

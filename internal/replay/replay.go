@@ -202,9 +202,18 @@ type Session struct {
 	appendN  atomic.Int64
 }
 
-// DirsFromEnv reads the MPJ_RECORD / MPJ_REPLAY environment variables.
+// The environment variables a rank's session is configured from: a
+// directory to record decision logs into, one to replay them from, and
+// the replay's completion timeout in milliseconds.
+const (
+	EnvRecord        = "MPJ_RECORD"
+	EnvReplay        = "MPJ_REPLAY"
+	EnvReplayTimeout = "MPJ_REPLAY_TIMEOUT_MS"
+)
+
+// DirsFromEnv reads the EnvRecord / EnvReplay environment variables.
 func DirsFromEnv() (record, replay string) {
-	return os.Getenv("MPJ_RECORD"), os.Getenv("MPJ_REPLAY")
+	return os.Getenv(EnvRecord), os.Getenv(EnvReplay)
 }
 
 // Open creates a Session for one rank. Returns (nil, nil) when neither
@@ -226,7 +235,7 @@ func Open(cfg Config) (*Session, error) {
 		seqs:      make(map[seqKey]uint64),
 		popHeld:   make(map[PopKey][]any),
 	}
-	if ms, err := strconv.Atoi(os.Getenv("MPJ_REPLAY_TIMEOUT_MS")); err == nil && ms > 0 {
+	if ms, err := strconv.Atoi(os.Getenv(EnvReplayTimeout)); err == nil && ms > 0 {
 		s.timeout = time.Duration(ms) * time.Millisecond
 	}
 	meta := &Record{

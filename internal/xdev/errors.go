@@ -15,8 +15,8 @@ import (
 //     new operations naming the peer fail immediately.
 //   - ErrDeviceClosed: the local device was finished while the
 //     operation was pending (or before it was issued).
-//   - ErrCorruptFrame: frame integrity checking (niodev's negotiated
-//     CRC32) detected wire corruption. The connection is treated as
+//   - ErrCorruptFrame: frame integrity checking (niodev's per-frame
+//     CRC-32C) detected wire corruption. The connection is treated as
 //     compromised, so the error usually appears joined with ErrPeerLost.
 //   - ErrAborted: the job was torn down by Comm.Abort, locally or by a
 //     remote rank's abort control frame.

@@ -113,12 +113,6 @@ type Config struct {
 	// the device and the layers above it (see internal/mpe). Nil
 	// means tracing is disabled; devices substitute mpe.Nop.
 	Recorder mpe.Recorder
-	// DisableChecksum turns off per-frame integrity checksums on
-	// devices that support them (niodev's CRC32C). Checksums are on by
-	// default; each side advertises its setting in the connection
-	// handshake, and a frame is only verified when its sender computed
-	// the checksum.
-	DisableChecksum bool
 	// NodeOf maps job slot -> node id (dense, 0-based; see
 	// ParseNodeMap), the placement the runtime derived from daemon
 	// assignment or MPJ_NODE_MAP. Topology-aware devices (hybriddev)

@@ -186,7 +186,7 @@ func RunLocalOpts(n int, opts *Options, body func(p *Process) error) error {
 				sessions[rank], err = replay.Open(replay.Config{
 					RecordDir: o.RecordDir, ReplayDir: o.ReplayDir,
 					Rank: rank, Size: n, Device: o.Device,
-					ChaosSeed: os.Getenv("MPJ_CHAOS_SEED"),
+					ChaosSeed: os.Getenv(EnvChaosSeed),
 				})
 				if err != nil {
 					initErrs[rank] = err
@@ -372,9 +372,14 @@ const (
 	// EnvReplayTimeout bounds, in milliseconds, how long a replaying
 	// rank waits for a recorded completion before declaring divergence
 	// (default 10000).
-	EnvRecord        = "MPJ_RECORD"
-	EnvReplay        = "MPJ_REPLAY"
-	EnvReplayTimeout = "MPJ_REPLAY_TIMEOUT_MS"
+	EnvRecord        = replay.EnvRecord
+	EnvReplay        = replay.EnvReplay
+	EnvReplayTimeout = replay.EnvReplayTimeout
+
+	// EnvChaosSeed is the fault-plan seed of a chaos run. The chaos
+	// tests read it; RunLocal and InitFromEnv stamp it into a recorded
+	// log's meta header, so a replay under another seed diverges at once.
+	EnvChaosSeed = "MPJ_CHAOS_SEED"
 )
 
 // InitFromEnv joins the multi-process job described by the MPJ_*
@@ -414,7 +419,7 @@ func InitFromEnv() (*Process, error) {
 		sess, err = replay.Open(replay.Config{
 			RecordDir: rec, ReplayDir: rep,
 			Rank: rank, Size: size, Device: device,
-			ChaosSeed: os.Getenv("MPJ_CHAOS_SEED"),
+			ChaosSeed: os.Getenv(EnvChaosSeed),
 		})
 		if err != nil {
 			return nil, err
