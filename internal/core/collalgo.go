@@ -1,11 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
 	"mpj/internal/mpe"
 )
@@ -22,8 +18,8 @@ import (
 //     fold at the root with bounded memory;
 //   - Allreduce uses recursive doubling for small commutative
 //     payloads (log2(n) rounds, each rank ends with the result) and a
-//     Rabenseifner-style reduce-scatter + allgather above
-//     rsagThresholdBytes (each byte crosses the wire O(1) times); it
+//     Rabenseifner-style reduce-scatter + allgather from
+//     collCfg.rsagBytes (each byte crosses the wire O(1) times); it
 //     falls back to a rank-ordered reduce+broadcast for
 //     non-commutative ones;
 //   - Scatter/Gather stream large per-rank blocks in windowed
@@ -51,120 +47,38 @@ const (
 // Allgatherv uses the ring algorithm.
 const ringThresholdBytes = 16 << 10
 
-// rsagThresholdBytes is the payload size above which commutative
-// Allreduce switches from recursive doubling to reduce-scatter +
-// allgather.
-const rsagThresholdBytes = 64 << 10
+// pipelineReduceMaxRanks bounds the comm size for the pipelined
+// reduce. Unlike the pipelined broadcast — which packs once at the
+// root and forwards wire buffers verbatim — a reduce must unpack, fold
+// and repack at every level, so a deeper tree multiplies the
+// per-segment message count with no repack to save; past this size the
+// flat binomial's fewer, larger messages win.
+const pipelineReduceMaxRanks = 8
 
-// hierThresholdBytes is the payload size above which Bcast, Reduce and
-// Allreduce switch to the two-level node-leader algorithms when the
-// placement spans several nodes with several ranks each. Below it the
-// extra intra-node hops cost more than the saved wire messages; the
-// two-level perfmodel predicts the crossover per fabric, and the
-// collbench flat-vs-hierarchical comparison measures it.
-const hierThresholdBytes = 64 << 10
-
-// Environment knobs for collective tuning. They must be set to the
-// same values on every rank of a job: segment size changes the number
-// of messages a collective exchanges.
-const (
-	// EnvCollSegment sets the pipeline segment size in bytes
-	// (default 32 KiB).
-	EnvCollSegment = "MPJ_COLL_SEGMENT"
-	// EnvCollAlgo forces an algorithm family instead of the size-based
-	// table: auto (default), flat, pipeline, rd, rsag, hier.
-	EnvCollAlgo = "MPJ_COLL_ALGO"
-)
-
-// ErrUnknownCollAlgo is returned by InitThread when MPJ_COLL_ALGO
-// names an algorithm family the library does not have. A typo must
-// fail loudly: silently falling back to the auto table would run a
-// different algorithm than the one the job was told to measure — and
-// since the knob must agree across ranks, one misspelled rank would
-// otherwise deadlock against the others mid-collective.
-var ErrUnknownCollAlgo = errors.New("core: unknown MPJ_COLL_ALGO algorithm")
-
-const (
-	defaultSegmentBytes = 32 << 10
-	defaultCollWindow   = 4
-
-	// pipelineReduceMaxRanks bounds the comm size for the pipelined
-	// reduce. Unlike the pipelined broadcast — which packs once at the
-	// root and forwards wire buffers verbatim — a reduce must unpack,
-	// fold and repack at every level, so a deeper tree multiplies the
-	// per-segment message count with no repack to save; past this size
-	// the flat binomial's fewer, larger messages win.
-	pipelineReduceMaxRanks = 8
-)
-
-// collForce is a forced algorithm family from MPJ_COLL_ALGO.
-type collForce uint8
-
-const (
-	forceAuto collForce = iota
-	forceFlat           // store-and-forward / unsegmented everywhere
-	forcePipeline
-	forceRD
-	forceRSAG
-	forceHier // two-level node-leader algorithms wherever the topology allows
-)
-
-// parseCollForce maps an MPJ_COLL_ALGO value to its algorithm family.
-// Unknown names are a typed error (ErrUnknownCollAlgo) so InitThread
-// can refuse them instead of silently running something else.
-func parseCollForce(v string) (collForce, error) {
-	switch strings.ToLower(v) {
-	case "", "auto":
-		return forceAuto, nil
-	case "flat", "store-forward":
-		return forceFlat, nil
-	case "pipeline", "pipelined":
-		return forcePipeline, nil
-	case "rd", "recursive-doubling":
-		return forceRD, nil
-	case "rsag", "reduce-scatter-allgather":
-		return forceRSAG, nil
-	case "hier", "hierarchical":
-		return forceHier, nil
-	}
-	return forceAuto, fmt.Errorf("%w: %q (valid: auto, flat, pipeline, rd, rsag, hier)", ErrUnknownCollAlgo, v)
-}
-
-// validateCollEnv checks the collective tuning environment; InitThread
-// calls it so a job with a misspelled MPJ_COLL_ALGO fails at startup
-// with a typed error rather than running the wrong algorithm.
-func validateCollEnv() error {
-	if _, err := parseCollForce(os.Getenv(EnvCollAlgo)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// collTuning carries the segmentation knobs read once at startup.
-// Tests overwrite collCfg between worlds (never while one is running).
+// collTuning is the size table every choose* function reads. Each
+// algorithm is reached by where a payload falls against these
+// thresholds; no setting names an algorithm. Tests overwrite collCfg
+// between worlds (never while one is running) to reach a variant at
+// small sizes.
 type collTuning struct {
-	segBytes int // pipeline segment size
-	window   int // outstanding segments per stream
-	force    collForce
+	// segBytes is the pipeline segment size: payloads and scatter/
+	// gather blocks above it move as segment streams, the rest whole.
+	segBytes int
+	// window is the number of outstanding segments per stream.
+	window int
+	// rsagBytes is the payload size from which commutative Allreduce
+	// switches from recursive doubling to reduce-scatter + allgather.
+	rsagBytes int
+	// hierBytes is the payload size from which Bcast, Reduce and
+	// Allreduce take the two-level node-leader algorithms when the
+	// placement spans several nodes with several ranks on some node.
+	// Below it the extra intra-node hops cost more than the saved wire
+	// messages; the two-level perfmodel predicts the crossover per
+	// fabric, and BenchmarkHybridColl measures it.
+	hierBytes int
 }
 
-func loadCollTuning() collTuning {
-	t := collTuning{segBytes: defaultSegmentBytes, window: defaultCollWindow}
-	if v := os.Getenv(EnvCollSegment); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			t.segBytes = n
-		}
-	}
-	// Unknown names keep forceAuto here — loadCollTuning runs at
-	// package init and cannot fail; InitThread rejects them with
-	// ErrUnknownCollAlgo via validateCollEnv before any traffic.
-	if f, err := parseCollForce(os.Getenv(EnvCollAlgo)); err == nil {
-		t.force = f
-	}
-	return t
-}
-
-var collCfg = loadCollTuning()
+var collCfg = collTuning{segBytes: 32 << 10, window: 4, rsagBytes: 64 << 10, hierBytes: 64 << 10}
 
 // payloadBytes is the contiguous wire size of count items of dt.
 func payloadBytes(count int, dt *Datatype) int {
@@ -179,26 +93,16 @@ func segmentable(dt *Datatype) bool {
 }
 
 // hierEligible reports whether the two-level node-leader algorithms
-// apply: the communicator spans several nodes, and — unless the user
-// forces them — each wire message saved pays for at least one
-// intra-node hop (some node holds several ranks) and the payload is
-// past the crossover. Every rank computes this from the same global
-// placement, so the choice agrees job-wide.
+// apply: the payload is past the crossover, the communicator spans
+// several nodes, and each wire message saved pays for at least one
+// intra-node hop (some node holds several ranks). Every rank computes
+// this from the same global placement, so the choice agrees job-wide.
 func (c *Intracomm) hierEligible(bytes int) bool {
-	if c.Size() < 2 {
+	if c.Size() < 2 || bytes < collCfg.hierBytes {
 		return false
 	}
-	switch collCfg.force {
-	case forceHier:
-		return c.topo().nNodes >= 2
-	case forceAuto:
-		if bytes < hierThresholdBytes {
-			return false
-		}
-		t := c.topo()
-		return t.nNodes >= 2 && t.ranksPerNode() >= 2
-	}
-	return false
+	t := c.topo()
+	return t.nNodes >= 2 && t.ranksPerNode() >= 2
 }
 
 // chooseBcast picks the broadcast variant from the payload size and
@@ -210,15 +114,6 @@ func (c *Intracomm) chooseBcast(bytes int, dt *Datatype) int32 {
 	if c.hierEligible(bytes) {
 		return mpe.AlgoHierarchical
 	}
-	switch collCfg.force {
-	case forceFlat:
-		return mpe.AlgoStoreForward
-	case forcePipeline:
-		if bytes > 0 {
-			return mpe.AlgoPipelined
-		}
-		return mpe.AlgoStoreForward
-	}
 	if bytes > collCfg.segBytes {
 		return mpe.AlgoPipelined
 	}
@@ -226,15 +121,12 @@ func (c *Intracomm) chooseBcast(bytes int, dt *Datatype) int32 {
 }
 
 // chooseReduce picks the reduce variant. Non-commutative ops always
-// take the streamed rank-ordered fold (bounded memory at the root)
-// unless flat is forced; commutative ops pipeline large payloads down
-// the binomial tree when the op can be applied per segment and the
-// comm is small enough that the extra per-segment messages pay off.
+// take the streamed rank-ordered fold (bounded memory at the root);
+// commutative ops pipeline large payloads down the binomial tree when
+// the op can be applied per segment and the comm is small enough that
+// the extra per-segment messages pay off.
 func (c *Intracomm) chooseReduce(bytes int, dt *Datatype, op *Op) int32 {
 	if !op.commute {
-		if collCfg.force == forceFlat {
-			return mpe.AlgoStoreForward
-		}
 		return mpe.AlgoStreamedFold
 	}
 	if c.Size() == 1 || !segmentable(dt) || op.atom <= 0 {
@@ -242,15 +134,6 @@ func (c *Intracomm) chooseReduce(bytes int, dt *Datatype, op *Op) int32 {
 	}
 	if c.hierEligible(bytes) {
 		return mpe.AlgoHierarchical
-	}
-	switch collCfg.force {
-	case forceFlat:
-		return mpe.AlgoStoreForward
-	case forcePipeline:
-		if bytes > 0 {
-			return mpe.AlgoPipelined
-		}
-		return mpe.AlgoStoreForward
 	}
 	if bytes > collCfg.segBytes && c.Size() <= pipelineReduceMaxRanks {
 		return mpe.AlgoPipelined
@@ -265,27 +148,17 @@ func (c *Intracomm) chooseReduce(bytes int, dt *Datatype, op *Op) int32 {
 // atom-aligned splitting, and enough elements to give every rank a
 // stripe.
 func (c *Intracomm) chooseAllreduce(bytes, elems int, dt *Datatype, op *Op) int32 {
-	rsagOK := segmentable(dt) && op.atom > 0 && c.Size() >= 4
-	if rsagOK {
-		pof2 := 1
-		for pof2*2 <= c.Size() {
-			pof2 *= 2
-		}
-		rsagOK = elems >= pof2*op.atom
-	}
 	if segmentable(dt) && c.hierEligible(bytes) {
 		return mpe.AlgoHierarchical
 	}
-	switch collCfg.force {
-	case forceFlat, forceRD:
-		return mpe.AlgoRecursiveDoubling
-	case forceRSAG, forcePipeline:
-		if rsagOK {
-			return mpe.AlgoReduceScatterAllgather
-		}
+	if bytes < collCfg.rsagBytes || !segmentable(dt) || op.atom <= 0 || c.Size() < 4 {
 		return mpe.AlgoRecursiveDoubling
 	}
-	if rsagOK && bytes >= rsagThresholdBytes {
+	pof2 := 1
+	for pof2*2 <= c.Size() {
+		pof2 *= 2
+	}
+	if elems >= pof2*op.atom {
 		return mpe.AlgoReduceScatterAllgather
 	}
 	return mpe.AlgoRecursiveDoubling
@@ -297,16 +170,7 @@ func (c *Intracomm) chooseAllreduce(bytes, elems int, dt *Datatype, op *Op) int3
 // count/datatype, which MPI requires to describe the same bytes, so
 // the two sides always agree.
 func chooseBlockStream(bytes int, dt *Datatype) bool {
-	if !segmentable(dt) {
-		return false
-	}
-	switch collCfg.force {
-	case forceFlat:
-		return false
-	case forcePipeline:
-		return bytes > 0
-	}
-	return bytes > collCfg.segBytes
+	return segmentable(dt) && bytes > collCfg.segBytes
 }
 
 // recordAlgo emits a CollectiveAlgo event so traces show which variant

@@ -23,12 +23,14 @@ func BenchmarkColl(b *testing.B) {
 		{"1MiB", 1 << 20},
 	}
 	nps := []int{4, 8, 16}
+	// flat raises the segment and RSAG thresholds past every payload;
+	// pipe is the library's own table.
 	modes := []struct {
-		name  string
-		force collForce
+		name string
+		tune collTuning
 	}{
-		{"flat", forceFlat},
-		{"pipe", forceAuto},
+		{"flat", collTuning{segBytes: 1 << 30, window: defaultColl.window, rsagBytes: 1 << 30, hierBytes: defaultColl.hierBytes}},
+		{"pipe", defaultColl},
 	}
 
 	type collCase struct {
@@ -59,7 +61,7 @@ func BenchmarkColl(b *testing.B) {
 						b.Run(fmt.Sprintf("np%d", np), func(b *testing.B) {
 							for _, mode := range modes {
 								b.Run(mode.name, func(b *testing.B) {
-									restore := setColl(defaultSegmentBytes, defaultCollWindow, mode.force)
+									restore := setColl(mode.tune)
 									defer restore()
 									elems := sz.bytes / 8
 									b.SetBytes(int64(sz.bytes))

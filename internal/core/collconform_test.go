@@ -12,16 +12,36 @@ import (
 // unsegmented baseline, across commutative and non-commutative ops,
 // derived datatypes, and payload sizes straddling the segment, eager
 // and rendezvous boundaries (including off-by-one on the segment
-// boundary). The forced segment size is 1 KiB so even small payloads
-// split into several segments; over niodev the eager limit is 2 KiB so
-// the same sizes also straddle the eager→rendezvous switch.
+// boundary). Each variant is reached through the size table, not by
+// naming it: pipeTune's 1 KiB segments split even small payloads,
+// flatTune's segment is larger than any payload, and rdTune/rsagTune
+// put the Allreduce threshold above or below every payload. Over
+// niodev the eager limit is 2 KiB so the same sizes also straddle the
+// eager→rendezvous switch.
+
+// defaultColl is the table the library runs with.
+var defaultColl = collCfg
+
+// segTuning is the default table with another segment size and window.
+func segTuning(seg, window int) collTuning {
+	t := defaultColl
+	t.segBytes, t.window = seg, window
+	return t
+}
+
+var (
+	pipeTune = segTuning(1024, 2)
+	flatTune = collTuning{segBytes: 1 << 30, window: 2, rsagBytes: 1 << 30, hierBytes: defaultColl.hierBytes}
+	rdTune   = collTuning{segBytes: 1024, window: 2, rsagBytes: 1 << 30, hierBytes: defaultColl.hierBytes}
+	rsagTune = collTuning{segBytes: 1024, window: 2, rsagBytes: 0, hierBytes: defaultColl.hierBytes}
+)
 
 // setColl swaps the collective tuning; the caller must invoke the
 // returned restore after the world has shut down (never while one is
 // running).
-func setColl(seg, window int, force collForce) (restore func()) {
+func setColl(tune collTuning) (restore func()) {
 	old := collCfg
-	collCfg = collTuning{segBytes: seg, window: window, force: force}
+	collCfg = tune
 	return func() { collCfg = old }
 }
 
@@ -94,8 +114,8 @@ func foldExpected(n, count int, input func(rank, count int) []int64) []int64 {
 
 func collConformance(t *testing.T, np int, run worldRunner) {
 	t.Run("BcastLong", func(t *testing.T) {
-		for _, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				for _, count := range conformCounts {
@@ -107,12 +127,12 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 							}
 						}
 						if err := w.Bcast(buf, 0, count, LONG, root); err != nil {
-							t.Errorf("Bcast(count=%d,root=%d,force=%d): %v", count, root, force, err)
+							t.Errorf("Bcast(count=%d,root=%d,tune=%v): %v", count, root, tune, err)
 							return
 						}
 						for i := range buf {
 							if buf[i] != int64(i*3+1) {
-								t.Errorf("Bcast(count=%d,root=%d,force=%d): elem %d = %d", count, root, force, i, buf[i])
+								t.Errorf("Bcast(count=%d,root=%d,tune=%v): elem %d = %d", count, root, tune, i, buf[i])
 								return
 							}
 						}
@@ -124,8 +144,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 	})
 
 	t.Run("BcastDerived", func(t *testing.T) {
-		for _, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				// Contiguous derived type: zero-copy view path.
@@ -191,8 +211,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 	})
 
 	t.Run("ReduceSumExact", func(t *testing.T) {
-		for _, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				n := w.Size()
@@ -204,15 +224,15 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 						}
 						recv := make([]int64, count)
 						if err := w.Reduce(send, 0, recv, 0, count, LONG, SUM, root); err != nil {
-							t.Errorf("Reduce(count=%d,root=%d,force=%d): %v", count, root, force, err)
+							t.Errorf("Reduce(count=%d,root=%d,tune=%v): %v", count, root, tune, err)
 							return
 						}
 						if rank == root {
 							for i := range recv {
 								want := int64(7*n*(n-1)/2 + n*i)
 								if recv[i] != want {
-									t.Errorf("Reduce(count=%d,root=%d,force=%d): elem %d = %d, want %d",
-										count, root, force, i, recv[i], want)
+									t.Errorf("Reduce(count=%d,root=%d,tune=%v): elem %d = %d, want %d",
+										count, root, tune, i, recv[i], want)
 									return
 								}
 							}
@@ -232,8 +252,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 		const count = 400
 		const root = 0
 		results := make([][]float64, 2)
-		for idx, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for idx, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			out := make([]float64, count)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
@@ -243,7 +263,7 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 				}
 				recv := make([]float64, count)
 				if err := w.Reduce(send, 0, recv, 0, count, DOUBLE, SUM, root); err != nil {
-					t.Errorf("Reduce double (force=%d): %v", force, err)
+					t.Errorf("Reduce double (tune=%v): %v", tune, err)
 					return
 				}
 				if rank == root {
@@ -264,16 +284,16 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 	t.Run("ReduceNonCommutative", func(t *testing.T) {
 		// Segment-splittable matrix op (atom 4) and the same op with
 		// whole-message application (no atom): both must reproduce the
-		// flat rank-ordered fold exactly, via the legacy buffer-all
-		// path (forceFlat) and the streamed bounded-window fold (auto).
+		// flat rank-ordered fold exactly through the streamed
+		// bounded-window fold, in one segment and in several.
 		counts := []int{4, 128, 132, 400, 402}
-		for _, force := range []collForce{forceFlat, forceAuto} {
+		for _, tune := range []collTuning{flatTune, pipeTune} {
 			for _, atom := range []bool{true, false} {
 				op := matProdOp()
 				if !atom {
 					op = NewOp(matProdFn, false)
 				}
-				restore := setColl(1024, 2, force)
+				restore := setColl(tune)
 				run(t, np, func(p *Process, w *Intracomm) {
 					rank := w.Rank()
 					n := w.Size()
@@ -281,15 +301,15 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 						for _, root := range []int{0, np - 1} {
 							recv := make([]int64, count)
 							if err := w.Reduce(matInput(rank, count), 0, recv, 0, count, LONG, op, root); err != nil {
-								t.Errorf("Reduce mat(count=%d,root=%d,force=%d,atom=%v): %v", count, root, force, atom, err)
+								t.Errorf("Reduce mat(count=%d,root=%d,tune=%v,atom=%v): %v", count, root, tune, atom, err)
 								return
 							}
 							if rank == root {
 								want := foldExpected(n, count, matInput)
 								for i := range recv {
 									if recv[i] != want[i] {
-										t.Errorf("Reduce mat(count=%d,root=%d,force=%d,atom=%v): elem %d = %d, want %d",
-											count, root, force, atom, i, recv[i], want[i])
+										t.Errorf("Reduce mat(count=%d,root=%d,tune=%v,atom=%v): elem %d = %d, want %d",
+											count, root, tune, atom, i, recv[i], want[i])
 										return
 									}
 								}
@@ -304,8 +324,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 
 	t.Run("AllreduceVariants", func(t *testing.T) {
 		counts := append(append([]int{}, conformCounts...), 8192, 8193)
-		for _, force := range []collForce{forceRD, forceRSAG, forceAuto} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{rdTune, rsagTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				n := w.Size()
@@ -316,13 +336,13 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 					}
 					recv := make([]int64, count)
 					if err := w.Allreduce(send, 0, recv, 0, count, LONG, SUM); err != nil {
-						t.Errorf("Allreduce(count=%d,force=%d): %v", count, force, err)
+						t.Errorf("Allreduce(count=%d,tune=%v): %v", count, tune, err)
 						return
 					}
 					for i := range recv {
 						want := int64(7*n*(n-1)/2 + n*i)
 						if recv[i] != want {
-							t.Errorf("Allreduce(count=%d,force=%d): elem %d = %d, want %d", count, force, i, recv[i], want)
+							t.Errorf("Allreduce(count=%d,tune=%v): elem %d = %d, want %d", count, tune, i, recv[i], want)
 							return
 						}
 					}
@@ -336,8 +356,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 		// MAXLOC's (value,index) pairs are 2-element atoms: segment and
 		// stripe splits must never separate a pair.
 		pairCounts := []int{8, 256, 514}
-		for _, force := range []collForce{forceRD, forceRSAG, forceAuto} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{rdTune, rsagTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				n := w.Size()
@@ -350,7 +370,7 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 					}
 					recv := make([]int64, elems)
 					if err := w.Allreduce(send, 0, recv, 0, elems, LONG, MAXLOC); err != nil {
-						t.Errorf("Allreduce MAXLOC(elems=%d,force=%d): %v", elems, force, err)
+						t.Errorf("Allreduce MAXLOC(elems=%d,tune=%v): %v", elems, tune, err)
 						return
 					}
 					for k := 0; k < elems/2; k++ {
@@ -361,8 +381,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 							}
 						}
 						if recv[2*k] != bestV || recv[2*k+1] != bestR {
-							t.Errorf("Allreduce MAXLOC(elems=%d,force=%d): pair %d = (%d,%d), want (%d,%d)",
-								elems, force, k, recv[2*k], recv[2*k+1], bestV, bestR)
+							t.Errorf("Allreduce MAXLOC(elems=%d,tune=%v): pair %d = (%d,%d), want (%d,%d)",
+								elems, tune, k, recv[2*k], recv[2*k+1], bestV, bestR)
 							return
 						}
 					}
@@ -374,8 +394,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 
 	t.Run("ScatterGather", func(t *testing.T) {
 		blockCounts := []int{127, 129, 300}
-		for _, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				n := w.Size()
@@ -389,12 +409,12 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 					}
 					block := make([]int64, count)
 					if err := w.Scatter(sendAll, 0, count, LONG, block, 0, count, LONG, 0); err != nil {
-						t.Errorf("Scatter(count=%d,force=%d): %v", count, force, err)
+						t.Errorf("Scatter(count=%d,tune=%v): %v", count, tune, err)
 						return
 					}
 					for i := range block {
 						if want := int64((rank*count + i) * 11); block[i] != want {
-							t.Errorf("Scatter(count=%d,force=%d): elem %d = %d, want %d", count, force, i, block[i], want)
+							t.Errorf("Scatter(count=%d,tune=%v): elem %d = %d, want %d", count, tune, i, block[i], want)
 							return
 						}
 					}
@@ -406,13 +426,13 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 						recvAll = make([]int64, n*count)
 					}
 					if err := w.Gather(block, 0, count, LONG, recvAll, 0, count, LONG, 0); err != nil {
-						t.Errorf("Gather(count=%d,force=%d): %v", count, force, err)
+						t.Errorf("Gather(count=%d,tune=%v): %v", count, tune, err)
 						return
 					}
 					if rank == 0 {
 						for i := range recvAll {
 							if want := int64(i*11 + i/count); recvAll[i] != want {
-								t.Errorf("Gather(count=%d,force=%d): elem %d = %d, want %d", count, force, i, recvAll[i], want)
+								t.Errorf("Gather(count=%d,tune=%v): elem %d = %d, want %d", count, tune, i, recvAll[i], want)
 								return
 							}
 						}
@@ -426,8 +446,8 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 	t.Run("GathervDerivedRoot", func(t *testing.T) {
 		// Root receives through a strided vector type, so the streamed
 		// blocks land in scratch and scatter back through the layout.
-		for _, force := range []collForce{forceFlat, forcePipeline} {
-			restore := setColl(1024, 2, force)
+		for _, tune := range []collTuning{flatTune, pipeTune} {
+			restore := setColl(tune)
 			run(t, np, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
 				n := w.Size()
@@ -456,7 +476,7 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 					}
 				}
 				if err := w.Gatherv(send, 0, scount, LONG, recv, 0, rcounts, displs, vdt, 0); err != nil {
-					t.Errorf("Gatherv derived(force=%d): %v", force, err)
+					t.Errorf("Gatherv derived(tune=%v): %v", tune, err)
 					return
 				}
 				if rank == 0 {
@@ -476,7 +496,7 @@ func collConformance(t *testing.T, np int, run worldRunner) {
 					}
 					for i := range recv {
 						if recv[i] != want[i] {
-							t.Errorf("Gatherv derived(force=%d): elem %d = %d, want %d", force, i, recv[i], want[i])
+							t.Errorf("Gatherv derived(tune=%v): elem %d = %d, want %d", tune, i, recv[i], want[i])
 							return
 						}
 					}
@@ -502,7 +522,7 @@ func TestCollConformanceNio(t *testing.T) {
 // (ThreadMultiple), sized so every call pipelines. Run under -race it
 // checks the stream/window machinery shares nothing it shouldn't.
 func TestCollectivesConcurrentStress(t *testing.T) {
-	restore := setColl(4096, 3, forceAuto)
+	restore := setColl(segTuning(4096, 3))
 	defer restore()
 	const (
 		iters = 8

@@ -372,8 +372,7 @@ func (c *Intracomm) Gather(sendbuf any, soff, scount int, sdt *Datatype,
 	// Algorithm choice must agree across ranks: decide from the send
 	// signature, which MPI requires to match the receive signature.
 	blockBytes := payloadBytes(scount, sdt)
-	if collCfg.force != forcePipeline && n >= 4 && sdt.Base() != OBJECT.Base() &&
-		blockBytes > 0 && blockBytes <= binomialGatherThresholdBytes {
+	if n >= 4 && sdt.Base() != OBJECT.Base() && blockBytes > 0 && blockBytes <= binomialGatherThresholdBytes {
 		c.recordAlgo(mpe.CollGather, mpe.AlgoBinomialGather, blockBytes*n)
 		scratch, err := toScratch(sendbuf, soff, scount, sdt)
 		if err != nil {
@@ -633,8 +632,7 @@ func (c *Intracomm) Alltoallv(sendbuf any, soff int, scounts, sdispls []int, sdt
 // leaving the result in root's recvbuf. Commutative ops ride a
 // binomial tree, pipelined per segment above the segment size;
 // non-commutative ops use a streamed rank-ordered fold whose root
-// memory is bounded by the window, falling back to the buffer-all
-// flat fold only when flat is forced.
+// memory is bounded by the window.
 func (c *Intracomm) Reduce(sendbuf any, soff int, recvbuf any, roff, count int,
 	dt *Datatype, op *Op, root int) error {
 	defer c.phase(mpe.CollReduce)()
@@ -677,35 +675,7 @@ func (c *Intracomm) Reduce(sendbuf any, soff int, recvbuf any, roff, count int,
 		return nil
 	}
 
-	if !op.commute {
-		// Order-preserving fold at the root.
-		if rank != root {
-			return c.collSend(scratch, 0, elems, bdt, root, tagReduce)
-		}
-		parts := make([]any, n)
-		parts[rank] = scratch
-		for i := 0; i < n; i++ {
-			if i == rank {
-				continue
-			}
-			p, err := allocLike(scratch, elems)
-			if err != nil {
-				return err
-			}
-			if err := c.collRecv(p, 0, elems, bdt, i, tagReduce); err != nil {
-				return err
-			}
-			parts[i] = p
-		}
-		acc := parts[n-1]
-		for i := n - 2; i >= 0; i-- {
-			if err := op.apply(parts[i], acc); err != nil {
-				return err
-			}
-		}
-		return fromScratch(acc, recvbuf, roff, count, dt)
-	}
-
+	// Store-and-forward: fold whole payloads up the binomial tree.
 	rel := (rank - root + n) % n
 	mask := 1
 	for mask < n {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,6 +17,13 @@ import (
 // "nodes" are real, which is exactly what these tests exploit.
 func runPlacedWorld(t *testing.T, n int, nodeOf []int, fn func(p *Process, w *Intracomm)) {
 	t.Helper()
+	runRecordedWorld(t, n, nodeOf, nil, fn)
+}
+
+// runRecordedWorld is runPlacedWorld with rec, when non-nil, as every
+// rank's event recorder.
+func runRecordedWorld(t *testing.T, n int, nodeOf []int, rec mpe.Recorder, fn func(p *Process, w *Intracomm)) {
+	t.Helper()
 	group := fmt.Sprintf("core-hier-%d", groupCounter.Add(1))
 	procs := make([]*Process, n)
 	errs := make([]error, n)
@@ -27,7 +33,7 @@ func runPlacedWorld(t *testing.T, n int, nodeOf []int, fn func(p *Process, w *In
 		go func(rank int) {
 			defer wg.Done()
 			procs[rank], errs[rank] = Init(smpdev.New(), xdev.Config{
-				Rank: rank, Size: n, Group: group, NodeOf: nodeOf,
+				Rank: rank, Size: n, Group: group, NodeOf: nodeOf, Recorder: rec,
 			})
 		}(i)
 	}
@@ -136,7 +142,8 @@ var hierPlacements = map[string][]int{
 	"4x2":             {0, 0, 1, 1, 2, 2, 3, 3},
 }
 
-// TestHierCollectivesMatchFlat forces the hierarchical family and
+// TestHierCollectivesMatchFlat drops the hierarchical threshold to zero,
+// so every call on these multi-node placements goes two-level, and
 // checks Bcast/Reduce/Allreduce against locally computed expectations
 // for payloads straddling the leader-phase RSAG stripe gate, with
 // leader and non-leader roots.
@@ -144,7 +151,7 @@ func TestHierCollectivesMatchFlat(t *testing.T) {
 	const np = 8
 	for name, nodeOf := range hierPlacements {
 		t.Run(name, func(t *testing.T) {
-			restore := setColl(1024, 2, forceHier)
+			restore := setColl(collTuning{segBytes: 1024, window: 2, rsagBytes: defaultColl.rsagBytes, hierBytes: 0})
 			defer restore()
 			runPlacedWorld(t, np, nodeOf, func(p *Process, w *Intracomm) {
 				rank := w.Rank()
@@ -213,62 +220,120 @@ func TestHierCollectivesMatchFlat(t *testing.T) {
 	}
 }
 
-// TestHierAutoSelection: the auto table only goes hierarchical past
+// TestHierAutoSelection: the default table only goes hierarchical past
 // the size threshold on a genuinely multi-node placement.
 func TestHierAutoSelection(t *testing.T) {
-	restore := setColl(defaultSegmentBytes, defaultCollWindow, forceAuto)
+	restore := setColl(defaultColl)
 	defer restore()
 	runPlacedWorld(t, 4, []int{0, 0, 1, 1}, func(p *Process, w *Intracomm) {
-		if got := w.chooseBcast(hierThresholdBytes, LONG); got != mpe.AlgoHierarchical {
+		if got := w.chooseBcast(defaultColl.hierBytes, LONG); got != mpe.AlgoHierarchical {
 			t.Errorf("chooseBcast(big) = %s, want hierarchical", mpe.AlgoName(got))
 		}
 		if got := w.chooseBcast(100, LONG); got == mpe.AlgoHierarchical {
 			t.Errorf("chooseBcast(small) picked hierarchical")
 		}
-		if got := w.chooseAllreduce(hierThresholdBytes, hierThresholdBytes/8, LONG, SUM); got != mpe.AlgoHierarchical {
+		if got := w.chooseAllreduce(defaultColl.hierBytes, defaultColl.hierBytes/8, LONG, SUM); got != mpe.AlgoHierarchical {
 			t.Errorf("chooseAllreduce(big) = %s, want hierarchical", mpe.AlgoName(got))
 		}
 	})
 	// Single node: never hierarchical, regardless of size.
 	runPlacedWorld(t, 4, []int{0, 0, 0, 0}, func(p *Process, w *Intracomm) {
-		if got := w.chooseBcast(hierThresholdBytes, LONG); got == mpe.AlgoHierarchical {
+		if got := w.chooseBcast(defaultColl.hierBytes, LONG); got == mpe.AlgoHierarchical {
 			t.Errorf("single-node chooseBcast picked hierarchical")
 		}
 	})
 }
 
-// TestUnknownCollAlgoRejected: a misspelled MPJ_COLL_ALGO must fail
-// InitThread with the typed error, not silently fall back (satellite
-// of the hierarchical-collectives change; previously loadCollTuning
-// ignored unknown names).
-func TestUnknownCollAlgoRejected(t *testing.T) {
-	t.Setenv(EnvCollAlgo, "rabenseifner") // plausible typo for rsag
-	_, _, err := InitThread(smpdev.New(), xdev.Config{Rank: 0, Size: 1, Group: "coll-algo-reject"}, ThreadMultiple)
-	if err == nil {
-		t.Fatal("InitThread accepted an unknown MPJ_COLL_ALGO")
-	}
-	if !errors.Is(err, ErrUnknownCollAlgo) {
-		t.Fatalf("InitThread error %v does not wrap ErrUnknownCollAlgo", err)
-	}
+// algoRecorder keeps the (collective, algorithm) pairs of every
+// CollectiveAlgo event; all other events are dropped.
+type algoRecorder struct {
+	mpe.Nop
+	mu   sync.Mutex
+	seen map[[2]int32]bool
 }
 
-// TestCollAlgoNamesAccepted: every documented family name parses, in
-// either case, including the aliases.
-func TestCollAlgoNamesAccepted(t *testing.T) {
-	want := map[string]collForce{
-		"":         forceAuto,
-		"auto":     forceAuto,
-		"flat":     forceFlat,
-		"Flat":     forceFlat,
-		"PIPELINE": forcePipeline, "pipelined": forcePipeline,
-		"rd": forceRD, "recursive-doubling": forceRD,
-		"rsag": forceRSAG, "reduce-scatter-allgather": forceRSAG,
-		"hier": forceHier, "hierarchical": forceHier,
+func (r *algoRecorder) Enabled() bool { return true }
+
+func (r *algoRecorder) Event(typ mpe.EventType, peer, tag, ctx int32, bytes int64) {
+	if typ != mpe.CollectiveAlgo {
+		return
 	}
-	for in, f := range want {
-		got, err := parseCollForce(in)
-		if err != nil || got != f {
-			t.Errorf("parseCollForce(%q) = %v, %v; want %v", in, got, err, f)
+	r.mu.Lock()
+	r.seen[[2]int32{tag, peer}] = true
+	r.mu.Unlock()
+}
+
+// TestCollTableReachesEveryAlgorithm runs each collective at sizes on
+// both sides of every threshold of a scaled-down table, on a placement
+// spanning two nodes, and checks from the CollectiveAlgo events that
+// the table picked every algorithm it has.
+func TestCollTableReachesEveryAlgorithm(t *testing.T) {
+	restore := setColl(collTuning{segBytes: 1024, window: 2, rsagBytes: 4 << 10, hierBytes: 16 << 10})
+	defer restore()
+	const (
+		small = 1    // 8 B: under every threshold
+		mid   = 300  // 2400 B: over the segment, under RSAG and hier
+		rsag  = 1024 // 8 KiB: over RSAG, under hier
+		big   = 4096 // 32 KiB: over hier
+	)
+	want := []struct{ kind, algo int32 }{
+		{mpe.CollBcast, mpe.AlgoStoreForward},
+		{mpe.CollBcast, mpe.AlgoPipelined},
+		{mpe.CollBcast, mpe.AlgoHierarchical},
+		{mpe.CollReduce, mpe.AlgoStoreForward},
+		{mpe.CollReduce, mpe.AlgoPipelined},
+		{mpe.CollReduce, mpe.AlgoHierarchical},
+		{mpe.CollReduce, mpe.AlgoStreamedFold},
+		{mpe.CollAllreduce, mpe.AlgoRecursiveDoubling},
+		{mpe.CollAllreduce, mpe.AlgoReduceScatterAllgather},
+		{mpe.CollAllreduce, mpe.AlgoHierarchical},
+		{mpe.CollGather, mpe.AlgoBinomialGather},
+		{mpe.CollGatherv, mpe.AlgoStoreForward},
+		{mpe.CollGatherv, mpe.AlgoPipelined},
+		{mpe.CollScatterv, mpe.AlgoStoreForward},
+		{mpe.CollScatterv, mpe.AlgoPipelined},
+		{mpe.CollAllgatherv, mpe.AlgoRing},
+	}
+	for _, np := range []int{4, 8} {
+		nodeOf := make([]int, np)
+		for i := range nodeOf {
+			nodeOf[i] = i * 2 / np
+		}
+		rec := &algoRecorder{seen: make(map[[2]int32]bool)}
+		runRecordedWorld(t, np, nodeOf, rec, func(p *Process, w *Intracomm) {
+			check := func(what string, err error) {
+				if err != nil {
+					t.Errorf("np %d rank %d: %s: %v", np, w.Rank(), what, err)
+				}
+			}
+			buf := make([]int64, big)
+			out := make([]int64, big)
+			all := make([]int64, np*big)
+			for _, count := range []int{small, mid, rsag, big} {
+				check("Bcast", w.Bcast(buf, 0, count, LONG, 0))
+				check("Reduce", w.Reduce(buf, 0, out, 0, count, LONG, SUM, 0))
+				check("Allreduce", w.Allreduce(buf, 0, out, 0, count, LONG, SUM))
+			}
+			check("Reduce non-commutative", w.Reduce(matInput(w.Rank(), 8), 0, out, 0, 8, LONG, matProdOp(), 0))
+			for _, count := range []int{small, mid} {
+				check("Gather", w.Gather(buf, 0, count, LONG, all, 0, count, LONG, 0))
+				check("Scatter", w.Scatter(all, 0, count, LONG, buf, 0, count, LONG, 0))
+			}
+			counts := make([]int, np)
+			displs := make([]int, np)
+			for i := range counts {
+				counts[i], displs[i] = small, i*small
+			}
+			check("Gatherv", w.Gatherv(buf, 0, small, LONG, all, 0, counts, displs, LONG, 0))
+			for i := range counts {
+				counts[i], displs[i] = rsag, i*rsag
+			}
+			check("Allgatherv", w.Allgatherv(buf, 0, rsag, LONG, all, 0, counts, displs, LONG))
+		})
+		for _, pair := range want {
+			if !rec.seen[[2]int32{pair.kind, pair.algo}] {
+				t.Errorf("np %d: %s never picked %s", np, mpe.CollName(pair.kind), mpe.AlgoName(pair.algo))
+			}
 		}
 	}
 }

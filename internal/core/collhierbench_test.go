@@ -93,8 +93,10 @@ func hybridBenchPlacements(n int) map[string][]int {
 
 // BenchmarkHybridColl is the flat-vs-hierarchical comparison on the
 // hybrid device: np=16 across two simulated nodes, Bcast and Allreduce
-// from 64 KiB to 4 MiB. "flat" forces the best placement-blind
-// algorithms (pipelined Bcast, RSAG Allreduce); "hier" forces the
+// from 64 KiB to 4 MiB. "flat" raises the hierarchical threshold past
+// every payload and drops the RSAG one to zero, so the table picks the
+// best placement-blind algorithms (pipelined Bcast, RSAG Allreduce);
+// "hier" drops the hierarchical threshold to zero, so it picks the
 // two-level node-leader family. Routing is identical in both modes —
 // only the algorithm changes.
 //
@@ -111,11 +113,11 @@ func BenchmarkHybridColl(b *testing.B) {
 		{"4MiB", 4 << 20},
 	}
 	modes := []struct {
-		name  string
-		force collForce
+		name string
+		tune collTuning
 	}{
-		{"flat", forceRSAG},
-		{"hier", forceHier},
+		{"flat", collTuning{segBytes: defaultColl.segBytes, window: defaultColl.window, rsagBytes: 0, hierBytes: 1 << 30}},
+		{"hier", collTuning{segBytes: defaultColl.segBytes, window: defaultColl.window, rsagBytes: defaultColl.rsagBytes, hierBytes: 0}},
 	}
 	type collCase struct {
 		name string
@@ -138,7 +140,7 @@ func BenchmarkHybridColl(b *testing.B) {
 						b.Run(place, func(b *testing.B) {
 							for _, mode := range modes {
 								b.Run(mode.name, func(b *testing.B) {
-									restore := setColl(defaultSegmentBytes, defaultCollWindow, mode.force)
+									restore := setColl(mode.tune)
 									defer restore()
 									elems := sz.bytes / 8
 									b.SetBytes(int64(sz.bytes))

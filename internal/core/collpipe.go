@@ -48,6 +48,9 @@ func planSegments(elems, elemBytes, atom int) segPlan {
 	if se < atom {
 		se = atom
 	}
+	if se > elems && elems > 0 {
+		se = elems // one segment holds the payload; size no slot past it
+	}
 	segs := (elems + se - 1) / se
 	if segs < 1 {
 		segs = 1
@@ -208,7 +211,7 @@ type pendSeg struct {
 // unexpected. Each posted receive holds a request and a posted-set
 // entry until its segment lands; the cap keeps that per-collective
 // state independent of the payload size when a payload is cut into
-// many small segments (MPJ_COLL_SEGMENT).
+// many small segments.
 const landingCap = 64
 
 // recvStream posts segment receives from one source and delivers them

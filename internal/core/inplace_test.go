@@ -36,10 +36,10 @@ var collWorlds = map[string]func(t *testing.T, fn func(p *Process, w *Intracomm)
 // time and so are never throttled by a receive window, and on the
 // hybrid device's hierarchical tree.
 func TestLandingBcastNoUnexpected(t *testing.T) {
-	restore := setColl(defaultSegmentBytes, defaultCollWindow, forceAuto)
+	restore := setColl(defaultColl)
 	defer restore()
 	const elems = 1 << 17
-	segs := elems * 8 / defaultSegmentBytes
+	segs := elems * 8 / defaultColl.segBytes
 	for _, dev := range []string{"smpdev", "hybrid"} {
 		var unexpected, matched atomic.Uint64
 		var mu sync.Mutex
@@ -100,7 +100,7 @@ func TestLandingBcastNoUnexpected(t *testing.T) {
 // receives posted for one collective (landingCap, pinned here as a
 // number so that raising the constant fails the test).
 func TestLandingStreamsBounded(t *testing.T) {
-	restore := setColl(1<<10, defaultCollWindow, forceAuto)
+	restore := setColl(segTuning(1<<10, defaultColl.window))
 	defer restore()
 	const np, elems, block, maxPosted = 4, 1 << 17, 1 << 15, 64
 	for _, dev := range []string{"smpdev", "niodev"} {
@@ -180,7 +180,7 @@ func settledPosted(devs []xdev.Device) int {
 // 1 MiB Bcast is 1024 segments per receiver and a Gather of 256 KiB
 // blocks is 768 at the root; both must succeed.
 func TestLandingStreamsBoundedOnIbisdev(t *testing.T) {
-	restore := setColl(1<<10, defaultCollWindow, forceAuto)
+	restore := setColl(segTuning(1<<10, defaultColl.window))
 	defer restore()
 	const np, elems, block = 4, 1 << 17, 1 << 15
 	if segs := (np - 1) * block * 8 >> 10; segs <= ibisdev.DefaultMaxThreads {
@@ -257,7 +257,7 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	restore := setColl(defaultSegmentBytes, defaultCollWindow, forceAuto)
+	restore := setColl(defaultColl)
 	defer restore()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs, elems, np = 20, 32 << 10, 4
@@ -302,7 +302,7 @@ func TestAllreduceSteadyStateAllocs(t *testing.T) {
 // reduce-scatter+allgather (smpdev, niodev) and the hierarchical path
 // (hybrid); the result is bit-identical to the unaliased call.
 func TestAllreduceAliasedBuffers(t *testing.T) {
-	restore := setColl(defaultSegmentBytes, defaultCollWindow, forceAuto)
+	restore := setColl(defaultColl)
 	defer restore()
 	for dev, world := range collWorlds {
 		world(t, func(p *Process, w *Intracomm) {

@@ -108,9 +108,6 @@ func InitThread(dev xdev.Device, cfg xdev.Config, required ThreadLevel) (*Proces
 	if required < ThreadSingle || required > ThreadMultiple {
 		return nil, 0, fmt.Errorf("core: invalid thread level %d", int(required))
 	}
-	if err := validateCollEnv(); err != nil {
-		return nil, 0, err
-	}
 	pids, err := dev.Init(cfg)
 	if err != nil {
 		return nil, 0, err

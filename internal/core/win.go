@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"mpj/internal/mpjbuf"
 	"mpj/internal/mpjdev"
@@ -16,13 +14,6 @@ import (
 // Fence and Lock/Unlock provide active- and passive-target
 // synchronization. The mechanics — shared-memory direct delivery on
 // smpdev, active-message frames elsewhere — live in internal/rma.
-
-// EnvRmaSegment sets the payload size, in bytes, that one-sided
-// transfers are split into on the active-message path (default
-// 64 KiB). Like the collective knobs it must agree across ranks only
-// in the sense that each origin segments its own traffic; mismatched
-// values are functionally harmless.
-const EnvRmaSegment = "MPJ_RMA_SEGMENT"
 
 // Lock types for Win.Lock (MPI_LOCK_SHARED / MPI_LOCK_EXCLUSIVE).
 const (
@@ -124,14 +115,7 @@ func (c *Intracomm) WinCreate(buf []byte) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := 0
-	if v := os.Getenv(EnvRmaSegment); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			seg = n
-		}
-	}
 	w, err := rma.New(dc, buf, rma.Config{
-		Segment:  seg,
 		Counters: c.p.counters,
 		Recorder: c.p.rec,
 	})

@@ -205,6 +205,10 @@ func (d *Device) SendOverhead() int { return d.nio.SendOverhead() }
 // RecvOverhead reports the worst-case per-message overhead.
 func (d *Device) RecvOverhead() int { return d.nio.RecvOverhead() }
 
+// EagerLimit reports the wire path's eager→rendezvous switch point; the
+// shared-memory path has no rendezvous.
+func (d *Device) EagerLimit() int { return d.nio.EagerLimit() }
+
 // ISend starts a standard-mode non-blocking send on the route to dst.
 func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
 	if err := d.ready("isend"); err != nil {

@@ -138,18 +138,10 @@ func (c *Comm) status(st xdev.Status) Status {
 	return Status{Source: src, Tag: st.Tag, Bytes: st.Bytes}
 }
 
-type reqKind uint8
-
-const (
-	sendKind reqKind = iota
-	recvKind
-)
-
 // Request is a rank-level in-flight operation.
 type Request struct {
 	comm  *Comm
 	inner xdev.Request
-	kind  reqKind
 }
 
 // Isend starts a standard-mode non-blocking send to dst.
@@ -162,7 +154,7 @@ func (c *Comm) Isend(buf *mpjbuf.Buffer, dst, tag int) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Request{comm: c, inner: r, kind: sendKind}, nil
+	return &Request{comm: c, inner: r}, nil
 }
 
 // Send is a blocking standard-mode send to dst.
@@ -184,7 +176,7 @@ func (c *Comm) Issend(buf *mpjbuf.Buffer, dst, tag int) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Request{comm: c, inner: r, kind: sendKind}, nil
+	return &Request{comm: c, inner: r}, nil
 }
 
 // Ssend is a blocking synchronous-mode send to dst.
@@ -206,7 +198,7 @@ func (c *Comm) Irecv(buf *mpjbuf.Buffer, src, tag int) (*Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Request{comm: c, inner: r, kind: recvKind}, nil
+	return &Request{comm: c, inner: r}, nil
 }
 
 // Recv blocks until a matching message is received from src.
@@ -264,46 +256,6 @@ func (r *Request) Test() (Status, bool, error) {
 		return Status{}, ok, err
 	}
 	return r.comm.status(st), true, nil
-}
-
-// IsRecv reports whether the request is a receive.
-func (r *Request) IsRecv() bool { return r.kind == recvKind }
-
-// WaitAll blocks until every non-nil request completes, returning the
-// statuses in request order.
-func WaitAll(reqs []*Request) ([]Status, error) {
-	sts := make([]Status, len(reqs))
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		st, err := r.Wait()
-		if err != nil {
-			return sts, fmt.Errorf("mpjdev: Waitall request %d: %w", i, err)
-		}
-		sts[i] = st
-	}
-	return sts, nil
-}
-
-// TestAll reports whether every non-nil request has completed; when it
-// has, the statuses are returned.
-func TestAll(reqs []*Request) ([]Status, bool, error) {
-	sts := make([]Status, len(reqs))
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		st, ok, err := r.Test()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		sts[i] = st
-	}
-	return sts, true, nil
 }
 
 // TestAny polls the array once; if some request has completed it

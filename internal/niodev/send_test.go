@@ -22,9 +22,12 @@ import (
 type gate struct {
 	release chan struct{}
 	once    sync.Once
+	// entered is closed when the first write reaches the gate.
+	entered   chan struct{}
+	enterOnce sync.Once
 }
 
-func newGate() *gate { return &gate{release: make(chan struct{})} }
+func newGate() *gate { return &gate{release: make(chan struct{}), entered: make(chan struct{})} }
 
 func (g *gate) open() { g.once.Do(func() { close(g.release) }) }
 
@@ -45,6 +48,7 @@ type gatedConn struct {
 }
 
 func (c *gatedConn) Write(p []byte) (int, error) {
+	c.g.enterOnce.Do(func() { close(c.g.entered) })
 	select {
 	case <-c.g.release:
 	case <-c.closed:
@@ -334,7 +338,8 @@ func TestSendEngineFlushOnFinish(t *testing.T) {
 // end: with the connection to the peer wedged, one sender blocks in the
 // write and the others, whose payloads are too big to buffer, wait
 // behind it; all must wake with ErrPeerLost when the peer is declared
-// dead.
+// dead. The first sender is in the wedged write before the others
+// start, so its batch carries its own frame only.
 func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 	g := newGate()
 	runJob(t, 2, xdev.Config{}, func(d *Device, rank int, pids []xdev.ProcessID) {
@@ -344,19 +349,23 @@ func TestSendEngineBlockedEnqueueWokenByPeerDeath(t *testing.T) {
 		g.wedge(d, 1)
 		const senders = 3
 		errsCh := make(chan error, senders)
-		for i := 0; i < senders; i++ {
-			go func() {
-				buf := mpjbuf.New(0)
-				buf.WriteBytes(make([]byte, 8<<10), 0, 8<<10) // too big to buffer
-				errsCh <- d.Send(buf, pids[1], 9, 0)
-			}()
+		send := func() {
+			buf := mpjbuf.New(0)
+			buf.WriteBytes(make([]byte, 8<<10), 0, 8<<10) // too big to buffer
+			errsCh <- d.Send(buf, pids[1], 9, 0)
 		}
-		// One sender writes (and blocks); the other two queue behind it.
-		for deadline := time.Now().Add(10 * time.Second); d.queued(1) < senders-1; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Errorf("only %d senders queued behind the wedged write", d.queued(1))
-				break
-			}
+		go send()
+		select {
+		case <-g.entered:
+		case <-time.After(10 * time.Second):
+			t.Error("the first sender never reached the wedged write")
+			return
+		}
+		for i := 1; i < senders; i++ {
+			go send()
+		}
+		if !waitUntil(t, "two senders to queue behind the wedged write", func() bool { return d.queued(1) == senders-1 }) {
+			return
 		}
 		d.markPeerDead(1, errors.New("test: simulated peer failure"))
 		for i := 0; i < senders; i++ {

@@ -52,7 +52,7 @@ type TwoLevel struct {
 	CPUs int
 	// SegBytes is the collective segment size (pipelined trees move
 	// segments of this size, which stay on the eager path). 0 defaults
-	// to 32 KiB, matching internal/core's defaultSegmentBytes.
+	// to 32 KiB, matching internal/core's collCfg.segBytes.
 	SegBytes int
 	// OpNS is the per-byte cost of applying the reduction operator,
 	// counted once per folded stream in the Allreduce predictions. On

@@ -12,7 +12,7 @@
 // ride active-message frames on the window's private context: each
 // window runs one handler goroutine that receives frames and applies
 // them to the local region, and large transfers are segmented so
-// frames stay inside the devices' eager limits.
+// frames stay inside the device's eager limit.
 //
 // Synchronization follows MPI-2: Fence closes an active-target epoch —
 // after every rank's Fence returns, all one-sided operations issued
@@ -37,11 +37,40 @@ import (
 	"mpj/internal/xdev"
 )
 
-// DefaultSegment is the payload size one-sided transfers are split
-// into on the active-message path. It sits below every device's eager
-// threshold so RMA frames never enter a rendezvous exchange — the
+// DefaultSegment caps the payload size one-sided transfers are split
+// into on the active-message path. On a device that reports an eager
+// limit the segment shrinks until a whole frame fits under it (see
+// segmentFor), so RMA frames never enter a rendezvous exchange — the
 // target's handler must stay non-blocking.
 const DefaultSegment = 64 << 10
+
+// eagerLimiter is a device whose sends switch from eager to rendezvous
+// above a frame size (niodev, hybriddev).
+type eagerLimiter interface {
+	EagerLimit() int
+}
+
+// segmentFor returns the payload size one-sided transfers over dev are
+// split into: the largest multiple of 8 bytes, at most DefaultSegment,
+// whose packed frame stays within dev's eager limit. A device that
+// reports no limit gets DefaultSegment.
+func segmentFor(dev xdev.Device) (int, error) {
+	el, ok := dev.(eagerLimiter)
+	if !ok {
+		return DefaultSegment, nil
+	}
+	limit := el.EagerLimit()
+	probe, err := packFrame(frPut, 0, 0, 8, 0, 0, make([]byte, 8))
+	if err != nil {
+		return 0, err
+	}
+	framing := probe.WireLen() - 8
+	seg := min(DefaultSegment, limit-framing) &^ 7
+	if seg < 8 {
+		return 0, fmt.Errorf("rma: eager limit of %d bytes cannot carry a one-sided frame (%d bytes of framing + 8 of payload)", limit, framing)
+	}
+	return seg, nil
+}
 
 // maxOutstanding bounds the unacknowledged Put/Accumulate segments an
 // origin keeps in flight before it waits for acks — backpressure so a
@@ -65,8 +94,6 @@ var (
 
 // Config tunes a window.
 type Config struct {
-	// Segment overrides DefaultSegment when positive.
-	Segment int
 	// Counters receives RmaPuts/RmaGets/RmaAccs/RmaBytes accounting;
 	// nil discards it.
 	Counters *mpe.Counters
@@ -131,9 +158,9 @@ type Win struct {
 // rank's window exists and its handler is running. The comm must be
 // private to the window (a dedicated context); rma owns tag 0 on it.
 func New(comm *mpjdev.Comm, buf []byte, cfg Config) (*Win, error) {
-	seg := cfg.Segment
-	if seg <= 0 {
-		seg = DefaultSegment
+	seg, err := segmentFor(comm.Device())
+	if err != nil {
+		return nil, err
 	}
 	ctr := cfg.Counters
 	if ctr == nil {
@@ -353,20 +380,30 @@ func (w *Win) waitRep(wt *repWait, id uint64, target int) error {
 	}
 }
 
+// packFrame packs one active-message frame: the header words, then the
+// payload, if any.
+func packFrame(kind int64, opID uint64, off, n, a1, a2 int64, payload []byte) (*mpjbuf.Buffer, error) {
+	buf := mpjbuf.New(frameWords*8 + len(payload) + 16)
+	hdr := [frameWords]int64{kind, int64(opID), off, n, a1, a2}
+	if err := buf.WriteLongs(hdr[:], 0, frameWords); err != nil {
+		return nil, err
+	}
+	if len(payload) > 0 {
+		if err := buf.WriteBytes(payload, 0, len(payload)); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // sendFrame packs and sends one active-message frame. The send is
 // blocking (standard mode): frames are eager-sized, so it completes as
 // soon as the transport has buffered the frame and never waits on the
 // target's application.
 func (w *Win) sendFrame(dst int, kind int64, opID uint64, off, n, a1, a2 int64, payload []byte) error {
-	buf := mpjbuf.New(frameWords*8 + len(payload) + 16)
-	hdr := [frameWords]int64{kind, int64(opID), off, n, a1, a2}
-	if err := buf.WriteLongs(hdr[:], 0, frameWords); err != nil {
+	buf, err := packFrame(kind, opID, off, n, a1, a2, payload)
+	if err != nil {
 		return err
-	}
-	if len(payload) > 0 {
-		if err := buf.WriteBytes(payload, 0, len(payload)); err != nil {
-			return err
-		}
 	}
 	return w.comm.Send(buf, dst, rmaTag)
 }
@@ -686,11 +723,4 @@ func (w *Win) teardown() {
 		shmLeave(w.shmKey, w.comm.Rank())
 		w.shm = nil
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

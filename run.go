@@ -33,7 +33,8 @@ type Options struct {
 	// Empty reads MPJ_NODE_MAP; RunLocal then defaults to one node.
 	NodeMap string
 	// EagerLimit overrides the eager→rendezvous switch point in bytes
-	// (niodev only; default 128 KiB, the paper's TCP figure).
+	// (niodev, and hybrid's wire path; default 128 KiB, the paper's TCP
+	// figure). One-sided transfers size their segments to fit it.
 	EagerLimit int
 	// ThreadLevel is the requested MPI thread level; the provided
 	// level is always ThreadMultiple.
@@ -48,9 +49,6 @@ type Options struct {
 	// TraceDir is the directory per-rank trace files are written to.
 	// Empty selects $MPJ_TRACE_DIR, or "mpjtrace-out" if that is unset.
 	TraceDir string
-	// TraceEvents caps the per-rank event ring (oldest events are
-	// overwritten past the cap); 0 selects mpe.DefaultRingCapacity.
-	TraceEvents int
 	// RecordDir, when non-empty, records every nondeterministic decision
 	// each rank makes — wildcard match resolutions, completion-pop
 	// order, hybrid dual-post claims, agreement outcomes and the chaos
@@ -78,20 +76,12 @@ type Options struct {
 }
 
 func (o *Options) withDefaults() Options {
-	out := Options{Device: "niodev", ThreadLevel: ThreadMultiple}
+	out := Options{ThreadLevel: ThreadMultiple}
 	if o != nil {
-		if o.Device != "" {
-			out.Device = o.Device
-		}
-		out.NodeMap = o.NodeMap
-		out.EagerLimit = o.EagerLimit
-		out.ThreadLevel = o.ThreadLevel
-		out.Tracing = o.Tracing
-		out.TraceDir = o.TraceDir
-		out.TraceEvents = o.TraceEvents
-		out.MetricsAddr = o.MetricsAddr
-		out.RecordDir = o.RecordDir
-		out.ReplayDir = o.ReplayDir
+		out = *o
+	}
+	if out.Device == "" {
+		out.Device = "niodev"
 	}
 	if out.RecordDir == "" && out.ReplayDir == "" {
 		out.RecordDir, out.ReplayDir = replay.DirsFromEnv()
@@ -196,7 +186,7 @@ func RunLocalOpts(n int, opts *Options, body func(p *Process) error) error {
 			}
 			var tr *mpe.Tracer
 			if o.Tracing {
-				tr = mpe.NewTracer(rank, o.TraceEvents)
+				tr = mpe.NewTracer(rank, 0)
 				cfg.Recorder = tr
 			}
 			procs[rank], _, initErrs[rank] = core.InitThread(dev, cfg, o.ThreadLevel)
@@ -321,7 +311,11 @@ func installTraceHook(p *Process, tr *mpe.Tracer, dev xdev.Device, device string
 	})
 }
 
-// Environment variables used by the mpjrun/mpjdaemon bootstrap.
+// Environment variables the library reads: the mpjrun/mpjdaemon
+// bootstrap, placement, tracing, telemetry and record/replay. README's
+// environment table lists each one. Collective algorithms and segment
+// sizes are not among them: the collective size table and the device's
+// eager limit decide those (DESIGN.md §8, §9).
 const (
 	EnvRank   = "MPJ_RANK"
 	EnvSize   = "MPJ_SIZE"
@@ -348,20 +342,6 @@ const (
 	// runs. mpjrun -metrics sets a distinct port per rank and
 	// aggregates them.
 	EnvMetricsAddr = "MPJ_METRICS_ADDR"
-
-	// EnvCollSegment sets the collective pipeline segment size in
-	// bytes (default 32 KiB) and EnvCollAlgo forces an algorithm
-	// family (auto, flat, pipeline, rd, rsag) instead of the
-	// size-tuned selection table. Both must be set identically on
-	// every rank of a job: they change the number and shape of the
-	// messages a collective exchanges.
-	EnvCollSegment = core.EnvCollSegment
-	EnvCollAlgo    = core.EnvCollAlgo
-
-	// EnvRmaSegment sets the payload size, in bytes, that one-sided
-	// (RMA) transfers are split into on the active-message path
-	// (default 64 KiB). It only shapes the issuing rank's own traffic.
-	EnvRmaSegment = core.EnvRmaSegment
 
 	// EnvRecord names a directory to record per-rank decision logs into
 	// (rank-N.decisions: wildcard matches, pop order, hybrid claims,
