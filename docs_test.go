@@ -108,3 +108,68 @@ func TestReadmeEnvTableMatchesProductKnobs(t *testing.T) {
 		t.Errorf("README's environment table lists %v, which the product does not read", stale)
 	}
 }
+
+// designTree returns the package tree in DESIGN.md §2: the fenced block
+// after the "## 2." heading.
+func designTree(t *testing.T) string {
+	t.Helper()
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := string(design)
+	i := strings.Index(s, "\n## 2.")
+	if i < 0 {
+		t.Fatal("DESIGN.md has no section 2")
+	}
+	s = s[i:]
+	start := strings.Index(s, "```\n")
+	if start < 0 {
+		t.Fatal("DESIGN.md section 2 has no package tree")
+	}
+	s = s[start+4:]
+	end := strings.Index(s, "```")
+	if end < 0 {
+		t.Fatal("DESIGN.md section 2's package tree is not closed")
+	}
+	return s[:end]
+}
+
+var treePath = regexp.MustCompile(`\binternal/[a-z0-9_/]+`)
+
+// TestDesignTreeMatchesPackages: DESIGN.md §2's package tree names every
+// internal package that has non-test Go files, and no path that does
+// not exist.
+func TestDesignTreeMatchesPackages(t *testing.T) {
+	named := make(map[string]bool)
+	for _, p := range treePath.FindAllString(designTree(t), -1) {
+		named[p] = true
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("DESIGN.md §2 names %s, which does not exist", p)
+		}
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		p := "internal/" + d.Name()
+		files, err := filepath.Glob(filepath.Join(p, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasCode := false
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				hasCode = true
+				break
+			}
+		}
+		if hasCode && !named[p] {
+			t.Errorf("DESIGN.md §2's package tree omits %s", p)
+		}
+	}
+}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"mpj/internal/mpe"
 )
 
 // TestAllreduceRDAllSizes exercises recursive doubling across group
@@ -274,4 +277,44 @@ func BenchmarkGatherAlgorithms(b *testing.B) {
 	}
 	b.Run("small-binomial", func(b *testing.B) { bench(b, 64) })
 	b.Run("large-linear", func(b *testing.B) { bench(b, 8192) })
+}
+
+// TestAllgatherRingMatchesStoreForward: an Allgather large enough for
+// the ring leaves every rank with exactly the bytes the store-and-forward
+// algorithm (gather to rank 0, broadcast) leaves, NaN payloads included.
+func TestAllgatherRingMatchesStoreForward(t *testing.T) {
+	const n = 4
+	const per = 1024 // 4 ranks × 8 KiB = 32 KiB ≥ ringThresholdBytes
+	rec := &algoRecorder{seen: make(map[[2]int32]bool)}
+	runRecordedWorld(t, n, make([]int, n), rec, func(p *Process, w *Intracomm) {
+		rng := rand.New(rand.NewSource(int64(w.Rank()) + 1))
+		mine := make([]float64, per)
+		for i := range mine {
+			mine[i] = math.Float64frombits(rng.Uint64())
+		}
+		viaRing := make([]float64, n*per)
+		if err := w.Allgather(mine, 0, per, DOUBLE, viaRing, 0, per, DOUBLE); err != nil {
+			t.Error(err)
+			return
+		}
+		viaSF := make([]float64, n*per)
+		if err := w.Gather(mine, 0, per, DOUBLE, viaSF, 0, per, DOUBLE, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := w.Bcast(viaSF, 0, n*per, DOUBLE, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := range viaRing {
+			if math.Float64bits(viaRing[i]) != math.Float64bits(viaSF[i]) {
+				t.Errorf("rank %d elem %d: ring %#x, store-and-forward %#x",
+					w.Rank(), i, math.Float64bits(viaRing[i]), math.Float64bits(viaSF[i]))
+				return
+			}
+		}
+	})
+	if !rec.seen[[2]int32{mpe.CollAllgather, mpe.AlgoRing}] {
+		t.Error("Allgather did not take the ring")
+	}
 }

@@ -536,14 +536,25 @@ func (c *Intracomm) Scatterv(sendbuf any, soff int, scounts, displs []int, sdt *
 }
 
 // Allgather gathers every process's scount items into every process's
-// recvbuf (gather to rank 0, then broadcast).
+// recvbuf: Allgatherv's size choice with equal blocks, whose
+// store-and-forward side is one gather to rank 0 and one broadcast.
 func (c *Intracomm) Allgather(sendbuf any, soff, scount int, sdt *Datatype,
 	recvbuf any, roff, rcount int, rdt *Datatype) error {
 	defer c.phase(mpe.CollAllgather)()
+	n := c.Size()
+	gathered := gatheredBytes([]int{n * rcount}, rdt)
+	if useRing(n, gathered) {
+		rcounts, displs := make([]int, n), make([]int, n)
+		for i := range rcounts {
+			rcounts[i], displs[i] = rcount, i*rcount
+		}
+		return c.allgatherRing(mpe.CollAllgather, gathered, sendbuf, soff, scount, sdt, recvbuf, roff, rcounts, displs, rdt)
+	}
+	c.recordAlgo(mpe.CollAllgather, mpe.AlgoStoreForward, gathered)
 	if err := c.Gather(sendbuf, soff, scount, sdt, recvbuf, roff, rcount, rdt, 0); err != nil {
 		return err
 	}
-	return c.Bcast(recvbuf, roff, rcount*c.Size(), rdt, 0)
+	return c.Bcast(recvbuf, roff, rcount*n, rdt, 0)
 }
 
 // Allgatherv is the varying-count Allgather. Large payloads move by a
@@ -555,16 +566,11 @@ func (c *Intracomm) Allgatherv(sendbuf any, soff, scount int, sdt *Datatype,
 	if len(rcounts) != n || len(displs) != n {
 		return fmt.Errorf("core: Allgatherv: need %d counts/displs, have %d/%d", n, len(rcounts), len(displs))
 	}
-	if n > 2 && gatheredBytes(rcounts, rdt) >= ringThresholdBytes {
-		c.recordAlgo(mpe.CollAllgatherv, mpe.AlgoRing, gatheredBytes(rcounts, rdt))
-		rank := c.Rank()
-		at := roff + displs[rank]*rdt.extent
-		if err := localCopy(sendbuf, soff, scount, sdt, recvbuf, at, rcounts[rank], rdt); err != nil {
-			return fmt.Errorf("core: Allgatherv self: %w", err)
-		}
-		return c.allgathervRing(recvbuf, roff, rcounts, displs, rdt)
+	gathered := gatheredBytes(rcounts, rdt)
+	if useRing(n, gathered) {
+		return c.allgatherRing(mpe.CollAllgatherv, gathered, sendbuf, soff, scount, sdt, recvbuf, roff, rcounts, displs, rdt)
 	}
-	c.recordAlgo(mpe.CollAllgatherv, mpe.AlgoStoreForward, gatheredBytes(rcounts, rdt))
+	c.recordAlgo(mpe.CollAllgatherv, mpe.AlgoStoreForward, gathered)
 	if err := c.Gatherv(sendbuf, soff, scount, sdt, recvbuf, roff, rcounts, displs, rdt, 0); err != nil {
 		return err
 	}
@@ -576,6 +582,25 @@ func (c *Intracomm) Allgatherv(sendbuf any, soff, scount int, sdt *Datatype,
 		}
 	}
 	return nil
+}
+
+// useRing is the Allgather(v) size choice: the ring once the gathered
+// payload reaches ringThresholdBytes on more than two ranks.
+func useRing(n, gathered int) bool {
+	return n > 2 && gathered >= ringThresholdBytes
+}
+
+// allgatherRing places this rank's block and runs the ring, recording
+// the choice under kind.
+func (c *Intracomm) allgatherRing(kind int32, gathered int, sendbuf any, soff, scount int, sdt *Datatype,
+	recvbuf any, roff int, rcounts, displs []int, rdt *Datatype) error {
+	c.recordAlgo(kind, mpe.AlgoRing, gathered)
+	rank := c.Rank()
+	at := roff + displs[rank]*rdt.extent
+	if err := localCopy(sendbuf, soff, scount, sdt, recvbuf, at, rcounts[rank], rdt); err != nil {
+		return fmt.Errorf("core: %s self: %w", mpe.CollName(kind), err)
+	}
+	return c.allgathervRing(recvbuf, roff, rcounts, displs, rdt)
 }
 
 // Alltoall sends a distinct scount-item block to every process and

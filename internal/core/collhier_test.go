@@ -292,6 +292,8 @@ func TestCollTableReachesEveryAlgorithm(t *testing.T) {
 		{mpe.CollGatherv, mpe.AlgoPipelined},
 		{mpe.CollScatterv, mpe.AlgoStoreForward},
 		{mpe.CollScatterv, mpe.AlgoPipelined},
+		{mpe.CollAllgather, mpe.AlgoStoreForward},
+		{mpe.CollAllgather, mpe.AlgoRing},
 		{mpe.CollAllgatherv, mpe.AlgoRing},
 	}
 	for _, np := range []int{4, 8} {
@@ -318,6 +320,9 @@ func TestCollTableReachesEveryAlgorithm(t *testing.T) {
 			for _, count := range []int{small, mid} {
 				check("Gather", w.Gather(buf, 0, count, LONG, all, 0, count, LONG, 0))
 				check("Scatter", w.Scatter(all, 0, count, LONG, buf, 0, count, LONG, 0))
+			}
+			for _, count := range []int{small, rsag} { // np·8 B and np·8 KiB gathered
+				check("Allgather", w.Allgather(buf, 0, count, LONG, all, 0, count, LONG))
 			}
 			counts := make([]int, np)
 			displs := make([]int, np)

@@ -7,9 +7,10 @@
 // The queue is intrusive: entries expose a membership slot (CQSlot)
 // the queue flips under its own lock, so a push is one append into a
 // reused slice ring — no per-entry node allocation, no side map — and
-// a collect is one bool write. On the message-rate path every request
-// passes through here twice (push at completion, collect at Wait), so
-// the per-entry constant matters.
+// a collect is one bool write. A nonblocking request passes through
+// here twice (push at completion, collect at Wait or Test), so the
+// per-entry constant matters. A blocking call's request never does
+// (devcore's NewBlockingRequest): nothing but its own Wait can name it.
 package cqueue
 
 import (

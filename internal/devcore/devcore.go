@@ -55,7 +55,12 @@ var ErrClaimed = errors.New("devcore: request claimed by another core")
 
 // Arrival is a message that reached this core: either a fully buffered
 // payload or a rendezvous announcement whose data is still remote. It
-// parks in the arrived set until a receive matches it.
+// parks in the arrived set until a receive matches it. Devices take
+// arrivals from NewArrival, and whoever ends up holding one — the
+// receive that took it out of the arrived set, or the arriving side
+// when it matched at once or was refused — hands it back through
+// ReleaseArrival once done with it. Once parked it is the arrived
+// set's: the parking side must not read it again.
 type Arrival struct {
 	Src     uint64 // sending slot (the actual sender, not match bits)
 	Tag     int32
@@ -71,6 +76,33 @@ type Arrival struct {
 	// devices that match by match bits (the mxsim adapter); zero
 	// elsewhere.
 	MatchInfo uint64
+}
+
+var arrivalPool = sync.Pool{New: func() any { return new(Arrival) }}
+
+// NewArrival returns a zeroed arrival from a pool.
+func NewArrival() *Arrival { return arrivalPool.Get().(*Arrival) }
+
+// ReleaseArrival returns a to the pool. Its Data is not recycled here:
+// the caller hands that back through PutSlice (or keeps it).
+func ReleaseArrival(a *Arrival) {
+	*a = Arrival{}
+	arrivalPool.Put(a)
+}
+
+// Envelope is what a probe reports of a parked arrival: a copy, so the
+// prober never holds an arrival a receive may consume and recycle.
+type Envelope struct {
+	Src       uint64
+	Tag       int32
+	Ctx       int32
+	Seq       uint64
+	WireLen   int
+	MatchInfo uint64
+}
+
+func (a *Arrival) envelope() Envelope {
+	return Envelope{Src: a.Src, Tag: a.Tag, Ctx: a.Ctx, Seq: a.Seq, WireLen: a.WireLen, MatchInfo: a.MatchInfo}
 }
 
 // PeerFail describes how a peer's departure propagates.
@@ -343,6 +375,9 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 	}
 	rec := c.rec
 	notify := c.notify
+	// Once parked, a receive may take a and recycle it: the trace event
+	// reads a copy.
+	e := a.envelope()
 	c.arrived.Add(env, a)
 	c.cond.Broadcast()
 	c.mu.Unlock()
@@ -351,7 +386,7 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 	}
 	c.Counters.Unexpected.Add(1)
 	if rec.Enabled() {
-		rec.EventSeq(mpe.RecvUnexpected, int32(a.Src), a.Tag, a.Ctx, int64(a.WireLen), a.Seq)
+		rec.EventSeq(mpe.RecvUnexpected, int32(e.Src), e.Tag, e.Ctx, int64(e.WireLen), e.Seq)
 	}
 	return nil, false, nil
 }
@@ -420,56 +455,50 @@ func (c *Core) PostRecv(p match.Pattern, req *Request, pinAlive func() error) (*
 }
 
 // IProbe checks for a parked arrival matching the pattern without
-// consuming it. No match and no error means "nothing yet".
-func (c *Core) IProbe(p match.Pattern, op string) (*Arrival, error) {
+// consuming it. ok=false with no error means "nothing yet".
+func (c *Core) IProbe(p match.Pattern, op string) (e Envelope, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a, ok := c.arrived.Peek(p); ok {
-		return a, nil
+		return a.envelope(), true, nil
 	}
-	if c.aborted != nil {
-		return nil, c.aborted
-	}
-	if c.closed {
-		return nil, c.closedErr(op)
-	}
-	if err := c.revoked[p.Ctx]; err != nil {
-		return nil, err
-	}
-	if p.Src != match.AnySource {
-		if err := c.peerDead[p.Src]; err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
+	return Envelope{}, false, c.probeErrLocked(p, op)
 }
 
 // Probe blocks until an arrival matches the pattern, failing instead
 // of blocking forever when the job aborts, the core closes, or a
 // pinned source dies with no buffered match left.
-func (c *Core) Probe(p match.Pattern, op string) (*Arrival, error) {
+func (c *Core) Probe(p match.Pattern, op string) (Envelope, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if a, ok := c.arrived.Peek(p); ok {
-			return a, nil
+			return a.envelope(), nil
 		}
-		if c.aborted != nil {
-			return nil, c.aborted
-		}
-		if c.closed {
-			return nil, c.closedErr(op)
-		}
-		if err := c.revoked[p.Ctx]; err != nil {
-			return nil, err
-		}
-		if p.Src != match.AnySource {
-			if err := c.peerDead[p.Src]; err != nil {
-				return nil, err
-			}
+		if err := c.probeErrLocked(p, op); err != nil {
+			return Envelope{}, err
 		}
 		c.cond.Wait()
 	}
+}
+
+// probeErrLocked is why a probe finding nothing can stop looking: the
+// abort cause, the closed shape, the context's revocation, or the death
+// of the pinned source. Caller holds c.mu.
+func (c *Core) probeErrLocked(p match.Pattern, op string) error {
+	if c.aborted != nil {
+		return c.aborted
+	}
+	if c.closed {
+		return c.closedErr(op)
+	}
+	if err := c.revoked[p.Ctx]; err != nil {
+		return err
+	}
+	if p.Src != match.AnySource {
+		return c.peerDead[p.Src]
+	}
+	return nil
 }
 
 // Peek blocks until some request completes and returns it — the

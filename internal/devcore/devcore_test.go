@@ -105,7 +105,7 @@ func TestFailPeerStickyAndPinned(t *testing.T) {
 		t.Fatalf("PeerErr = %v, want boom", err)
 	}
 	// The buffered payload still matches; the rndv announcement is gone.
-	if _, err := c.IProbe(pat(3, 11, 0), "iprobe"); !errors.Is(err, boom) {
+	if _, _, err := c.IProbe(pat(3, 11, 0), "iprobe"); !errors.Is(err, boom) {
 		t.Fatalf("probe for dropped rndv = %v, want boom (dead-pinned)", err)
 	}
 	rr := c.NewRequest(RecvReq, nil)
@@ -253,7 +253,7 @@ func TestWaitParksFirstOnOneP(t *testing.T) {
 		r.Wait()
 		close(done)
 	}()
-	for yields := 0; r.parked.Load() == nil; yields++ {
+	for yields := 0; r.state.Load() == nil; yields++ {
 		if yields == 2 {
 			r.Complete(xdev.Status{}, nil)
 			<-done
@@ -272,7 +272,7 @@ func TestWaitParksFirstOnOneP(t *testing.T) {
 
 func TestProbeWakesOnArrival(t *testing.T) {
 	c := New("test")
-	got := make(chan *Arrival, 1)
+	got := make(chan Envelope, 1)
 	errc := make(chan error, 1)
 	go func() {
 		a, err := c.Probe(pat(match.AnySource, match.AnyTag, 0), "probe")
@@ -284,7 +284,7 @@ func TestProbeWakesOnArrival(t *testing.T) {
 	c.MatchOrPark(env(2, 6, 0), want)
 	select {
 	case a := <-got:
-		if err := <-errc; err != nil || a != want {
+		if err := <-errc; err != nil || a != want.envelope() {
 			t.Fatalf("Probe: a=%v err=%v", a, err)
 		}
 	case <-time.After(5 * time.Second):
@@ -377,7 +377,7 @@ func untilReturnedOrParked(r *Request, returned <-chan struct{}) bool {
 			return true
 		default:
 		}
-		if r.parked.Load() != nil {
+		if r.state.Load() != nil {
 			return false
 		}
 	}
@@ -438,4 +438,59 @@ func TestCompletionWindow(t *testing.T) {
 			t.Fatalf("Peek = %p (want %p), Test = %+v, %v, %v", popped, r, st, ok, err)
 		}
 	})
+}
+
+// A blocking request never reaches the completion queue, so no Peek can
+// hand it out after its Wait recycled it; a nonblocking one still does.
+func TestRecycleBlockingRequestSkipsQueue(t *testing.T) {
+	c := New("test")
+	want := xdev.Status{Tag: 4, Bytes: 8}
+	r := c.NewBlockingRequest(RecvReq, nil)
+	if r.Complete(want, nil) {
+		t.Error("Complete reported a wake with nobody waiting")
+	}
+	if n := c.cq.Len(); n != 0 {
+		t.Fatalf("a blocking completion queued %d entries", n)
+	}
+	if st, err := r.Wait(); st != want || err != nil {
+		t.Fatalf("Wait = %+v, %v; want %+v", st, err, want)
+	}
+	nb := c.NewRequest(RecvReq, nil)
+	nb.Complete(want, nil)
+	if p, ok, _ := c.cq.TryPeek(); !ok || p != nb {
+		t.Fatalf("nonblocking completion: TryPeek = %p, %v; want %p", p, ok, nb)
+	}
+}
+
+// A claim-armed request is never recycled: the other core's stale copy
+// still points at it.
+func TestRecycleSkipsClaimArmed(t *testing.T) {
+	c := New("test")
+	r := c.NewBlockingRequest(RecvReq, nil)
+	r.EnableClaim()
+	r.Complete(xdev.Status{}, nil)
+	r.Wait()
+	if r.c != c || !r.Done() {
+		t.Fatal("Wait reset a claim-armed request for reuse")
+	}
+}
+
+// Completer and waiter race on fresh pooled requests, the waiter
+// recycling each as soon as its Wait returns, parked or not. Under -race
+// a Complete that touched the request after publishing its completion
+// is reported against the recycling write.
+func TestRecycleCompleterNeverTouchesWaitedRequest(t *testing.T) {
+	c := New("test")
+	for i := 0; i < 2000; i++ {
+		r := c.NewBlockingRequest(SendReq, nil)
+		r.Trace(1, 2, 3) // Complete closes a traced span: more of r to read
+		st := xdev.Status{Tag: i}
+		go r.Complete(st, nil)
+		if got, err := r.Wait(); got != st || err != nil {
+			t.Fatalf("round %d: Wait = %+v, %v", i, got, err)
+		}
+	}
+	if n := c.cq.Len(); n != 0 {
+		t.Fatalf("%d blocking completions queued", n)
+	}
 }

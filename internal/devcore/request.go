@@ -25,7 +25,9 @@ const (
 // directly — a request is completed exactly once; completion places it
 // on the core's completion queue where it stays until collected by
 // Wait, Test or Peek (the Myrinet eXpress completion-queue discipline
-// that makes peek() possible).
+// that makes peek() possible). A blocking call's request
+// (NewBlockingRequest) is the exception: nothing but its own Wait can
+// name it, so it skips the queue and is recycled once waited.
 type Request struct {
 	c *Core
 
@@ -104,23 +106,30 @@ type Request struct {
 	mu         sync.Mutex
 	attachment any
 
-	// state is the completion flag (0 incomplete, 1 complete); status
-	// and err are published before it flips, so a load observing 1 may
-	// read them without further synchronization. parked is the wake
-	// channel, allocated lazily by the first waiter that actually needs
-	// to block: a request that completes before anyone waits on it — a
-	// niodev send whose frame the caller wrote itself — never allocates
-	// or closes a channel at all.
-	state  atomic.Uint32
-	parked atomic.Pointer[chan struct{}]
+	// state is the one completion word: nil while pending, done once
+	// complete, and otherwise the wake channel of a waiter parked in
+	// Wait. status and err are written before Complete swaps in done, so
+	// a load observing done may read them without further
+	// synchronization. The channel is allocated by the first waiter that
+	// actually has to block: a request that completes before anyone
+	// waits on it — a niodev send whose frame the caller wrote itself —
+	// never allocates or closes one.
+	state  atomic.Pointer[chan struct{}]
 	status xdev.Status
 	err    error
 
 	// cqSlot is the completion queue's intrusive membership flag,
 	// owned by cqueue under its lock (see cqueue.Entry).
 	cqSlot bool
-	kind   Kind // shares cqSlot's padded word: Request stays 240 bytes on 64-bit
+	// blocking marks a request made by NewBlockingRequest: never
+	// queued, and recycled by its Wait.
+	blocking bool
+	kind     Kind // cqSlot, blocking and kind share one padded word
 }
+
+// done is the completion word's "complete" value; no waiter ever
+// parks on it.
+var done = new(chan struct{})
 
 // CQSlot implements cqueue.Entry.
 func (r *Request) CQSlot() *bool { return &r.cqSlot }
@@ -128,6 +137,31 @@ func (r *Request) CQSlot() *bool { return &r.cqSlot }
 // NewRequest returns a fresh, incomplete request on this core.
 func (c *Core) NewRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 	return &Request{c: c, kind: kind, Buf: buf, t0: -1, Pin: -1, OpCtx: NoCtx}
+}
+
+var requestPool = sync.Pool{New: func() any { return new(Request) }}
+
+// NewBlockingRequest returns an incomplete request for a blocking call
+// (Send, Ssend, Recv) from a pool. No Peek or WaitAny can name such a
+// request, so its completion skips the completion queue, and its Wait
+// hands it back to the pool: the caller must not touch it after Wait
+// returns, and anything else holding it must let go before completing
+// it. A claim-armed request (EnableClaim) is never recycled: the other
+// core's stale copy still points at it.
+func (c *Core) NewBlockingRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
+	r := requestPool.Get().(*Request)
+	r.c, r.kind, r.Buf, r.t0, r.Pin, r.OpCtx = c, kind, buf, -1, -1, NoCtx
+	r.blocking = true
+	return r
+}
+
+// recycle resets a waited blocking request and returns it to the pool.
+func (r *Request) recycle() {
+	if r.claim != nil {
+		return
+	}
+	*r = Request{}
+	requestPool.Put(r)
 }
 
 // waitSpin is how many scheduler yields Wait burns before allocating a
@@ -141,34 +175,32 @@ func (c *Core) NewRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 const waitSpin = 64
 
 // await blocks until the request completes: fast-path check, the yield
-// spin where it can see progress, then park on a lazily-published
-// channel. The publish-then-recheck order pairs with Complete's
-// flip-then-check so a wake is never lost.
+// spin where it can see progress, then park on a channel published into
+// the completion word. The word only moves nil → channel → done or
+// nil → done, so a channel that got in is one Complete's swap takes out
+// and closes: a wake is never lost.
 func (r *Request) await() {
-	if r.state.Load() != 0 {
+	if r.state.Load() == done {
 		return
 	}
 	for i := 0; r.c.spin && i < waitSpin; i++ {
 		runtime.Gosched()
-		if r.state.Load() != 0 {
+		if r.state.Load() == done {
 			return
 		}
 	}
-	ch := r.parked.Load()
+	ch := r.state.Load()
 	if ch == nil {
 		nc := make(chan struct{})
-		if !r.parked.CompareAndSwap(nil, &nc) {
-			ch = r.parked.Load()
-		} else {
+		if r.state.CompareAndSwap(nil, &nc) {
 			ch = &nc
+		} else {
+			ch = r.state.Load() // completed, or another waiter parked first
 		}
 	}
-	if r.state.Load() != 0 {
-		// Complete raced the publish and may have missed the channel;
-		// the flag alone is authoritative.
-		return
+	if ch != done {
+		<-*ch
 	}
-	<-*ch
 }
 
 // Trace stamps the request with its tracing envelope (recorder clock
@@ -280,14 +312,19 @@ func (r *Request) Complete(st xdev.Status, err error) bool {
 	// request already queued, so it cannot stay behind for a later Peek.
 	// A peeker can pop it before the flip; Core.Peek awaits the flip
 	// before handing it out, so the status it reads is this one.
-	r.c.cq.Push(r)
-	betweenPushAndFlip()
-	r.state.Store(1)
-	ch := r.parked.Load()
-	if ch != nil {
-		close(*ch)
+	if !r.blocking {
+		r.c.cq.Push(r)
+		betweenPushAndFlip()
 	}
-	return ch != nil
+	// From the swap on the request belongs to its waiter, which may
+	// recycle it as soon as it sees done: nothing here touches r again.
+	// A channel swapped out is a waiter still blocked on it.
+	ch := r.state.Swap(done)
+	if ch == nil {
+		return false
+	}
+	close(*ch)
+	return true
 }
 
 // betweenPushAndFlip runs in Complete after the push and before the
@@ -296,7 +333,7 @@ var betweenPushAndFlip = func() {}
 
 // Done reports (without blocking) whether the request has completed.
 func (r *Request) Done() bool {
-	return r.state.Load() != 0
+	return r.state.Load() == done
 }
 
 // Err returns the completion error; only valid after completion.
@@ -305,17 +342,25 @@ func (r *Request) Err() error { return r.err }
 // Status returns the completion status; only valid after completion.
 func (r *Request) Status() xdev.Status { return r.status }
 
-// Wait blocks until the request completes.
+// Wait blocks until the request completes. A blocking request goes
+// back to the pool here.
 func (r *Request) Wait() (xdev.Status, error) {
 	r.await()
+	if r.blocking {
+		st, err := r.status, r.err
+		r.recycle()
+		return st, err
+	}
 	r.c.cq.Collect(r)
 	return r.status, r.err
 }
 
 // Test reports whether the request has completed, without blocking.
 func (r *Request) Test() (xdev.Status, bool, error) {
-	if r.state.Load() != 0 {
-		r.c.cq.Collect(r)
+	if r.state.Load() == done {
+		if !r.blocking {
+			r.c.cq.Collect(r)
+		}
 		return r.status, true, r.err
 	}
 	return xdev.Status{}, false, nil

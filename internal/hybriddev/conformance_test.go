@@ -114,3 +114,11 @@ func TestUserMemoryConformanceTwoNodes(t *testing.T) {
 	devtest.RunUserMemory(t, conformanceRunner(interleaved),
 		devtest.UserMemOptions{PostedCopies: 0, StoreBalance: true})
 }
+
+// TestRecycledRequestsNeverSeenLate runs the recycled-request check —
+// blocking calls beside a WaitAny loop on the same device — over each
+// inner transport.
+func TestRecycledRequestsNeverSeenLate(t *testing.T) {
+	t.Run("SingleNode", func(t *testing.T) { devtest.RunRecycle(t, conformanceRunner(singleNode)) })
+	t.Run("Interleaved", func(t *testing.T) { devtest.RunRecycle(t, conformanceRunner(interleaved)) })
+}

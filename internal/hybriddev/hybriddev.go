@@ -312,8 +312,22 @@ func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int)
 	return req, nil
 }
 
-// Recv blocks until a matching message has been received.
+// Recv blocks until a matching message has been received. A receive
+// that one transport can serve is that transport's blocking Recv, on a
+// pooled request; a dual-posted ANY_SOURCE receive is claim-armed, so
+// it waits on a request of its own.
 func (d *Device) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Status, error) {
+	if err := d.ready("recv"); err != nil {
+		return xdev.Status{}, err
+	}
+	switch {
+	case !src.IsAnySource():
+		return d.route(src).Recv(buf, src, tag, context)
+	case d.smp == nil:
+		return d.nio.Recv(buf, src, tag, context)
+	case d.allLocal:
+		return d.smp.Recv(buf, src, tag, context)
+	}
 	r, err := d.IRecv(buf, src, tag, context)
 	if err != nil {
 		return xdev.Status{}, err

@@ -18,6 +18,10 @@
 // posted (or arrived) first wins, even across wildcard and non-wildcard
 // buckets. Neither type is goroutine-safe; callers hold the relevant
 // communication-set lock, exactly as in the paper's pseudocode.
+//
+// Each set recycles its entries through a free list kept under that
+// same lock: an entry is freed when the last bucket queue holding it
+// lets go, so the steady post-then-match cycle allocates nothing.
 package match
 
 import "sort"
@@ -80,7 +84,34 @@ func classOf(p Pattern) int {
 type entry[T any] struct {
 	seq   uint64
 	value T
+	next  *entry[T] // free-list link while recycled
 	taken bool
+	refs  uint8 // bucket queues still holding the entry
+}
+
+// entries is a set's entry free list.
+type entries[T any] struct{ free *entry[T] }
+
+// get returns a live entry held by refs bucket queues.
+func (l *entries[T]) get(seq uint64, v T, refs uint8) *entry[T] {
+	e := l.free
+	if e == nil {
+		e = new(entry[T])
+	} else {
+		l.free, e.next = e.next, nil
+	}
+	e.seq, e.value, e.refs = seq, v, refs
+	return e
+}
+
+// drop records that a bucket queue let go of the taken entry e; the
+// last one frees it.
+func (l *entries[T]) drop(e *entry[T]) {
+	e.refs--
+	if e.refs == 0 {
+		*e = entry[T]{next: l.free}
+		l.free = e
+	}
 }
 
 // fifo is a slice-backed queue with lazy removal of taken entries.
@@ -94,9 +125,11 @@ type fifo[T any] struct {
 
 func (q *fifo[T]) push(e *entry[T]) { q.items = append(q.items, e) }
 
-// head returns the oldest non-taken entry, compacting as it goes.
-func (q *fifo[T]) head() *entry[T] {
+// head returns the oldest non-taken entry, dropping taken ones as it
+// goes.
+func (q *fifo[T]) head(l *entries[T]) *entry[T] {
 	for q.off < len(q.items) && q.items[q.off].taken {
+		l.drop(q.items[q.off])
 		q.items[q.off] = nil
 		q.off++
 	}
@@ -112,6 +145,21 @@ func (q *fifo[T]) head() *entry[T] {
 	return q.items[q.off]
 }
 
+// take marks the head entry (just returned by head) taken, removes it
+// and returns its value.
+func (q *fifo[T]) take(l *entries[T]) T {
+	e := q.items[q.off]
+	v := e.value
+	e.taken = true
+	q.items[q.off] = nil
+	q.off++
+	if q.off == len(q.items) {
+		q.items, q.off = q.items[:0], 0
+	}
+	l.drop(e)
+	return v
+}
+
 // PatternSet holds posted receive patterns, each indexed under its own
 // (possibly wildcarded) key, in posting order. classes counts the live
 // patterns per wildcard class so a probe skips the map lookups for
@@ -122,6 +170,7 @@ type PatternSet[T any] struct {
 	buckets map[Pattern]*fifo[T]
 	live    int
 	classes [4]int
+	free    entries[T]
 }
 
 // NewPatternSet returns an empty pattern set.
@@ -137,7 +186,7 @@ func (s *PatternSet[T]) Add(p Pattern, v T) {
 		s.buckets[p] = q
 	}
 	s.seq++
-	q.push(&entry[T]{seq: s.seq, value: v})
+	q.push(s.free.get(s.seq, v, 1))
 	s.live++
 	s.classes[classOf(p)]++
 }
@@ -146,6 +195,7 @@ func (s *PatternSet[T]) Add(p Pattern, v T) {
 // accepts the envelope. ok is false when nothing matches.
 func (s *PatternSet[T]) Match(c Concrete) (v T, ok bool) {
 	var best *entry[T]
+	var bestQ *fifo[T]
 	bestCls := 0
 	for cls, k := range c.keys() {
 		if s.classes[cls] == 0 {
@@ -155,18 +205,16 @@ func (s *PatternSet[T]) Match(c Concrete) (v T, ok bool) {
 		if q == nil {
 			continue
 		}
-		if e := q.head(); e != nil && (best == nil || e.seq < best.seq) {
-			best = e
-			bestCls = cls
+		if e := q.head(&s.free); e != nil && (best == nil || e.seq < best.seq) {
+			best, bestQ, bestCls = e, q, cls
 		}
 	}
 	if best == nil {
 		return v, false
 	}
-	best.taken = true
 	s.live--
 	s.classes[bestCls]--
-	return best.value, true
+	return bestQ.take(&s.free), true
 }
 
 // Len reports the number of live (unmatched) patterns.
@@ -234,19 +282,21 @@ type ItemSet[T any] struct {
 	buckets map[Pattern]*fifo[T]
 	live    int
 	active  [4]bool
+	nactive uint8 // active classes: the bucket queues a new item joins
+	free    entries[T]
 }
 
 // NewItemSet returns an empty item set.
 func NewItemSet[T any]() *ItemSet[T] {
 	s := &ItemSet[T]{buckets: make(map[Pattern]*fifo[T])}
-	s.active[0] = true
+	s.active[0], s.nactive = true, 1
 	return s
 }
 
 // Add records an arrived envelope with its associated value.
 func (s *ItemSet[T]) Add(c Concrete, v T) {
 	s.seq++
-	e := &entry[T]{seq: s.seq, value: v}
+	e := s.free.get(s.seq, v, s.nactive)
 	for cls, k := range c.keys() {
 		if !s.active[cls] {
 			continue
@@ -267,6 +317,7 @@ func (s *ItemSet[T]) Add(c Concrete, v T) {
 // once; sorting by seq restores arrival order within the new buckets.
 func (s *ItemSet[T]) activate(cls int) {
 	s.active[cls] = true
+	s.nactive++
 	type pending struct {
 		e *entry[T]
 		k Pattern
@@ -292,6 +343,7 @@ func (s *ItemSet[T]) activate(cls int) {
 			s.buckets[p.k] = q
 		}
 		q.push(p.e)
+		p.e.refs++
 	}
 }
 
@@ -302,16 +354,11 @@ func (s *ItemSet[T]) Match(p Pattern) (v T, ok bool) {
 		s.activate(cls)
 	}
 	q := s.buckets[p]
-	if q == nil {
+	if q == nil || q.head(&s.free) == nil {
 		return v, false
 	}
-	e := q.head()
-	if e == nil {
-		return v, false
-	}
-	e.taken = true
 	s.live--
-	return e.value, true
+	return q.take(&s.free), true
 }
 
 // Peek returns the earliest-arrived item accepted by the pattern
@@ -324,7 +371,7 @@ func (s *ItemSet[T]) Peek(p Pattern) (v T, ok bool) {
 	if q == nil {
 		return v, false
 	}
-	e := q.head()
+	e := q.head(&s.free)
 	if e == nil {
 		return v, false
 	}

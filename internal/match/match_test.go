@@ -311,3 +311,55 @@ func BenchmarkItemSet650PendingWildcards(b *testing.B) {
 		}
 	}
 }
+
+// The steady post-then-match cycle allocates nothing: entries come back
+// through each set's free list and bucket queues keep their arrays.
+func TestEntriesRecycled(t *testing.T) {
+	ps := NewPatternSet[int]()
+	is := NewItemSet[int]()
+	c := Concrete{1, 5, 2}
+	p := Pattern{1, 5, 2}
+	cycle := func() {
+		ps.Add(p, 1)
+		if _, ok := ps.Match(c); !ok {
+			t.Fatal("posted pattern not matched")
+		}
+		is.Add(c, 2)
+		if _, ok := is.Match(p); !ok {
+			t.Fatal("arrived item not matched")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("post-then-match allocates %.1f times per cycle, want 0", n)
+	}
+}
+
+// An item indexed under several wildcard classes is freed only when the
+// last bucket holding it lets go, so a recycled entry never shows up
+// under a stale key.
+func TestItemEntryFreedByLastBucket(t *testing.T) {
+	s := NewItemSet[string]()
+	s.Add(Concrete{1, 5, 2}, "old")
+	if _, ok := s.Peek(Pattern{1, AnyTag, AnySource}); !ok { // builds the class-3 index
+		t.Fatal("wildcard peek missed the item")
+	}
+	if v, ok := s.Match(Pattern{1, 5, 2}); !ok || v != "old" {
+		t.Fatalf("exact Match = (%v, %v)", v, ok)
+	}
+	if s.free.free != nil {
+		t.Fatal("entry freed while the wildcard bucket still holds it")
+	}
+	// A new arrival under another key must not be served from the stale
+	// wildcard slot, nor reuse the entry that slot still holds.
+	s.Add(Concrete{1, 6, 3}, "new")
+	if v, ok := s.Match(Pattern{1, AnyTag, AnySource}); !ok || v != "new" {
+		t.Fatalf("wildcard Match = (%v, %v), want new", v, ok)
+	}
+	if s.free.free == nil {
+		t.Fatal("entries not recycled once every bucket dropped them")
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+}

@@ -450,14 +450,11 @@ func (ep *Endpoint) IProbe(matchInfo, matchMask uint64) (Status, bool, error) {
 	if err != nil {
 		return Status{}, false, err
 	}
-	arr, err := ep.core.IProbe(p, "iprobe")
-	if err != nil {
+	e, ok, err := ep.core.IProbe(p, "iprobe")
+	if !ok || err != nil {
 		return Status{}, false, err
 	}
-	if arr == nil {
-		return Status{}, false, nil
-	}
-	return Status{Source: uint32(arr.Src), MatchInfo: arr.MatchInfo, Bytes: len(arr.Data), Seq: arr.Seq}, true, nil
+	return Status{Source: uint32(e.Src), MatchInfo: e.MatchInfo, Bytes: e.WireLen, Seq: e.Seq}, true, nil
 }
 
 // Probe blocks until a matching unexpected message is available
@@ -470,11 +467,11 @@ func (ep *Endpoint) Probe(matchInfo, matchMask uint64) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	arr, err := ep.core.Probe(p, "probe")
+	e, err := ep.core.Probe(p, "probe")
 	if err != nil {
 		return Status{}, err
 	}
-	return Status{Source: uint32(arr.Src), MatchInfo: arr.MatchInfo, Bytes: len(arr.Data), Seq: arr.Seq}, nil
+	return Status{Source: uint32(e.Src), MatchInfo: e.MatchInfo, Bytes: e.WireLen, Seq: e.Seq}, nil
 }
 
 // Peek blocks until some request on this endpoint completes and

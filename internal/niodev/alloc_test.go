@@ -5,10 +5,13 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 
 	"mpj/internal/devcore"
 	"mpj/internal/mpjbuf"
+	"mpj/internal/transport"
 	"mpj/internal/xdev"
 )
 
@@ -177,7 +180,7 @@ func TestRndvSendAllocs(t *testing.T) {
 			if order == sumFirst {
 				q.writing = true // the handler only queues; the holder below writes
 			}
-			req, err := d.isend(&b, d.pids[1], 1, 0, false)
+			req, err := d.isend(&b, d.pids[1], 1, 0, false, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,6 +237,96 @@ func TestSendPathMpjbufAllocs(t *testing.T) {
 		send() // warm: the eager section's backing is allocated once
 		if n := testing.AllocsPerRun(100, send); n != 0 {
 			t.Errorf("%s send: mpjbuf allocates %.1f times per message, want 0", name, n)
+		}
+	}
+}
+
+// initPair initialises ranks 0 and 1 of a two-rank job over an in-process
+// transport, for tests that drive both ends from one goroutine.
+func initPair(t *testing.T) (d0, d1 *Device, pids []xdev.ProcessID) {
+	t.Helper()
+	tr := transport.NewInProc(0)
+	addrs := []string{"pair-0", "pair-1"}
+	devs := [2]*Device{New(), New()}
+	var errs [2]error
+	var wg sync.WaitGroup
+	for rank := range devs {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			pids, errs[rank] = devs[rank].Init(xdev.Config{Rank: rank, Size: 2, Addrs: addrs, Dialer: tr})
+		}(rank)
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d init: %v", rank, err)
+		}
+	}
+	t.Cleanup(func() {
+		devs[0].Finish()
+		devs[1].Finish()
+	})
+	return devs[0], devs[1], pids
+}
+
+// TestBlockingAllocs pins the steady-state blocking point-to-point path
+// between two InProc ranks at zero allocations, whatever goroutine
+// makes them: a blocking 512 B eager Send (pooled request, frame written
+// by the caller), the receiver's input handler parking it (pooled
+// staging slice, arrival and match entry), a blocking Recv that finds it
+// unexpected, and a blocking Recv posted first that its message
+// completes before Wait has to park. A Recv that does park allocates its
+// wake channel, so the posted-first cycle only waits once the receive is
+// done.
+func TestBlockingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
+	}
+	d0, d1, pids := initPair(t)
+	msg := mpjbuf.New(0)
+	if err := msg.WriteBytes(make([]byte, 512), 0, 512); err != nil {
+		t.Fatal(err)
+	}
+	rb := mpjbuf.New(0)
+	send := func() {
+		if err := d0.Send(msg, pids[1], 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"send, then unexpected recv", func() {
+			n := d1.core.Counters.Unexpected.Load()
+			send()
+			for d1.core.Counters.Unexpected.Load() == n {
+				runtime.Gosched()
+			}
+			if _, err := d1.Recv(rb, pids[0], 1, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"posted recv, then send", func() {
+			r, err := d1.irecv(rb, pids[0], 1, 0, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			send()
+			for !r.Done() {
+				runtime.Gosched()
+			}
+			if _, err := r.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		for i := 0; i < 8; i++ {
+			c.cycle() // warm the pools, the match sets and the queues' buffers
+		}
+		if n := testing.AllocsPerRun(100, c.cycle); n != 0 {
+			t.Errorf("%s: %.1f allocations per message, want 0", c.name, n)
 		}
 	}
 }

@@ -104,3 +104,9 @@ func TestUserMemoryConformanceInProcDirect(t *testing.T) {
 		conformanceRunner(func() xdev.Transport { return transport.NewInProc(directPipe) }),
 		devtest.UserMemOptions{PostedCopies: 0})
 }
+
+// TestRecycledRequestsNeverSeenLate runs the recycled-request check:
+// blocking calls beside a WaitAny loop on the same device.
+func TestRecycledRequestsNeverSeenLate(t *testing.T) {
+	devtest.RunRecycle(t, conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }))
+}

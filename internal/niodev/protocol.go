@@ -139,8 +139,9 @@ func payloadCRC(segments [][]byte) uint32 {
 }
 
 // isend implements the four send modes. sync selects synchronous
-// completion semantics (Ssend/ISsend).
-func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync bool) (*devcore.Request, error) {
+// completion semantics (Ssend/ISsend); blocking, a request from
+// devcore's pool that only the caller's Wait sees (Send/Ssend).
+func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync, blocking bool) (*devcore.Request, error) {
 	// One core-lock round trip gates the send: abort/closed, then unknown
 	// process, then dead peer, then revoked context. slotOf takes no lock,
 	// so an unknown process only asks the core whether the device is down.
@@ -153,7 +154,7 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	if err != nil {
 		return nil, err
 	}
-	req := d.core.NewRequest(devcore.SendReq, buf)
+	req := d.newRequest(devcore.SendReq, buf, blocking)
 	req.OpCtx = int32(context)
 	wireLen := buf.WireLen()
 	if d.rec.Enabled() {
@@ -277,14 +278,23 @@ func (d *Device) postRndvData(slot int, req *devcore.Request, seq uint64, segs [
 	}
 }
 
+// newRequest makes a nonblocking call's request, or a blocking call's
+// from devcore's pool.
+func (d *Device) newRequest(kind devcore.Kind, buf *mpjbuf.Buffer, blocking bool) *devcore.Request {
+	if blocking {
+		return d.core.NewBlockingRequest(kind, buf)
+	}
+	return d.core.NewRequest(kind, buf)
+}
+
 // ISend starts a standard-mode non-blocking send.
 func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, false)
+	return d.isend(buf, dst, tag, context, false, false)
 }
 
 // Send is the blocking standard-mode send.
 func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, false)
+	r, err := d.isend(buf, dst, tag, context, false, true)
 	if err != nil {
 		return err
 	}
@@ -294,12 +304,12 @@ func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) 
 
 // ISsend starts a synchronous-mode non-blocking send.
 func (d *Device) ISsend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, true)
+	return d.isend(buf, dst, tag, context, true, false)
 }
 
 // Ssend is the blocking synchronous-mode send.
 func (d *Device) Ssend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, true)
+	r, err := d.isend(buf, dst, tag, context, true, true)
 	if err != nil {
 		return err
 	}
@@ -323,9 +333,11 @@ func (d *Device) deliverSelf(buf *mpjbuf.Buffer, tag, context int, sync bool, sr
 	if d.core.ReplayActive() {
 		sreq.SetReplayID(int64(d.cfg.Rank), int32(tag), int32(context), seq)
 	}
-	arr := &devcore.Arrival{
+	data := devcore.WireCopy(buf)
+	arr := devcore.NewArrival()
+	*arr = devcore.Arrival{
 		Src: uint64(d.cfg.Rank), Tag: int32(tag), Ctx: int32(context),
-		Seq: seq, WireLen: buf.WireLen(), Data: devcore.WireCopy(buf),
+		Seq: seq, WireLen: buf.WireLen(), Data: data,
 	}
 	if sync {
 		arr.SyncReq = sreq
@@ -334,7 +346,8 @@ func (d *Device) deliverSelf(buf *mpjbuf.Buffer, tag, context int, sync bool, sr
 	if err != nil {
 		// Shutdown or abort raced the isend gate: nothing parked, so the
 		// sender completes with the failure instead of hanging.
-		devcore.PutSlice(arr.Data)
+		devcore.ReleaseArrival(arr)
+		devcore.PutSlice(data)
 		if ferr := d.opErr("isend"); ferr != nil {
 			err = ferr
 		}
@@ -342,8 +355,9 @@ func (d *Device) deliverSelf(buf *mpjbuf.Buffer, tag, context int, sync bool, sr
 		return
 	}
 	if matched {
-		loadErr := rreq.Buf.LoadWire(arr.Data)
-		devcore.PutSlice(arr.Data)
+		devcore.ReleaseArrival(arr)
+		loadErr := rreq.Buf.LoadWire(data)
+		devcore.PutSlice(data)
 		rreq.Complete(st, loadErr)
 		sreq.Complete(st, nil)
 		return
@@ -381,6 +395,16 @@ func (d *Device) pattern(src xdev.ProcessID, tag, context int) (match.Pattern, e
 // peer died, which is still delivered. ANY_SOURCE receives stay posted
 // as long as any peer could satisfy them.
 func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Request, error) {
+	r, err := d.irecv(buf, src, tag, context, false)
+	if err != nil {
+		return nil, err // not a typed nil in the interface
+	}
+	return r, nil
+}
+
+// irecv is IRecv, and with blocking the first half of Recv on a request
+// from devcore's pool.
+func (d *Device) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, blocking bool) (*devcore.Request, error) {
 	if err := d.opErr("irecv"); err != nil {
 		return nil, err
 	}
@@ -388,7 +412,7 @@ func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int)
 	if err != nil {
 		return nil, err
 	}
-	req := d.core.NewRequest(devcore.RecvReq, buf)
+	req := d.newRequest(devcore.RecvReq, buf, blocking)
 	req.OpCtx = int32(context)
 	if d.rec.Enabled() {
 		peer := int32(-1)
@@ -421,11 +445,15 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 	if arr == nil {
 		return nil // posted; an arrival or drain completes it
 	}
-	if arr.Rndv {
+	// The arrival is this receive's now: copy out what it says and hand
+	// it back.
+	a := *arr
+	devcore.ReleaseArrival(arr)
+	if a.Rndv {
 		// Rendezvous announced but unmatched until now: the user thread
 		// (not the input handler) sends READY_TO_RECV, per Fig. 7.
-		k := devcore.PendingKey{Peer: arr.Src, Seq: arr.Seq}
-		req.RndvLen = arr.WireLen
+		k := devcore.PendingKey{Peer: a.Src, Seq: a.Seq}
+		req.RndvLen = a.WireLen
 		if err := d.rndvIncoming.Add(k, req); err != nil {
 			// The announcing peer died (or the device closed) between the
 			// match and the registration; fail the receive the same way
@@ -433,8 +461,8 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 			req.Complete(xdev.Status{}, err)
 			return nil
 		}
-		h := header{typ: msgRTR, src: uint32(d.cfg.Rank), seq: arr.Seq}
-		if err := d.send(int(arr.Src), h, nil, nil, xdev.Status{}, false); err != nil {
+		h := header{typ: msgRTR, src: uint32(d.cfg.Rank), seq: a.Seq}
+		if err := d.send(int(a.Src), h, nil, nil, xdev.Status{}, false); err != nil {
 			if _, mine := d.rndvIncoming.Take(k); !mine {
 				return nil // completed by the peer-death drain
 			}
@@ -442,23 +470,22 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 			return nil
 		}
 		if d.rec.Enabled() {
-			d.rec.EventSeq(mpe.RendezvousRTR, int32(arr.Src), arr.Tag, arr.Ctx, int64(arr.WireLen), arr.Seq)
+			d.rec.EventSeq(mpe.RendezvousRTR, int32(a.Src), a.Tag, a.Ctx, int64(a.WireLen), a.Seq)
 		}
 		return nil
 	}
 
 	// Buffered eager message: copy from the device-level input buffer
 	// into the user buffer (Fig. 4), recycling the staging slice.
-	st := xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}
-	loadErr := buf.LoadWire(arr.Data)
-	devcore.PutSlice(arr.Data)
-	arr.Data = nil
+	st := xdev.Status{Source: d.pids[a.Src], Tag: int(a.Tag), Bytes: a.WireLen}
+	loadErr := buf.LoadWire(a.Data)
+	devcore.PutSlice(a.Data)
 	switch {
-	case arr.SyncReq != nil:
-		arr.SyncReq.Complete(st, nil) // self synchronous sender
-	case arr.Sync:
-		h := header{typ: msgAck, src: uint32(d.cfg.Rank), seq: arr.Seq}
-		if err := d.send(int(arr.Src), h, nil, nil, xdev.Status{}, false); err != nil {
+	case a.SyncReq != nil:
+		a.SyncReq.Complete(st, nil) // self synchronous sender
+	case a.Sync:
+		h := header{typ: msgAck, src: uint32(d.cfg.Rank), seq: a.Seq}
+		if err := d.send(int(a.Src), h, nil, nil, xdev.Status{}, false); err != nil {
 			req.Complete(st, err)
 			return nil
 		}
@@ -491,7 +518,7 @@ func (d *Device) Core() *devcore.Core { return d.core }
 
 // Recv blocks until a matching message has been received.
 func (d *Device) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	r, err := d.IRecv(buf, src, tag, context)
+	r, err := d.irecv(buf, src, tag, context, true)
 	if err != nil {
 		return xdev.Status{}, err
 	}
@@ -504,14 +531,11 @@ func (d *Device) IProbe(src xdev.ProcessID, tag, context int) (xdev.Status, bool
 	if err != nil {
 		return xdev.Status{}, false, err
 	}
-	arr, err := d.core.IProbe(p, "iprobe")
-	if err != nil {
+	e, ok, err := d.core.IProbe(p, "iprobe")
+	if !ok || err != nil {
 		return xdev.Status{}, false, err
 	}
-	if arr == nil {
-		return xdev.Status{}, false, nil
-	}
-	return xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}, true, nil
+	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, true, nil
 }
 
 // Probe blocks until a matching message is available. It fails instead
@@ -522,11 +546,11 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 	if err != nil {
 		return xdev.Status{}, err
 	}
-	arr, err := d.core.Probe(p, "probe")
+	e, err := d.core.Probe(p, "probe")
 	if err != nil {
 		return xdev.Status{}, err
 	}
-	return xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}, nil
+	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, nil
 }
 
 // inputHandler is the progress engine for the connection to peer slot
@@ -713,20 +737,22 @@ func (d *Device) handleEager(h header, cr *crcReader) (bool, error) {
 		devcore.PutSlice(data)
 		return false, err
 	}
-	arr := &devcore.Arrival{
+	arr := devcore.NewArrival()
+	*arr = devcore.Arrival{
 		Src: uint64(h.src), Tag: h.tag, Ctx: h.ctx, Seq: h.seq,
 		WireLen: int(h.wireLen), Sync: h.typ == msgEagerSync, Data: data,
 	}
 	req, matched, err := d.core.MatchOrPark(env, arr)
-	if err != nil {
-		// Device closing: drop the message; the sender learns of our
-		// departure through its own failure detection.
-		devcore.PutSlice(data)
-		return false, nil
-	}
 	if !matched {
+		if err != nil {
+			// Device closing: drop the message; the sender learns of our
+			// departure through its own failure detection.
+			devcore.ReleaseArrival(arr)
+			devcore.PutSlice(data)
+		}
 		return false, nil
 	}
+	devcore.ReleaseArrival(arr)
 	loadErr := req.Buf.LoadWire(data)
 	devcore.PutSlice(data)
 	if h.typ == msgEagerSync {
@@ -740,17 +766,20 @@ func (d *Device) handleEager(h header, cr *crcReader) (bool, error) {
 
 func (d *Device) handleRTS(h header) {
 	env := match.Concrete{Ctx: h.ctx, Tag: h.tag, Src: uint64(h.src)}
-	arr := &devcore.Arrival{
+	arr := devcore.NewArrival()
+	*arr = devcore.Arrival{
 		Src: uint64(h.src), Tag: h.tag, Ctx: h.ctx, Seq: h.seq,
 		WireLen: int(h.wireLen), Rndv: true,
 	}
 	req, matched, err := d.core.MatchOrPark(env, arr)
 	if err != nil {
+		devcore.ReleaseArrival(arr)
 		return // closing; the announcing sender fails via peer death
 	}
 	if !matched {
 		return // parked; a future receive answers the RTS
 	}
+	devcore.ReleaseArrival(arr)
 	// Matched: the input handler answers READY_TO_RECV (Fig. 8).
 	k := devcore.PendingKey{Peer: uint64(h.src), Seq: h.seq}
 	req.RndvLen = int(h.wireLen)

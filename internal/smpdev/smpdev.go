@@ -299,7 +299,10 @@ func (d *Device) SendOverhead() int { return 0 }
 // RecvOverhead reports the per-message device overhead.
 func (d *Device) RecvOverhead() int { return 0 }
 
-func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync bool) (*devcore.Request, error) {
+// isend implements the four send modes: sync selects synchronous
+// completion (Ssend/ISsend), blocking a request from devcore's pool
+// that only the caller's Wait sees (Send/Ssend).
+func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync, blocking bool) (*devcore.Request, error) {
 	if !d.initDone || d.finished.Load() {
 		return nil, xdev.Errf(DeviceName, "isend", "device not ready")
 	}
@@ -310,7 +313,7 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 		return nil, err
 	}
 	dstCore := d.grp.cores[dst.UUID]
-	sreq := d.core.NewRequest(devcore.SendReq, nil)
+	sreq := d.newRequest(devcore.SendReq, nil, blocking)
 	env := match.Concrete{Ctx: int32(context), Tag: int32(tag), Src: uint64(d.cfg.Rank)}
 	wireLen := buf.WireLen()
 	st := xdev.Status{Source: d.self, Tag: tag, Bytes: wireLen}
@@ -342,16 +345,19 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	if matched {
 		lerr = rreq.Buf.LoadBuffer(buf)
 	} else {
-		arr := &devcore.Arrival{
+		data := devcore.WireCopy(buf)
+		arr := devcore.NewArrival()
+		*arr = devcore.Arrival{
 			Src: uint64(d.cfg.Rank), Tag: int32(tag), Ctx: int32(context),
-			Seq: seq, WireLen: wireLen, Data: devcore.WireCopy(buf),
+			Seq: seq, WireLen: wireLen, Data: data,
 		}
 		if sync {
 			arr.SyncReq = sreq
 		}
 		var err error
 		if rreq, matched, err = dstCore.MatchOrPark(env, arr); err != nil {
-			devcore.PutSlice(arr.Data)
+			devcore.ReleaseArrival(arr)
+			devcore.PutSlice(data)
 			if errors.Is(err, devcore.ErrClosed) {
 				return nil, &xdev.Error{
 					Dev: DeviceName, Op: "isend",
@@ -361,8 +367,9 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 			return nil, err // job aborted
 		}
 		if matched { // a receive was posted between the two looks
-			lerr = rreq.Buf.LoadWire(arr.Data)
-			devcore.PutSlice(arr.Data)
+			devcore.ReleaseArrival(arr)
+			lerr = rreq.Buf.LoadWire(data)
+			devcore.PutSlice(data)
 		}
 	}
 	if matched {
@@ -377,14 +384,23 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	return sreq, nil
 }
 
+// newRequest makes a nonblocking call's request, or a blocking call's
+// from devcore's pool.
+func (d *Device) newRequest(kind devcore.Kind, buf *mpjbuf.Buffer, blocking bool) *devcore.Request {
+	if blocking {
+		return d.core.NewBlockingRequest(kind, buf)
+	}
+	return d.core.NewRequest(kind, buf)
+}
+
 // ISend starts a standard-mode non-blocking send.
 func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, false)
+	return d.isend(buf, dst, tag, context, false, false)
 }
 
 // Send is the blocking standard-mode send.
 func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, false)
+	r, err := d.isend(buf, dst, tag, context, false, true)
 	if err != nil {
 		return err
 	}
@@ -394,12 +410,12 @@ func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) 
 
 // ISsend starts a synchronous-mode non-blocking send.
 func (d *Device) ISsend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, true)
+	return d.isend(buf, dst, tag, context, true, false)
 }
 
 // Ssend is the blocking synchronous-mode send.
 func (d *Device) Ssend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, true)
+	r, err := d.isend(buf, dst, tag, context, true, true)
 	if err != nil {
 		return err
 	}
@@ -427,6 +443,16 @@ func (d *Device) pattern(src xdev.ProcessID, tag, context int) (match.Pattern, e
 
 // IRecv posts a non-blocking receive.
 func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Request, error) {
+	r, err := d.irecv(buf, src, tag, context, false)
+	if err != nil {
+		return nil, err // not a typed nil in the interface
+	}
+	return r, nil
+}
+
+// irecv is IRecv, and with blocking the first half of Recv on a request
+// from devcore's pool.
+func (d *Device) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, blocking bool) (*devcore.Request, error) {
 	if !d.initDone || d.finished.Load() {
 		return nil, xdev.Errf(DeviceName, "irecv", "device not ready")
 	}
@@ -434,7 +460,7 @@ func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int)
 	if err != nil {
 		return nil, err
 	}
-	req := d.core.NewRequest(devcore.RecvReq, buf)
+	req := d.newRequest(devcore.RecvReq, buf, blocking)
 	if d.rec.Enabled() {
 		peer := int32(-1)
 		if !src.IsAnySource() {
@@ -464,9 +490,10 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 	st := xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}
 	lerr := req.Buf.LoadWire(arr.Data)
 	devcore.PutSlice(arr.Data)
-	arr.Data = nil
-	if arr.SyncReq != nil {
-		arr.SyncReq.Complete(st, nil)
+	syncReq := arr.SyncReq
+	devcore.ReleaseArrival(arr)
+	if syncReq != nil {
+		syncReq.Complete(st, nil)
 	}
 	req.Complete(st, lerr)
 	return nil
@@ -493,7 +520,7 @@ func (d *Device) Core() *devcore.Core { return d.core }
 
 // Recv blocks until a matching message has been received.
 func (d *Device) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	r, err := d.IRecv(buf, src, tag, context)
+	r, err := d.irecv(buf, src, tag, context, true)
 	if err != nil {
 		return xdev.Status{}, err
 	}
@@ -506,14 +533,11 @@ func (d *Device) IProbe(src xdev.ProcessID, tag, context int) (xdev.Status, bool
 	if err != nil {
 		return xdev.Status{}, false, err
 	}
-	arr, err := d.core.IProbe(p, "iprobe")
-	if err != nil {
+	e, ok, err := d.core.IProbe(p, "iprobe")
+	if !ok || err != nil {
 		return xdev.Status{}, false, err
 	}
-	if arr == nil {
-		return xdev.Status{}, false, nil
-	}
-	return xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}, true, nil
+	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, true, nil
 }
 
 // Probe blocks until a matching message is available.
@@ -522,11 +546,11 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 	if err != nil {
 		return xdev.Status{}, err
 	}
-	arr, err := d.core.Probe(p, "probe")
+	e, err := d.core.Probe(p, "probe")
 	if err != nil {
 		return xdev.Status{}, err
 	}
-	return xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}, nil
+	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, nil
 }
 
 // Peek blocks until some request completes and returns it.

@@ -96,3 +96,9 @@ func TestRecoveryConformance(t *testing.T) {
 func TestUserMemoryConformance(t *testing.T) {
 	devtest.RunUserMemory(t, runner, devtest.UserMemOptions{PostedCopies: 1, StoreBalance: true})
 }
+
+// TestRecycledRequestsNeverSeenLate runs the recycled-request check:
+// blocking calls beside a WaitAny loop on the same device.
+func TestRecycledRequestsNeverSeenLate(t *testing.T) {
+	devtest.RunRecycle(t, runner)
+}
