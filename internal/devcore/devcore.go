@@ -105,6 +105,11 @@ func (a *Arrival) envelope() Envelope {
 	return Envelope{Src: a.Src, Tag: a.Tag, Ctx: a.Ctx, Seq: a.Seq, WireLen: a.WireLen, MatchInfo: a.MatchInfo}
 }
 
+// status is the xdev status a probe reports for the envelope.
+func (e Envelope) status() xdev.Status {
+	return xdev.Status{Source: xdev.ProcessID{UUID: e.Src}, Tag: int(e.Tag), Bytes: e.WireLen}
+}
+
 // PeerFail describes how a peer's departure propagates.
 type PeerFail struct {
 	// Err completes every request that only the lost peer could
@@ -242,13 +247,6 @@ func (c *Core) Closed() bool {
 	return c.closed
 }
 
-// Aborted returns the job's abort error, or nil.
-func (c *Core) Aborted() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aborted
-}
-
 // SetAborted records the job abort; the first recorded abort wins.
 func (c *Core) SetAborted(err error) {
 	c.mu.Lock()
@@ -256,21 +254,6 @@ func (c *Core) SetAborted(err error) {
 		c.aborted = err
 	}
 	c.mu.Unlock()
-}
-
-// OpErr gates new operations: the abort error if the job aborted, the
-// device's closed shape if the core shut down, nil while live.
-func (c *Core) OpErr(op string) error {
-	c.mu.Lock()
-	aborted, closed := c.aborted, c.closed
-	c.mu.Unlock()
-	if aborted != nil {
-		return aborted
-	}
-	if closed {
-		return c.closedErr(op)
-	}
-	return nil
 }
 
 // PeerErr returns the recorded death error of slot, or nil while it is
@@ -281,9 +264,11 @@ func (c *Core) PeerErr(slot uint64) error {
 	return c.peerDead[slot]
 }
 
-// SendGate is OpErr, PeerErr(slot) and CtxErr(ctx) in that order of
-// precedence, under one acquisition of the core lock: the gate a send
-// passes before it does any work.
+// SendGate is the gate a send passes before it does any work, under
+// one acquisition of the core lock: the abort error if the job aborted,
+// the device's closed shape if the core shut down, then slot's recorded
+// death (PeerErr), then ctx's revocation (CtxErr); nil while all are
+// live.
 func (c *Core) SendGate(op string, slot uint64, ctx int32) error {
 	c.mu.Lock()
 	aborted, closed := c.aborted, c.closed
@@ -391,13 +376,15 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 	return nil, false, nil
 }
 
-// PostRecv is the receive decision point: if a parked arrival matches
-// the pattern it is removed and returned for the caller to deliver
-// (consuming a parked unexpected message is not an arrival-time match,
-// so nothing is counted). Otherwise the receive joins the posted set —
-// unless the core is aborted or closed, or the pattern pins a source
-// already known dead, in which case the receive fails fast with the
-// recorded error instead of parking forever.
+// PostRecv is the receive decision point and its gate, under one
+// acquisition of the core lock. An aborted or closed core fails the
+// receive first, even with a matching message parked. Otherwise, if a
+// parked arrival matches the pattern it is removed and returned for
+// the caller to deliver (consuming a parked unexpected message is not
+// an arrival-time match, so nothing is counted); if none does, the
+// receive joins the posted set — unless its context is revoked or the
+// pattern pins a source already known dead, in which case it fails fast
+// with the recorded error instead of parking forever.
 //
 // pinAlive, when non-nil, is consulted under the core lock before
 // posting: devices whose peer liveness lives outside the core (mxsim's
@@ -409,6 +396,12 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 func (c *Core) PostRecv(p match.Pattern, req *Request, pinAlive func() error) (*Arrival, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.aborted != nil {
+		return nil, c.aborted
+	}
+	if c.closed {
+		return nil, c.closedErr("irecv")
+	}
 	if s := c.session.Load(); s != nil {
 		var err error
 		if p, err = c.replayPostLocked(s, p, req); err != nil {
@@ -430,12 +423,6 @@ func (c *Core) PostRecv(p match.Pattern, req *Request, pinAlive func() error) (*
 	}
 	if req.claimed() {
 		return nil, ErrClaimed
-	}
-	if c.aborted != nil {
-		return nil, c.aborted
-	}
-	if c.closed {
-		return nil, c.closedErr("irecv")
 	}
 	if err := c.revoked[p.Ctx]; err != nil {
 		return nil, err

@@ -199,8 +199,8 @@ func TestAbortPreemptsClosedShape(t *testing.T) {
 	ab := errors.New("abort cause")
 	c.SetAborted(ab)
 	c.Shutdown(ab, ab)
-	if err := c.OpErr("isend"); !errors.Is(err, ab) {
-		t.Fatalf("OpErr = %v, want abort cause", err)
+	if err := c.SendGate("isend", 0, 0); !errors.Is(err, ab) {
+		t.Fatalf("SendGate = %v, want abort cause", err)
 	}
 	if _, err := c.Peek(); !errors.Is(err, ab) {
 		t.Fatalf("Peek = %v, want abort cause", err)
@@ -210,9 +210,8 @@ func TestAbortPreemptsClosedShape(t *testing.T) {
 	}
 }
 
-// SendGate gives the precedence OpErr, PeerErr and CtxErr give one
-// after another: abort, then closed, then dead peer, then revoked
-// context.
+// SendGate's precedence: abort, then closed, then dead peer, then
+// revoked context.
 func TestSendGatePrecedence(t *testing.T) {
 	c := New("test")
 	if err := c.SendGate("isend", 3, 5); err != nil {

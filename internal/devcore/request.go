@@ -210,13 +210,6 @@ func (r *Request) Trace(peer, tag, ctx int32) {
 	r.peer, r.tag, r.ctx = peer, tag, ctx
 }
 
-// TraceSeq additionally stamps the message's per-sender sequence
-// number (the send side knows it at creation).
-func (r *Request) TraceSeq(peer, tag, ctx int32, seq uint64) {
-	r.Trace(peer, tag, ctx)
-	r.seq = seq
-}
-
 // SetSeq stamps the sequence number on an already-traced request —
 // the send side uses it when the seq is drawn after request creation.
 // No-op when untraced.

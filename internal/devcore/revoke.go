@@ -1,8 +1,6 @@
 package devcore
 
 import (
-	"sort"
-
 	"mpj/internal/match"
 	"mpj/internal/xdev"
 )
@@ -84,17 +82,4 @@ func (c *Core) CtxErr(ctx int32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.revoked[ctx]
-}
-
-// RevokedContexts returns the revoked contexts in ascending order (for
-// introspection).
-func (c *Core) RevokedContexts() []int32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]int32, 0, len(c.revoked))
-	for ctx := range c.revoked {
-		out = append(out, ctx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

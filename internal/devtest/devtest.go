@@ -7,6 +7,8 @@
 package devtest
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -106,6 +108,70 @@ func RunConformance(t *testing.T, run JobRunner, opts Options) {
 	if opts.HasPeek {
 		t.Run("Peek", func(t *testing.T) { testPeek(t, run) })
 	}
+}
+
+// RunOpsAfterFinish is the conformance case of a device's lifetime
+// edges, run by each product device as its own top-level test so that
+// stress runs can name it: a finished device refuses new point-to-point
+// operations — ISend, Send, ISsend, Ssend, IRecv, Recv and Peek — with
+// an error wrapping xdev.ErrDeviceClosed, and IRecv and Recv do so even
+// with a matching message parked unexpected; the same calls on a device
+// from newDev that never joined a job return an *xdev.Error and do not
+// panic.
+func RunOpsAfterFinish(t *testing.T, run JobRunner, newDev func() xdev.Device) {
+	run(t, 2, func(d xdev.Device, rank int, pids []xdev.ProcessID) {
+		if rank == 0 {
+			send(t, d, pids[1], 7, []int64{1})
+		} else if _, err := d.Probe(pids[0], 7, 0); err != nil {
+			t.Errorf("probe: %v", err) // parked unexpected from here on
+		}
+		if err := d.Finish(); err != nil {
+			t.Errorf("rank %d finish: %v", rank, err)
+		}
+		for op, err := range closedOps(d, pids[1-rank], 7) {
+			if !errors.Is(err, xdev.ErrDeviceClosed) {
+				t.Errorf("rank %d: %s after Finish: %v, want xdev.ErrDeviceClosed", rank, op, err)
+			}
+		}
+	})
+	for op, err := range closedOps(newDev(), xdev.ProcessID{UUID: 0}, 7) {
+		var xe *xdev.Error
+		if !errors.As(err, &xe) {
+			t.Errorf("%s before Init: %v, want an *xdev.Error", op, err)
+		}
+	}
+}
+
+// closedOps calls each operation a closed device must refuse, turning
+// a panic into an error, and returns what each returned.
+func closedOps(d xdev.Device, peer xdev.ProcessID, tag int) map[string]error {
+	msg := mpjbuf.New(16)
+	msg.WriteLongs([]int64{1}, 0, 1)
+	ops := map[string]func() error{
+		"ISend":  func() error { _, err := d.ISend(msg, peer, tag, 0); return err },
+		"Send":   func() error { return d.Send(msg, peer, tag, 0) },
+		"ISsend": func() error { _, err := d.ISsend(msg, peer, tag, 0); return err },
+		"Ssend":  func() error { return d.Ssend(msg, peer, tag, 0) },
+		"IRecv":  func() error { _, err := d.IRecv(mpjbuf.New(0), peer, tag, 0); return err },
+		"IRecv(ANY_SOURCE)": func() error {
+			_, err := d.IRecv(mpjbuf.New(0), xdev.AnySource, xdev.AnyTag, 0)
+			return err
+		},
+		"Recv": func() error { _, err := d.Recv(mpjbuf.New(0), peer, tag, 0); return err },
+		"Peek": func() error { _, err := d.Peek(); return err },
+	}
+	out := make(map[string]error, len(ops))
+	for name, op := range ops {
+		out[name] = func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			return op()
+		}()
+	}
+	return out
 }
 
 func send(t *testing.T, d xdev.Device, dst xdev.ProcessID, tag int, vals []int64) {

@@ -70,6 +70,12 @@ func TestConformanceTwoNodes(t *testing.T) {
 		devtest.Options{HasPeek: true, RendezvousAt: niodev.DefaultEagerLimit})
 }
 
+// TestOpsAfterFinish runs on the interleaved placement, where a finished
+// device has both inner transports to close.
+func TestOpsAfterFinish(t *testing.T) {
+	devtest.RunOpsAfterFinish(t, conformanceRunner(interleaved), func() xdev.Device { return New() })
+}
+
 // Chaos: blocked calls must fail typed, not hang, under Finish and
 // peer death — on both placements.
 func TestChaosConformanceSingleNode(t *testing.T) {

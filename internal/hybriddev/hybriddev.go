@@ -189,10 +189,11 @@ func (d *Device) route(dst xdev.ProcessID) xdev.Device {
 	return d.nio
 }
 
-// ready gates new operations.
+// ready gates new operations: before Init and after Finish the device
+// is closed to them.
 func (d *Device) ready(op string) error {
 	if !d.initDone || d.finished.Load() {
-		return xdev.Errf(DeviceName, op, "device not ready")
+		return xdev.Errf(DeviceName, op, "device not ready: %w", xdev.ErrDeviceClosed)
 	}
 	return nil
 }
@@ -400,7 +401,7 @@ func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error
 // smp core's completions are merged into the nio core's queue at Init.
 func (d *Device) Peek() (xdev.Request, error) {
 	if d.nio == nil {
-		return nil, xdev.Errf(DeviceName, "peek", "device not ready")
+		return nil, xdev.Errf(DeviceName, "peek", "device not ready: %w", xdev.ErrDeviceClosed)
 	}
 	return d.nio.Peek()
 }

@@ -148,7 +148,7 @@ func TestMatchedEagerHandlerAllocs(t *testing.T) {
 }
 
 // TestRndvSendAllocs pins a whole rendezvous send through the device —
-// isend (request, RTS, checksum), READY_TO_RECV at the input handler,
+// ISend (request, RTS, checksum), READY_TO_RECV at the input handler,
 // the data frame posted and written — at rndvSendAllocs allocations,
 // the Request itself and the gather list writeBatch hands to WriteTo, in
 // both hand-off orders: the RTR before the checksum (the sending thread writes the
@@ -166,7 +166,7 @@ func TestRndvSendAllocs(t *testing.T) {
 		d := bareDevice()
 		q := d.queues[1]
 		var b mpjbuf.Buffer
-		var seq uint64 // isend draws 1, 2, ... on a fresh device
+		var seq uint64 // ISend draws 1, 2, ... on a fresh device
 		rtr := func() { d.handleRTR(header{typ: msgRTR, src: 1, seq: seq}) }
 		beforeRndvChecksum = func() {}
 		if order == rtrFirst {
@@ -180,7 +180,7 @@ func TestRndvSendAllocs(t *testing.T) {
 			if order == sumFirst {
 				q.writing = true // the handler only queues; the holder below writes
 			}
-			req, err := d.isend(&b, d.pids[1], 1, 0, false, false)
+			req, err := d.ISend(&b, d.pids[1], 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestRndvSendAllocs(t *testing.T) {
 				rtr()
 				d.writeQueued(1, q, 0)
 			}
-			if !req.Done() {
+			if _, done, _ := req.Test(); !done {
 				t.Fatalf("%v: the send did not complete", order)
 			}
 			req.Wait()
@@ -206,7 +206,7 @@ func TestRndvSendAllocs(t *testing.T) {
 // TestSendPathMpjbufAllocs pins what a steady-state send asks of mpjbuf
 // — pack into a reused buffer (a copied section for an eager message, a
 // borrowed one for a rendezvous message), WireLen, the segment list into
-// the caller's array as isend and handleRTR build it, Reset — at zero
+// the caller's array as StartSend and handleRTR build it, Reset — at zero
 // allocations: the wire header lives in the Buffer and the list on the
 // sender's stack.
 func TestSendPathMpjbufAllocs(t *testing.T) {
@@ -277,8 +277,9 @@ func initPair(t *testing.T) (d0, d1 *Device, pids []xdev.ProcessID) {
 // staging slice, arrival and match entry), a blocking Recv that finds it
 // unexpected, and a blocking Recv posted first that its message
 // completes before Wait has to park. A Recv that does park allocates its
-// wake channel, so the posted-first cycle only waits once the receive is
-// done.
+// wake channel, so the posted-first cycle is Recv in its two halves — a
+// pooled request posted through the front end, then Wait — and only
+// waits once the receive is done.
 func TestBlockingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
@@ -309,8 +310,8 @@ func TestBlockingAllocs(t *testing.T) {
 			}
 		}},
 		{"posted recv, then send", func() {
-			r, err := d1.irecv(rb, pids[0], 1, 0, true)
-			if err != nil {
+			r := d1.Core().NewBlockingRequest(devcore.RecvReq, rb)
+			if err := d1.PostRecvReq(r, pids[0], 1, 0); err != nil {
 				t.Fatal(err)
 			}
 			send()

@@ -40,6 +40,12 @@ func TestConformanceInProc(t *testing.T) {
 		devtest.Options{HasPeek: true, RendezvousAt: DefaultEagerLimit})
 }
 
+func TestOpsAfterFinish(t *testing.T) {
+	devtest.RunOpsAfterFinish(t,
+		conformanceRunner(func() xdev.Transport { return transport.NewInProc(0) }),
+		func() xdev.Device { return New() })
+}
+
 // TestConformanceInProcDirect runs the suite over directPipe pipes.
 func TestConformanceInProcDirect(t *testing.T) {
 	devtest.RunConformance(t,

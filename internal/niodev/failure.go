@@ -17,6 +17,11 @@ import (
 // is gone and what error shape its loss carries, and tears down the
 // transport (connections, listener) around the core's drain.
 
+// ErrDeviceClosed is returned by operations outstanding when the device
+// is finished. It wraps xdev.ErrDeviceClosed, so device-agnostic
+// callers can test with errors.Is against the xdev sentinel.
+var ErrDeviceClosed = fmt.Errorf("niodev: %w", xdev.ErrDeviceClosed)
+
 // peerErr returns the death error of slot, or nil while it is alive.
 func (d *Device) peerErr(slot int) error {
 	if slot < 0 || slot >= len(d.pids) {
@@ -31,13 +36,6 @@ func (d *Device) peerErr(slot int) error {
 // declares a slot gone, it stays gone.
 func (d *Device) PeerErr(p xdev.ProcessID) error {
 	return d.peerErr(int(p.UUID))
-}
-
-// opErr gates new operations: it returns the job's abort error if the
-// job aborted, a device-closed error if the device finished, and nil
-// while the device is live.
-func (d *Device) opErr(op string) error {
-	return d.core.OpErr(op)
 }
 
 // peerLost wraps cause in the death-error shape markPeerDead records,

@@ -61,8 +61,12 @@ func init() {
 	xdev.Register(DeviceName, func() xdev.Device { return New() })
 }
 
-// Device implements xdev.Device over stream transports.
+// Device implements xdev.Device over stream transports. The
+// point-to-point surface is devcore's front end; the device binds it
+// to the wire (protocol.go).
 type Device struct {
+	devcore.Front
+
 	cfg        xdev.Config
 	self       xdev.ProcessID
 	pids       []xdev.ProcessID
@@ -97,7 +101,6 @@ type Device struct {
 	linked    chan struct{} // a value per linked peer; Init awaits Size-1
 	handlerWG sync.WaitGroup
 	closed    atomic.Bool
-	initDone  bool
 
 	rec mpe.Recorder
 }
@@ -111,6 +114,7 @@ func New() *Device {
 	d.pendingRndv = d.core.NewPendingSet("rndv-send")
 	d.pendingSync = d.core.NewPendingSet("sync-send")
 	d.rndvIncoming = d.core.NewPendingSet("rndv-recv")
+	d.Bind(DeviceName, wire{d})
 	return d
 }
 
@@ -118,7 +122,7 @@ func New() *Device {
 // dials the peers it should (dials), and waits until it has one
 // connection to every peer, however it was made.
 func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
-	if d.initDone {
+	if d.Core() != nil {
 		return nil, xdev.Errf(DeviceName, "init", "device already initialized")
 	}
 	if cfg.Size < 1 {
@@ -188,7 +192,7 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 			return nil, &xdev.Error{Dev: DeviceName, Op: "await peer connections", Err: err}
 		}
 	}
-	d.initDone = true
+	d.Attach(d.core, cfg.Size)
 	return append([]xdev.ProcessID(nil), d.pids...), nil
 }
 
@@ -359,13 +363,6 @@ func (d *Device) sayGoodbye() {
 		return
 	}
 	d.broadcast(header{typ: msgBye, src: uint32(d.cfg.Rank)}, -1, goodbyeFlush)
-}
-
-func (d *Device) slotOf(p xdev.ProcessID) (int, error) {
-	if p.UUID >= uint64(len(d.pids)) {
-		return 0, xdev.Errf(DeviceName, "resolve", "unknown process %v", p)
-	}
-	return int(p.UUID), nil
 }
 
 var _ xdev.Device = (*Device)(nil)

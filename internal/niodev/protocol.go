@@ -138,33 +138,21 @@ func payloadCRC(segments [][]byte) uint32 {
 	return sum
 }
 
-// isend implements the four send modes. sync selects synchronous
-// completion semantics (Ssend/ISsend); blocking, a request from
-// devcore's pool that only the caller's Wait sees (Send/Ssend).
-func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync, blocking bool) (*devcore.Request, error) {
-	// One core-lock round trip gates the send: abort/closed, then unknown
-	// process, then dead peer, then revoked context. slotOf takes no lock,
-	// so an unknown process only asks the core whether the device is down.
-	slot, err := d.slotOf(dst)
-	if err == nil {
-		err = d.core.SendGate("isend", uint64(slot), int32(context))
-	} else if opErr := d.opErr("isend"); opErr != nil {
-		err = opErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	req := d.newRequest(devcore.SendReq, buf, blocking)
-	req.OpCtx = int32(context)
-	wireLen := buf.WireLen()
-	if d.rec.Enabled() {
-		req.Trace(int32(slot), int32(tag), int32(context))
-		d.rec.Event(mpe.SendBegin, int32(slot), int32(tag), int32(context), int64(wireLen))
-	}
+// wire is the device's devcore.Port: frames over the pair's
+// connection, or self-delivery through the matching engine. It is a
+// type of its own so that the port's methods, which skip the front
+// end's gate, are not the device's.
+type wire struct{ *Device }
 
+// StartSend runs the eager or rendezvous protocol for a send that has
+// passed the gate, or delivers it to this process without touching the
+// network.
+func (w wire) StartSend(req *devcore.Request, dst uint64, tag, context int, sync bool) error {
+	d, buf, slot := w.Device, req.Buf, int(dst)
+	wireLen := buf.WireLen()
 	if slot == d.cfg.Rank {
 		d.deliverSelf(buf, tag, context, sync, req)
-		return req, nil
+		return nil
 	}
 
 	if wireLen <= d.eagerLimit {
@@ -177,7 +165,7 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 			typ = msgEagerSync
 			seq = d.core.NextSeqSend(uint64(slot), int32(context), int32(tag))
 			if err := d.pendingSync.Add(devcore.PendingKey{Peer: uint64(slot), Seq: seq}, req); err != nil {
-				return nil, err // peer death or shutdown raced the gate checks
+				return err // peer death or shutdown raced the gate checks
 			}
 		} else if d.rec.Enabled() || d.core.ReplayActive() {
 			// Plain eager frames only need a seq for cross-rank trace
@@ -206,15 +194,15 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 				if _, mine := d.pendingSync.Take(devcore.PendingKey{Peer: uint64(slot), Seq: seq}); !mine {
 					// The peer-death drain already owned and completed
 					// this request; hand it back so Wait reports that.
-					return req, nil
+					return nil
 				}
 			}
-			return nil, err
+			return err
 		}
 		if d.rec.Enabled() {
 			d.rec.EventSeq(mpe.EagerOut, int32(slot), int32(tag), int32(context), int64(wireLen), seq)
 		}
-		return req, nil
+		return nil
 	}
 
 	// Rendezvous protocol (paper Fig. 6): register the pending send,
@@ -230,14 +218,14 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	}
 	req.SendTag, req.SendCtx = int32(tag), int32(context)
 	if err := d.pendingRndv.Add(devcore.PendingKey{Peer: uint64(slot), Seq: seq}, req); err != nil {
-		return nil, err // peer death or shutdown raced the gate checks
+		return err // peer death or shutdown raced the gate checks
 	}
 	h := header{typ: msgRTS, src: uint32(d.cfg.Rank), tag: int32(tag), ctx: int32(context), seq: seq, wireLen: uint64(wireLen)}
 	if err := d.send(slot, h, nil, nil, xdev.Status{}, true); err != nil {
 		if _, mine := d.pendingRndv.Take(devcore.PendingKey{Peer: uint64(slot), Seq: seq}); !mine {
-			return req, nil // completed by the peer-death drain
+			return nil // completed by the peer-death drain
 		}
-		return nil, err
+		return err
 	}
 	if d.rec.Enabled() {
 		d.rec.EventSeq(mpe.RendezvousRTS, int32(slot), int32(tag), int32(context), int64(wireLen), seq)
@@ -252,7 +240,7 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	if req.RndvStep() {
 		d.postRndvData(slot, req, seq, s, true)
 	}
-	return req, nil
+	return nil
 }
 
 // beforeRndvChecksum runs as a rendezvous checksum starts; tests replace
@@ -276,45 +264,6 @@ func (d *Device) postRndvData(slot int, req *devcore.Request, seq uint64, segs [
 	if d.rec.Enabled() {
 		d.rec.EventSeq(mpe.RendezvousData, int32(slot), h.tag, h.ctx, int64(wireLen), seq)
 	}
-}
-
-// newRequest makes a nonblocking call's request, or a blocking call's
-// from devcore's pool.
-func (d *Device) newRequest(kind devcore.Kind, buf *mpjbuf.Buffer, blocking bool) *devcore.Request {
-	if blocking {
-		return d.core.NewBlockingRequest(kind, buf)
-	}
-	return d.core.NewRequest(kind, buf)
-}
-
-// ISend starts a standard-mode non-blocking send.
-func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, false, false)
-}
-
-// Send is the blocking standard-mode send.
-func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, false, true)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
-}
-
-// ISsend starts a synchronous-mode non-blocking send.
-func (d *Device) ISsend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, true, false)
-}
-
-// Ssend is the blocking synchronous-mode send.
-func (d *Device) Ssend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, true, true)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
 }
 
 // deliverSelf routes a send whose destination is this process through
@@ -348,8 +297,8 @@ func (d *Device) deliverSelf(buf *mpjbuf.Buffer, tag, context int, sync bool, sr
 		// sender completes with the failure instead of hanging.
 		devcore.ReleaseArrival(arr)
 		devcore.PutSlice(data)
-		if ferr := d.opErr("isend"); ferr != nil {
-			err = ferr
+		if errors.Is(err, devcore.ErrClosed) {
+			err = &xdev.Error{Dev: DeviceName, Op: "isend", Err: ErrDeviceClosed}
 		}
 		sreq.Complete(xdev.Status{}, err)
 		return
@@ -367,84 +316,13 @@ func (d *Device) deliverSelf(buf *mpjbuf.Buffer, tag, context int, sync bool, sr
 	}
 }
 
-func (d *Device) pattern(src xdev.ProcessID, tag, context int) (match.Pattern, error) {
-	p := match.Pattern{Ctx: int32(context)}
-	if tag == xdev.AnyTag {
-		p.Tag = match.AnyTag
-	} else {
-		p.Tag = int32(tag)
-	}
-	if src.IsAnySource() {
-		p.Src = match.AnySource
-	} else {
-		slot, err := d.slotOf(src)
-		if err != nil {
-			return p, err
-		}
-		p.Src = uint64(slot)
-	}
-	return p, nil
-}
-
-// IRecv posts a non-blocking receive (paper Figs. 4 and 7). If an
-// unexpected message already matches, it is consumed immediately;
-// otherwise the request joins the pending-recv-request-set.
-//
-// A receive pinned to a peer already known dead fails fast with the
-// peer's death error — unless a matching message arrived before the
-// peer died, which is still delivered. ANY_SOURCE receives stay posted
-// as long as any peer could satisfy them.
-func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	r, err := d.irecv(buf, src, tag, context, false)
-	if err != nil {
-		return nil, err // not a typed nil in the interface
-	}
-	return r, nil
-}
-
-// irecv is IRecv, and with blocking the first half of Recv on a request
-// from devcore's pool.
-func (d *Device) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, blocking bool) (*devcore.Request, error) {
-	if err := d.opErr("irecv"); err != nil {
-		return nil, err
-	}
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return nil, err
-	}
-	req := d.newRequest(devcore.RecvReq, buf, blocking)
-	req.OpCtx = int32(context)
-	if d.rec.Enabled() {
-		peer := int32(-1)
-		if !src.IsAnySource() {
-			peer = int32(p.Src)
-		}
-		req.Trace(peer, int32(tag), int32(context))
-		d.rec.Event(mpe.RecvPosted, peer, int32(tag), int32(context), 0)
-	}
-	if err := d.irecvReq(req, p); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// irecvReq is the post-creation half of IRecv: it posts req under the
-// pattern, or consumes a matching parked arrival — answering a
-// rendezvous announcement with READY_TO_RECV, or delivering a buffered
-// eager payload. A nil return means the request's lifecycle is now in
-// the core's hands (posted, or already completed, possibly with a
-// recorded failure); a non-nil return means nothing happened to req
-// (devcore.ErrClaimed: a dual-posted request was won by the other core
-// first).
-func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
-	buf := req.Buf
-	arr, err := d.core.PostRecv(p, req, nil)
-	if err != nil {
-		return err
-	}
-	if arr == nil {
-		return nil // posted; an arrival or drain completes it
-	}
+// Deliver consumes a parked arrival PostRecv handed to req: it answers
+// a rendezvous announcement with READY_TO_RECV, or delivers a buffered
+// eager payload. Either way req's lifecycle is in the core's hands
+// afterwards (completed, possibly with a recorded failure, or
+// registered for the rendezvous data).
+func (w wire) Deliver(req *devcore.Request, arr *devcore.Arrival) {
+	d := w.Device
 	// The arrival is this receive's now: copy out what it says and hand
 	// it back.
 	a := *arr
@@ -459,26 +337,25 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 			// match and the registration; fail the receive the same way
 			// the drain would have.
 			req.Complete(xdev.Status{}, err)
-			return nil
+			return
 		}
 		h := header{typ: msgRTR, src: uint32(d.cfg.Rank), seq: a.Seq}
 		if err := d.send(int(a.Src), h, nil, nil, xdev.Status{}, false); err != nil {
-			if _, mine := d.rndvIncoming.Take(k); !mine {
-				return nil // completed by the peer-death drain
-			}
-			req.Complete(xdev.Status{}, &xdev.Error{Dev: DeviceName, Op: "rendezvous RTR", Err: err})
-			return nil
+			if _, mine := d.rndvIncoming.Take(k); mine {
+				req.Complete(xdev.Status{}, &xdev.Error{Dev: DeviceName, Op: "rendezvous RTR", Err: err})
+			} // else completed by the peer-death drain
+			return
 		}
 		if d.rec.Enabled() {
 			d.rec.EventSeq(mpe.RendezvousRTR, int32(a.Src), a.Tag, a.Ctx, int64(a.WireLen), a.Seq)
 		}
-		return nil
+		return
 	}
 
 	// Buffered eager message: copy from the device-level input buffer
 	// into the user buffer (Fig. 4), recycling the staging slice.
 	st := xdev.Status{Source: d.pids[a.Src], Tag: int(a.Tag), Bytes: a.WireLen}
-	loadErr := buf.LoadWire(a.Data)
+	loadErr := req.Buf.LoadWire(a.Data)
 	devcore.PutSlice(a.Data)
 	switch {
 	case a.SyncReq != nil:
@@ -487,70 +364,10 @@ func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
 		h := header{typ: msgAck, src: uint32(d.cfg.Rank), seq: a.Seq}
 		if err := d.send(int(a.Src), h, nil, nil, xdev.Status{}, false); err != nil {
 			req.Complete(st, err)
-			return nil
+			return
 		}
 	}
 	req.Complete(st, loadErr)
-	return nil
-}
-
-// PostRecvReq posts a receive on an externally created request — the
-// composition hook hybriddev uses to dual-post one ANY_SOURCE request
-// into this device and its shared-memory sibling. The caller owns
-// request creation and tracing; rendezvous and eager delivery behave
-// exactly as in IRecv. Returns devcore.ErrClaimed when the sibling
-// core won the request before this device could act (req untouched).
-func (d *Device) PostRecvReq(req *devcore.Request, src xdev.ProcessID, tag, context int) error {
-	if err := d.opErr("irecv"); err != nil {
-		return err
-	}
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return err
-	}
-	req.OpCtx = int32(context)
-	return d.irecvReq(req, p)
-}
-
-// Core exposes the device's progress core for composition (hybriddev's
-// shared completion queue and notification hooks).
-func (d *Device) Core() *devcore.Core { return d.core }
-
-// Recv blocks until a matching message has been received.
-func (d *Device) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	r, err := d.irecv(buf, src, tag, context, true)
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	return r.Wait()
-}
-
-// IProbe checks for a matching available message without receiving it.
-func (d *Device) IProbe(src xdev.ProcessID, tag, context int) (xdev.Status, bool, error) {
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return xdev.Status{}, false, err
-	}
-	e, ok, err := d.core.IProbe(p, "iprobe")
-	if !ok || err != nil {
-		return xdev.Status{}, false, err
-	}
-	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, true, nil
-}
-
-// Probe blocks until a matching message is available. It fails instead
-// of blocking forever when the device closes, the job aborts, or a
-// pinned source dies with no buffered match left.
-func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	e, err := d.core.Probe(p, "probe")
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, nil
 }
 
 // inputHandler is the progress engine for the connection to peer slot

@@ -35,7 +35,7 @@ func bareDevice() *Device {
 	d.self = d.pids[0]
 	d.eagerLimit = DefaultEagerLimit
 	d.queues = []*peerQueue{nil, {conn: sink{}}}
-	d.initDone = true
+	d.Attach(d.core, 2)
 	return d
 }
 

@@ -219,7 +219,7 @@ func (d *Device) queue(slot int) *peerQueue {
 // both checksums (a rendezvous payload's comes in h) into a pooled slice.
 func (d *Device) newFrame(h header, segments [][]byte, req *devcore.Request, st xdev.Status) *sendFrame {
 	hdr := devcore.GetSlice(headerLen)
-	if h.typ != msgRndvData { // isend summed it during the handshake
+	if h.typ != msgRndvData { // StartSend summed it during the handshake
 		h.payCRC = payloadCRC(segments)
 	}
 	h.encode(hdr)

@@ -1,33 +1,6 @@
 package niodev
 
-import (
-	"mpj/internal/devcore"
-	"mpj/internal/mpe"
-)
-
-// Stats is a snapshot of the device's activity counters, usable for
-// tuning and for verifying protocol selection (eager vs rendezvous) in
-// tests and benchmarks. It is the shared mpe.CounterSnapshot type —
-// every device in the repository reports the same shape.
-type Stats = mpe.CounterSnapshot
-
-// Stats returns a snapshot of the device's activity counters, which
-// live in the shared progress core.
-func (d *Device) Stats() Stats { return d.core.Counters.Snapshot() }
-
-// CountersRef exposes the live counter block (mpe.CounterSource) so
-// upper layers account into the same counters Stats reports.
-func (d *Device) CountersRef() *mpe.Counters {
-	if d.core == nil {
-		return nil
-	}
-	return &d.core.Counters
-}
-
-// Recorder exposes the device's event recorder so upper layers
-// (mpjdev, core) record into the same per-rank stream
-// (mpe.Instrumented).
-func (d *Device) Recorder() mpe.Recorder { return d.rec }
+import "mpj/internal/devcore"
 
 // peerState is one peer's wire + liveness view for Introspect.
 type peerState struct {

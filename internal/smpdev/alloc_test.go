@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mpj/internal/devcore"
 	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
@@ -37,8 +38,9 @@ func initPair(t *testing.T) (d0, d1 *Device, pids []xdev.ProcessID) {
 // at zero allocations: a blocking 512 B Send that parks its message
 // (pooled request, wire copy, arrival and match entry), a blocking Recv
 // that finds it unexpected, and a blocking Recv posted first that the
-// Send completes before Wait could park. A Recv that does park
-// allocates its wake channel.
+// Send completes before Wait could park — Recv in its two halves, a
+// pooled request posted through the front end, then Wait. A Recv that
+// does park allocates its wake channel.
 func TestBlockingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; counts only hold in normal builds")
@@ -65,8 +67,8 @@ func TestBlockingAllocs(t *testing.T) {
 			}
 		}},
 		{"posted recv, then send", func() {
-			r, err := d1.irecv(rb, pids[0], 1, 0, true)
-			if err != nil {
+			r := d1.Core().NewBlockingRequest(devcore.RecvReq, rb)
+			if err := d1.PostRecvReq(r, pids[0], 1, 0); err != nil {
 				t.Fatal(err)
 			}
 			send()

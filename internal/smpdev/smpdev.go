@@ -19,20 +19,19 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"mpj/internal/devcore"
 	"mpj/internal/match"
 	"mpj/internal/mpe"
-	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
 
 // DeviceName is the registry name of this device.
 const DeviceName = "smpdev"
 
-// ErrDeviceClosed is returned for operations on a finished device. It
-// wraps xdev.ErrDeviceClosed for device-agnostic errors.Is tests.
+// ErrDeviceClosed is returned by operations outstanding when the device
+// is finished. It wraps xdev.ErrDeviceClosed, so device-agnostic
+// callers can test with errors.Is against the xdev sentinel.
 var ErrDeviceClosed = fmt.Errorf("smpdev: %w", xdev.ErrDeviceClosed)
 
 func init() {
@@ -57,69 +56,41 @@ type group struct {
 func newGroup(name string, size int) *group {
 	g := &group{name: name, size: size, cores: make([]*devcore.Core, size)}
 	for i := range g.cores {
-		c := devcore.New(DeviceName)
-		c.SetClosedErr(func(op string) error {
-			if op == "peek" {
-				return ErrDeviceClosed
-			}
-			return fmt.Errorf("smpdev: %s: %w", op, ErrDeviceClosed)
-		})
-		g.cores[i] = c
+		g.cores[i] = devcore.New(DeviceName)
 	}
 	return g
 }
 
-// Device implements xdev.Device for in-process ranks.
+// Device implements xdev.Device for in-process ranks. The
+// point-to-point surface is devcore's front end over this rank's
+// mailbox core; Stats reports the device's own sends plus the
+// receive-side activity other ranks recorded into that core.
 type Device struct {
+	devcore.Front
+
 	cfg      xdev.Config
 	self     xdev.ProcessID
-	pids     []xdev.ProcessID
 	grp      *group
-	core     *devcore.Core // this rank's mailbox core
 	mu       sync.Mutex
-	initDone bool
-	// finished is atomic: operations check it lock-free on their fast
-	// path while Finish (possibly on another goroutine) sets it.
-	finished atomic.Bool
-
-	rec mpe.Recorder
+	finished bool
 }
 
 // New returns an uninitialized smpdev device.
-func New() *Device { return &Device{rec: mpe.Nop{}} }
-
-// Stats returns a snapshot of the device's activity counters: its own
-// sends plus the receive-side activity other ranks recorded into this
-// rank's core.
-func (d *Device) Stats() mpe.CounterSnapshot {
-	if d.core == nil {
-		return mpe.CounterSnapshot{}
-	}
-	return d.core.Counters.Snapshot()
-}
-
-// Recorder exposes the device's event recorder (mpe.Instrumented).
-func (d *Device) Recorder() mpe.Recorder { return d.rec }
-
-// CountersRef exposes the live counter block (mpe.CounterSource) so
-// upper layers account into the same counters Stats reports. Nil until
-// Init.
-func (d *Device) CountersRef() *mpe.Counters {
-	if d.core == nil {
-		return nil
-	}
-	return &d.core.Counters
+func New() *Device {
+	d := &Device{}
+	d.Bind(DeviceName, mailbox{d})
+	return d
 }
 
 // Introspect snapshots this rank's mailbox core for the telemetry
 // /introspect endpoint.
 func (d *Device) Introspect() any {
-	if d.core == nil {
+	if d.Core() == nil {
 		return struct{}{}
 	}
 	return struct {
 		Core devcore.CoreState `json:"core"`
-	}{Core: d.core.Introspect()}
+	}{Core: d.Core().Introspect()}
 }
 
 // MemoryDomain names the in-process job namespace this device joined,
@@ -127,7 +98,7 @@ func (d *Device) Introspect() any {
 // (xdev.MemoryDomain): every rank of an smpdev job lives in this
 // process, so a window's memory is directly addressable by its peers.
 func (d *Device) MemoryDomain() (string, bool) {
-	if !d.initDone {
+	if d.Core() == nil {
 		return "", false
 	}
 	name := d.cfg.Group
@@ -141,10 +112,10 @@ func (d *Device) MemoryDomain() (string, bool) {
 // is alive (xdev.PeerChecker). Finish propagates departures as sticky
 // per-peer records on every survivor core, so the answer is stable.
 func (d *Device) PeerErr(p xdev.ProcessID) error {
-	if d.core == nil {
+	if d.Core() == nil {
 		return nil
 	}
-	return d.core.PeerErr(p.UUID)
+	return d.Core().PeerErr(p.UUID)
 }
 
 // Init joins (and if necessary creates) the in-process group named by
@@ -152,7 +123,7 @@ func (d *Device) PeerErr(p xdev.ProcessID) error {
 func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.initDone {
+	if d.Core() != nil {
 		return nil, xdev.Errf(DeviceName, "init", "device already initialized")
 	}
 	if cfg.Size < 1 {
@@ -179,22 +150,19 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 	board.Unlock()
 
 	d.cfg = cfg
-	if cfg.Recorder != nil {
-		d.rec = cfg.Recorder
-	}
 	d.grp = g
-	d.core = g.cores[cfg.Rank]
-	d.core.SetRecorder(d.rec)
+	c := g.cores[cfg.Rank]
+	c.SetRecorder(cfg.Recorder)
 	if cfg.Replay != nil {
-		d.core.SetReplay(cfg.Replay)
+		c.SetReplay(cfg.Replay)
 	}
-	d.pids = make([]xdev.ProcessID, cfg.Size)
-	for i := range d.pids {
-		d.pids[i] = xdev.ProcessID{UUID: uint64(i)}
+	pids := make([]xdev.ProcessID, cfg.Size)
+	for i := range pids {
+		pids[i] = xdev.ProcessID{UUID: uint64(i)}
 	}
-	d.self = d.pids[cfg.Rank]
-	d.initDone = true
-	return append([]xdev.ProcessID(nil), d.pids...), nil
+	d.self = pids[cfg.Rank]
+	d.Attach(c, cfg.Size)
+	return pids, nil
 }
 
 // ID returns this process's ProcessID.
@@ -208,9 +176,10 @@ func (d *Device) ID() xdev.ProcessID { return d.self }
 func (d *Device) Finish() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.finished.Swap(true) || !d.initDone {
+	if d.finished || d.Core() == nil {
 		return nil
 	}
+	d.finished = true
 
 	closedErr := &xdev.Error{Dev: DeviceName, Op: "finish", Err: ErrDeviceClosed}
 	peerLost := &xdev.Error{
@@ -221,7 +190,7 @@ func (d *Device) Finish() error {
 	// Posted receives fail as device-closed; synchronous senders parked
 	// unmatched in this mailbox will never be matched now — their Ssend
 	// fails with the receiver's departure.
-	d.core.Shutdown(closedErr, peerLost)
+	d.Core().Shutdown(closedErr, peerLost)
 
 	// Tell the survivors: receives pinned on this rank cannot complete.
 	// The departure is graceful — propagated, but not counted a loss.
@@ -247,12 +216,12 @@ func (d *Device) Finish() error {
 func (d *Device) Abort(code int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.initDone || d.finished.Load() {
+	if d.Core() == nil || d.finished {
 		return nil
 	}
 	ab := &xdev.AbortError{Code: code, From: d.cfg.Rank}
-	if d.rec.Enabled() {
-		d.rec.Event(mpe.Aborted, int32(d.cfg.Rank), int32(code), -1, 0)
+	if rec := d.Recorder(); rec.Enabled() {
+		rec.Event(mpe.Aborted, int32(d.cfg.Rank), int32(code), -1, 0)
 	}
 	for _, c := range d.grp.cores {
 		c.SetAborted(ab)
@@ -270,7 +239,7 @@ func (d *Device) Abort(code int) error {
 func (d *Device) Revoke(context int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !d.initDone || d.finished.Load() {
+	if d.Core() == nil || d.finished {
 		return nil
 	}
 	rerr := &xdev.Error{
@@ -284,8 +253,8 @@ func (d *Device) Revoke(context int) error {
 			first = true
 		}
 	}
-	if first && d.rec.Enabled() {
-		d.rec.Event(mpe.Revoked, int32(d.cfg.Rank), -1, int32(context), 0)
+	if rec := d.Recorder(); first && rec.Enabled() {
+		rec.Event(mpe.Revoked, int32(d.cfg.Rank), -1, int32(context), 0)
 	}
 	return nil
 }
@@ -299,47 +268,40 @@ func (d *Device) SendOverhead() int { return 0 }
 // RecvOverhead reports the per-message device overhead.
 func (d *Device) RecvOverhead() int { return 0 }
 
-// isend implements the four send modes: sync selects synchronous
-// completion (Ssend/ISsend), blocking a request from devcore's pool
-// that only the caller's Wait sees (Send/Ssend).
-func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int, sync, blocking bool) (*devcore.Request, error) {
-	if !d.initDone || d.finished.Load() {
-		return nil, xdev.Errf(DeviceName, "isend", "device not ready")
-	}
-	if dst.UUID >= uint64(len(d.grp.cores)) {
-		return nil, xdev.Errf(DeviceName, "isend", "unknown process %v", dst)
-	}
-	if err := d.core.CtxErr(int32(context)); err != nil {
-		return nil, err
-	}
-	dstCore := d.grp.cores[dst.UUID]
-	sreq := d.newRequest(devcore.SendReq, nil, blocking)
+// mailbox is the device's devcore.Port: in-process delivery into the
+// destination rank's core. It is a type of its own so that the port's
+// methods, which skip the front end's gate, are not the device's.
+type mailbox struct{ *Device }
+
+// StartSend matches the message against the destination core on this
+// (the sender's) thread. A posted receive takes it straight from the
+// send buffer, in one copy; an unexpected message parks as a pooled
+// wire-form copy, so the buffer (and user memory it borrowed) is free
+// once the send returns. A synchronous sender parked behind its message
+// completes when a receive takes it.
+func (m mailbox) StartSend(sreq *devcore.Request, dst uint64, tag, context int, sync bool) error {
+	d, c, rec := m.Device, m.Core(), m.Recorder()
+	buf := sreq.Buf
+	dstCore := d.grp.cores[dst]
 	env := match.Concrete{Ctx: int32(context), Tag: int32(tag), Src: uint64(d.cfg.Rank)}
 	wireLen := buf.WireLen()
 	st := xdev.Status{Source: d.self, Tag: tag, Bytes: wireLen}
 
 	var seq uint64
-	if d.rec.Enabled() || d.core.ReplayActive() {
+	if rec.Enabled() || c.ReplayActive() {
 		// The seq matters for cross-rank trace correlation and as the
 		// record/replay match stamp, so the counter bump is paid only
 		// when either is on. Under a replay session the stamp is drawn
 		// from the deterministic per-(dst,ctx,tag) stream.
-		seq = d.core.NextSeqSend(dst.UUID, int32(context), int32(tag))
+		seq = c.NextSeqSend(dst, int32(context), int32(tag))
+		sreq.SetSeq(seq)
 	}
-	if d.rec.Enabled() {
-		sreq.TraceSeq(int32(dst.UUID), int32(tag), int32(context), seq)
-		d.rec.Event(mpe.SendBegin, int32(dst.UUID), int32(tag), int32(context), int64(wireLen))
+	if c.ReplayActive() {
+		sreq.SetReplayID(int64(dst), int32(tag), int32(context), seq)
 	}
-	if d.core.ReplayActive() {
-		sreq.SetReplayID(int64(dst.UUID), int32(tag), int32(context), seq)
-	}
-	d.core.Counters.EagerSent.Add(1)
-	d.core.Counters.BytesSent.Add(uint64(wireLen))
+	c.Counters.EagerSent.Add(1)
+	c.Counters.BytesSent.Add(uint64(wireLen))
 
-	// The destination core matches on this (the sender's) thread. A
-	// posted receive takes the message straight from buf, in one copy;
-	// an unexpected message parks as a pooled wire-form copy, so buf (and
-	// user memory it borrowed) is free once isend returns.
 	rreq, matched := dstCore.MatchPosted(env, seq)
 	var lerr error
 	if matched {
@@ -359,12 +321,12 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 			devcore.ReleaseArrival(arr)
 			devcore.PutSlice(data)
 			if errors.Is(err, devcore.ErrClosed) {
-				return nil, &xdev.Error{
+				return &xdev.Error{
 					Dev: DeviceName, Op: "isend",
-					Err: fmt.Errorf("destination mailbox %d closed: %w", dst.UUID, xdev.ErrPeerLost),
+					Err: fmt.Errorf("destination mailbox %d closed: %w", dst, xdev.ErrPeerLost),
 				}
 			}
-			return nil, err // job aborted
+			return err // job aborted
 		}
 		if matched { // a receive was posted between the two looks
 			devcore.ReleaseArrival(arr)
@@ -375,198 +337,27 @@ func (d *Device) isend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int,
 	if matched {
 		rreq.Complete(st, lerr)
 	}
-	if d.rec.Enabled() {
-		d.rec.EventSeq(mpe.EagerOut, int32(dst.UUID), int32(tag), int32(context), int64(wireLen), seq)
+	if rec.Enabled() {
+		rec.EventSeq(mpe.EagerOut, int32(dst), int32(tag), int32(context), int64(wireLen), seq)
 	}
 	if matched || !sync {
 		sreq.Complete(st, nil)
 	}
-	return sreq, nil
+	return nil
 }
 
-// newRequest makes a nonblocking call's request, or a blocking call's
-// from devcore's pool.
-func (d *Device) newRequest(kind devcore.Kind, buf *mpjbuf.Buffer, blocking bool) *devcore.Request {
-	if blocking {
-		return d.core.NewBlockingRequest(kind, buf)
-	}
-	return d.core.NewRequest(kind, buf)
-}
-
-// ISend starts a standard-mode non-blocking send.
-func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, false, false)
-}
-
-// Send is the blocking standard-mode send.
-func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, false, true)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
-}
-
-// ISsend starts a synchronous-mode non-blocking send.
-func (d *Device) ISsend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.isend(buf, dst, tag, context, true, false)
-}
-
-// Ssend is the blocking synchronous-mode send.
-func (d *Device) Ssend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) error {
-	r, err := d.isend(buf, dst, tag, context, true, true)
-	if err != nil {
-		return err
-	}
-	_, err = r.Wait()
-	return err
-}
-
-func (d *Device) pattern(src xdev.ProcessID, tag, context int) (match.Pattern, error) {
-	p := match.Pattern{Ctx: int32(context)}
-	if tag == xdev.AnyTag {
-		p.Tag = match.AnyTag
-	} else {
-		p.Tag = int32(tag)
-	}
-	if src.IsAnySource() {
-		p.Src = match.AnySource
-	} else {
-		if src.UUID >= uint64(d.cfg.Size) {
-			return p, xdev.Errf(DeviceName, "recv", "unknown process %v", src)
-		}
-		p.Src = src.UUID
-	}
-	return p, nil
-}
-
-// IRecv posts a non-blocking receive.
-func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	r, err := d.irecv(buf, src, tag, context, false)
-	if err != nil {
-		return nil, err // not a typed nil in the interface
-	}
-	return r, nil
-}
-
-// irecv is IRecv, and with blocking the first half of Recv on a request
-// from devcore's pool.
-func (d *Device) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, blocking bool) (*devcore.Request, error) {
-	if !d.initDone || d.finished.Load() {
-		return nil, xdev.Errf(DeviceName, "irecv", "device not ready")
-	}
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return nil, err
-	}
-	req := d.newRequest(devcore.RecvReq, buf, blocking)
-	if d.rec.Enabled() {
-		peer := int32(-1)
-		if !src.IsAnySource() {
-			peer = int32(p.Src)
-		}
-		req.Trace(peer, int32(tag), int32(context))
-		d.rec.Event(mpe.RecvPosted, peer, int32(tag), int32(context), 0)
-	}
-	if err := d.irecvReq(req, p); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// irecvReq is the post-creation half of IRecv: post req, or deliver a
-// matching parked arrival into it. A nil return means the core now
-// owns the request's lifecycle; devcore.ErrClaimed means a dual-posted
-// request was won by the sibling core first (req untouched here).
-func (d *Device) irecvReq(req *devcore.Request, p match.Pattern) error {
-	arr, err := d.core.PostRecv(p, req, nil)
-	if err != nil {
-		return err
-	}
-	if arr == nil {
-		return nil
-	}
-	st := xdev.Status{Source: d.pids[arr.Src], Tag: int(arr.Tag), Bytes: arr.WireLen}
-	lerr := req.Buf.LoadWire(arr.Data)
-	devcore.PutSlice(arr.Data)
-	syncReq := arr.SyncReq
-	devcore.ReleaseArrival(arr)
+// Deliver loads a parked message into the receive that took it and
+// wakes its synchronous sender, if one waits behind it.
+func (m mailbox) Deliver(req *devcore.Request, a *devcore.Arrival) {
+	st := xdev.Status{Source: xdev.ProcessID{UUID: a.Src}, Tag: int(a.Tag), Bytes: a.WireLen}
+	lerr := req.Buf.LoadWire(a.Data)
+	devcore.PutSlice(a.Data)
+	syncReq := a.SyncReq
+	devcore.ReleaseArrival(a)
 	if syncReq != nil {
 		syncReq.Complete(st, nil)
 	}
 	req.Complete(st, lerr)
-	return nil
 }
-
-// PostRecvReq posts a receive on an externally created request — the
-// composition hook hybriddev uses to dual-post one ANY_SOURCE request
-// into this device and its wire sibling. The caller owns request
-// creation and tracing.
-func (d *Device) PostRecvReq(req *devcore.Request, src xdev.ProcessID, tag, context int) error {
-	if !d.initDone || d.finished.Load() {
-		return xdev.Errf(DeviceName, "irecv", "device not ready")
-	}
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return err
-	}
-	return d.irecvReq(req, p)
-}
-
-// Core exposes this rank's mailbox core for composition (hybriddev's
-// shared completion queue and notification hooks).
-func (d *Device) Core() *devcore.Core { return d.core }
-
-// Recv blocks until a matching message has been received.
-func (d *Device) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	r, err := d.irecv(buf, src, tag, context, true)
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	return r.Wait()
-}
-
-// IProbe checks for a matching message without receiving it.
-func (d *Device) IProbe(src xdev.ProcessID, tag, context int) (xdev.Status, bool, error) {
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return xdev.Status{}, false, err
-	}
-	e, ok, err := d.core.IProbe(p, "iprobe")
-	if !ok || err != nil {
-		return xdev.Status{}, false, err
-	}
-	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, true, nil
-}
-
-// Probe blocks until a matching message is available.
-func (d *Device) Probe(src xdev.ProcessID, tag, context int) (xdev.Status, error) {
-	p, err := d.pattern(src, tag, context)
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	e, err := d.core.Probe(p, "probe")
-	if err != nil {
-		return xdev.Status{}, err
-	}
-	return xdev.Status{Source: d.pids[e.Src], Tag: int(e.Tag), Bytes: e.WireLen}, nil
-}
-
-// Peek blocks until some request completes and returns it.
-func (d *Device) Peek() (xdev.Request, error) {
-	if d.core == nil {
-		return nil, ErrDeviceClosed
-	}
-	r, err := d.core.Peek()
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// ReplayActive reports whether a record/replay session is installed
-// (mpjdev's WaitAny skips its Test fast path while one is).
-func (d *Device) ReplayActive() bool { return d.core != nil && d.core.ReplayActive() }
 
 var _ xdev.Device = (*Device)(nil)

@@ -21,6 +21,10 @@ func TestConformance(t *testing.T) {
 	devtest.RunConformance(t, runner, devtest.Options{HasPeek: true})
 }
 
+func TestOpsAfterFinish(t *testing.T) {
+	devtest.RunOpsAfterFinish(t, runner, func() xdev.Device { return New() })
+}
+
 func TestGroupSizeMismatch(t *testing.T) {
 	group := fmt.Sprintf("smpdev-mismatch-%d", groupCounter.Add(1))
 	a := New()
