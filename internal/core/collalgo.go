@@ -258,7 +258,7 @@ func (c *Intracomm) allreduceRDOver(scratch any, elems int, bdt *Datatype, op *O
 		}
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := list[toReal(newRank^mask)]
-			req, sb, err := c.collIsend(scratch, 0, elems, bdt, partner, tagAllreduceRD)
+			req, sb, err := startSend(c.coll.Isend, scratch, 0, elems, bdt, partner, tagAllreduceRD)
 			if err != nil {
 				return err
 			}
@@ -301,7 +301,7 @@ func (c *Intracomm) allgathervRing(recvbuf any, roff int, rcounts, displs []int,
 	for s := 0; s < n-1; s++ {
 		sendIdx := (rank - s + n) % n
 		recvIdx := (rank - s - 1 + n) % n
-		req, sb, err := c.collIsend(recvbuf, roff+displs[sendIdx]*rdt.extent, rcounts[sendIdx], rdt, right, tagRing)
+		req, sb, err := startSend(c.coll.Isend, recvbuf, roff+displs[sendIdx]*rdt.extent, rcounts[sendIdx], rdt, right, tagRing)
 		if err != nil {
 			return fmt.Errorf("core: ring allgather step %d: %w", s, err)
 		}
@@ -405,7 +405,7 @@ func (c *Intracomm) allreduceRSAGOver(scratch any, elems int, bdt *Datatype, op 
 				sendLo, sendHi = lo, mid
 			}
 			hist = append(hist, region{lo, hi})
-			req, sb, err := c.collIsend(scratch, sendLo, sendHi-sendLo, bdt, partner, tagAllreduceRS)
+			req, sb, err := startSend(c.coll.Isend, scratch, sendLo, sendHi-sendLo, bdt, partner, tagAllreduceRS)
 			if err != nil {
 				return err
 			}
@@ -444,7 +444,7 @@ func (c *Intracomm) allreduceRSAGOver(scratch any, elems int, bdt *Datatype, op 
 			if lo != r.lo {
 				otherLo, otherHi = r.lo, mid
 			}
-			req, sb, err := c.collIsend(scratch, lo, hi-lo, bdt, partner, tagAllreduceAG)
+			req, sb, err := startSend(c.coll.Isend, scratch, lo, hi-lo, bdt, partner, tagAllreduceAG)
 			if err != nil {
 				return err
 			}

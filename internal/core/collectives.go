@@ -5,8 +5,6 @@ import (
 
 	"mpj/internal/devcore"
 	"mpj/internal/mpe"
-	"mpj/internal/mpjbuf"
-	"mpj/internal/mpjdev"
 )
 
 // Intracomm is a communicator whose processes form a single group; it
@@ -58,24 +56,6 @@ func (c *Comm) collSend(buf any, offset, count int, dt *Datatype, dst, tag int) 
 		return err
 	}
 	return c.coll.Send(b, dst, tag)
-}
-
-// collIsend packs into a pooled wire buffer and starts the send. The
-// caller must hand the returned buffer to putSendBuf after the
-// request's Wait succeeds; the device may still read it — and the
-// region of buf it borrowed — before then.
-func (c *Comm) collIsend(buf any, offset, count int, dt *Datatype, dst, tag int) (*mpjdev.Request, *mpjbuf.Buffer, error) {
-	b := devcore.GetBuffer()
-	if err := packInto(b, buf, offset, count, dt); err != nil {
-		devcore.PutBuffer(b)
-		return nil, nil, err
-	}
-	req, err := c.coll.Isend(b, dst, tag)
-	if err != nil {
-		devcore.PutBuffer(b)
-		return nil, nil, err
-	}
-	return req, b, nil
 }
 
 func (c *Comm) collRecv(buf any, offset, count int, dt *Datatype, src, tag int) error {
@@ -278,7 +258,7 @@ func (c *Intracomm) Barrier() error {
 		dst := (rank + k) % n
 		src := (rank - k + n) % n
 		tag := tagBarrierRound + round
-		req, sb, err := c.collIsend([]byte{1}, 0, 1, BYTE, dst, tag)
+		req, sb, err := startSend(c.coll.Isend, []byte{1}, 0, 1, BYTE, dst, tag)
 		if err != nil {
 			return fmt.Errorf("core: Barrier: %w", err)
 		}
@@ -638,7 +618,7 @@ func (c *Intracomm) Alltoallv(sendbuf any, soff int, scounts, sdispls []int, sdt
 	for k := 1; k < n; k++ {
 		dst := (rank + k) % n
 		src := (rank - k + n) % n
-		req, sb, err := c.collIsend(sendbuf, soff+sdispls[dst]*sdt.extent, scounts[dst], sdt, dst, tagAlltoall)
+		req, sb, err := startSend(c.coll.Isend, sendbuf, soff+sdispls[dst]*sdt.extent, scounts[dst], sdt, dst, tagAlltoall)
 		if err != nil {
 			return fmt.Errorf("core: Alltoallv send to %d: %w", dst, err)
 		}

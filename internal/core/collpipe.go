@@ -170,14 +170,8 @@ func (s *sendStream) send(view any, off, n int, bdt *Datatype, tag int) error {
 		putSendBuf(s.bufs[0])
 		s.bufs = s.bufs[1:]
 	}
-	b := devcore.GetBuffer()
-	if err := packInto(b, view, off, n, bdt); err != nil {
-		putSendBuf(b)
-		return err
-	}
-	req, err := s.c.coll.Isend(b, s.dst, tag)
+	req, b, err := startSend(s.c.coll.Isend, view, off, n, bdt, s.dst, tag)
 	if err != nil {
-		putSendBuf(b)
 		return err
 	}
 	if err := s.win.Add(req); err != nil {
@@ -317,7 +311,7 @@ func (r *recvStream) deliverKeep() (*mpjbuf.Buffer, error) {
 // requests have all completed.
 type fwdSeg struct {
 	buf  *mpjbuf.Buffer
-	reqs []*mpjdev.Request
+	reqs []mpjdev.Request
 }
 
 type fwdWindow struct {

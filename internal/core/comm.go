@@ -72,9 +72,11 @@ func (c *Comm) Abort(code int) error { return c.ptp.Abort(code) }
 
 // Request is an in-flight non-blocking operation at the API level. For
 // receives it defers unpacking into the user buffer until completion
-// is observed.
+// is observed. It holds the rank-level request by value, so a
+// nonblocking operation allocates only this and the device's request;
+// the field stays unexported so no caller can complete it past finish.
 type Request struct {
-	inner *mpjdev.Request
+	inner mpjdev.Request
 
 	// wire is the pooled message buffer of a typed Isend/Irecv; it goes
 	// back to the pool when completion is first observed. For a receive
@@ -86,32 +88,34 @@ type Request struct {
 	count   int
 	dt      *Datatype
 
-	wireOnce  sync.Once
-	elems     int
-	unpackErr error
-
-	// onComplete, if set, runs exactly once when completion is
-	// observed (used by buffered sends to release pool space).
+	// onComplete, if set, runs when completion is first observed (used
+	// by buffered sends to release pool space).
 	onComplete func()
-	compOnce   sync.Once
+
+	// once does the completion work above and writes st and err when
+	// completion is first observed; every caller then returns &st.
+	once sync.Once
+	st   Status
+	err  error
 }
 
 func (r *Request) finish(st mpjdev.Status) (*Status, error) {
-	if r.wire != nil {
-		r.wireOnce.Do(func() {
+	r.once.Do(func() {
+		r.st = Status{Source: st.Source, Tag: st.Tag}
+		if r.wire != nil {
 			if r.recv {
-				r.elems, r.unpackErr = unpack(r.wire, r.recvBuf, r.offset, r.count, r.dt)
+				r.st.elems, r.err = unpack(r.wire, r.recvBuf, r.offset, r.count, r.dt)
 			}
 			devcore.PutBuffer(r.wire)
-		})
+		}
+		if r.onComplete != nil {
+			r.onComplete()
+		}
+	})
+	if r.err != nil {
+		return nil, r.err
 	}
-	if r.onComplete != nil {
-		r.compOnce.Do(r.onComplete)
-	}
-	if r.unpackErr != nil {
-		return nil, r.unpackErr
-	}
-	return &Status{Source: st.Source, Tag: st.Tag, elems: r.elems}, nil
+	return &r.st, nil
 }
 
 // Wait blocks until the operation completes and returns its status.
@@ -180,19 +184,28 @@ func (c *Comm) Bsend(buf any, offset, count int, dt *Datatype, dst, tag int) err
 // items of dt into buf at offset. A large contiguous message is
 // received straight into buf; if the receive then fails, buf's contents
 // are undefined, as MPI has it.
-func (c *Comm) Recv(buf any, offset, count int, dt *Datatype, src, tag int) (*Status, error) {
+//
+// Recv stays small enough to inline (TestNonblockingAllocs pins it), so
+// the status lives in the caller's frame unless the caller keeps it.
+func (c *Comm) Recv(buf any, offset, count int, dt *Datatype, src, tag int) (st *Status, err error) {
+	st = new(Status)
+	if err = c.recv(st, buf, offset, count, dt, src, tag); err != nil {
+		st = nil
+	}
+	return
+}
+
+func (c *Comm) recv(out *Status, buf any, offset, count int, dt *Datatype, src, tag int) error {
 	b := devcore.GetBuffer()
 	defer devcore.PutBuffer(b)
 	land(b, buf, offset, count, dt)
 	st, err := c.ptp.Recv(b, src, tag)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	elems, err := unpack(b, buf, offset, count, dt)
-	if err != nil {
-		return nil, err
-	}
-	return &Status{Source: st.Source, Tag: st.Tag, elems: elems}, nil
+	out.Source, out.Tag = st.Source, st.Tag
+	out.elems, err = unpack(b, buf, offset, count, dt)
+	return err
 }
 
 // Sendrecv exchanges messages: a standard send to dst and a receive
@@ -218,33 +231,43 @@ func (c *Comm) Sendrecv(
 
 // ---- non-blocking point-to-point ----
 
-// isend packs into a pooled wire buffer and starts it with the given
-// device-level send; the request hands the buffer back on completion.
-// Until then buf may be lent to the device (see packInto): the caller
-// must not modify it between Isend and Wait/Test reporting completion.
-func isend(start func(*mpjbuf.Buffer, int, int) (*mpjdev.Request, error),
-	buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
+// startSend packs into a pooled wire buffer and starts it with the
+// given device-level send. The caller recycles the buffer once the
+// request's Wait succeeds; the device may read it, and the region of
+// buf it borrowed (see packInto), until then.
+func startSend(start func(*mpjbuf.Buffer, int, int) (mpjdev.Request, error),
+	buf any, offset, count int, dt *Datatype, dst, tag int) (mpjdev.Request, *mpjbuf.Buffer, error) {
 	b := devcore.GetBuffer()
 	err := packInto(b, buf, offset, count, dt)
-	var r *mpjdev.Request
+	var r mpjdev.Request
 	if err == nil {
 		r, err = start(b, dst, tag)
 	}
 	if err != nil {
 		devcore.PutBuffer(b)
+		return mpjdev.Request{}, nil, err
+	}
+	return r, b, nil
+}
+
+// isend wraps a started send in a request that hands its buffer back
+// on completion.
+func isend(r mpjdev.Request, b *mpjbuf.Buffer, err error) (*Request, error) {
+	if err != nil {
 		return nil, err
 	}
 	return &Request{inner: r, wire: b}, nil
 }
 
-// Isend starts a standard-mode non-blocking send.
+// Isend starts a standard-mode non-blocking send. buf must not be
+// modified until Wait or Test reports completion.
 func (c *Comm) Isend(buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
-	return isend(c.ptp.Isend, buf, offset, count, dt, dst, tag)
+	return isend(startSend(c.ptp.Isend, buf, offset, count, dt, dst, tag))
 }
 
 // Issend starts a synchronous-mode non-blocking send.
 func (c *Comm) Issend(buf any, offset, count int, dt *Datatype, dst, tag int) (*Request, error) {
-	return isend(c.ptp.Issend, buf, offset, count, dt, dst, tag)
+	return isend(startSend(c.ptp.Issend, buf, offset, count, dt, dst, tag))
 }
 
 // Irsend starts a ready-mode non-blocking send (standard realization).
@@ -272,10 +295,11 @@ func (c *Comm) Ibsend(buf any, offset, count int, dt *Datatype, dst, tag int) (*
 	}
 	req := &Request{inner: r, onComplete: func() { c.p.releaseBsend(n) }}
 	// Release pool space as soon as the transfer completes, even if
-	// the caller never waits on the request.
+	// the caller never waits on the request. A failed transfer's status
+	// is never returned: the caller's Wait or Test sees the error.
 	go func() {
-		r.Wait()
-		req.compOnce.Do(req.onComplete)
+		st, _ := r.Wait()
+		req.finish(st)
 	}()
 	return req, nil
 }
@@ -332,49 +356,37 @@ func WaitAll(reqs []*Request) ([]*Status, error) {
 	return sts, nil
 }
 
-// innerPool recycles WaitAny's array of device requests; mpjdev.WaitAny
-// keeps no reference to the array once it returns.
-var innerPool = sync.Pool{New: func() any { return new([]*mpjdev.Request) }}
+// devReq is r's rank-level request, nil for a nil r: how mpjdev's
+// array operations reach core's requests without a copy of the array.
+func devReq(r *Request) *mpjdev.Request {
+	if r == nil {
+		return nil
+	}
+	return &r.inner
+}
 
 // WaitAny blocks until one of the non-nil requests completes,
 // returning its index and status. It uses the poll-free peek-based
-// machinery of mpjdev (paper §IV-E.1), so blocked waiters cost no CPU.
+// machinery of mpjdev (paper §IV-E.1), so blocked waiters cost no CPU;
+// a request that has already completed costs one Test per request up
+// to it.
 func WaitAny(reqs []*Request) (int, *Status, error) {
-	p := innerPool.Get().(*[]*mpjdev.Request)
-	inner := (*p)[:0]
-	for _, r := range reqs {
-		var x *mpjdev.Request
-		if r != nil {
-			x = r.inner
-		}
-		inner = append(inner, x)
-	}
-	idx, ist, err := mpjdev.WaitAny(inner)
-	clear(inner)
-	*p = inner
-	innerPool.Put(p)
+	idx, st, err := mpjdev.WaitAnyOf(reqs, devReq)
 	if err != nil {
 		return idx, nil, err
 	}
-	st, err := reqs[idx].finish(ist)
-	return idx, st, err
+	s, err := reqs[idx].finish(st)
+	return idx, s, err
 }
 
 // TestAny polls the requests once (MPI_Testany).
 func TestAny(reqs []*Request) (int, *Status, bool, error) {
-	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		st, ok, err := r.Test()
-		if err != nil {
-			return i, nil, false, err
-		}
-		if ok {
-			return i, st, true, nil
-		}
+	idx, st, ok, err := mpjdev.TestAnyOf(reqs, devReq)
+	if err != nil || !ok {
+		return idx, nil, false, err
 	}
-	return -1, nil, false, nil
+	s, err := reqs[idx].finish(st)
+	return idx, s, err == nil, err
 }
 
 // TestAll reports whether all non-nil requests have completed

@@ -28,6 +28,7 @@ import (
 
 	"mpj/internal/devcore"
 	"mpj/internal/mpe"
+	"mpj/internal/mpjbuf"
 	"mpj/internal/mpjdev"
 	"mpj/internal/xdev"
 )
@@ -135,11 +136,22 @@ func (f *ftState) peerDead(rank int) bool {
 // answers agTagQuery for sequences whose Agree call has long returned,
 // which is what lets a replacement coordinator recover a decision that
 // the original coordinator only partially delivered before dying.
+// It posts its next receive before acting on a message, so an Agree
+// the message completes returns after that post: the receives a
+// decision log records do not race the rank's Finish.
 func (f *ftState) serve() {
 	defer close(f.done)
-	for {
+	post := func() (mpjdev.Request, *mpjbuf.Buffer, error) {
 		buf := devcore.GetBuffer()
-		st, err := f.comm.Recv(buf, mpjdev.AnySource, mpjdev.AnyTag)
+		req, err := f.comm.Irecv(buf, mpjdev.AnySource, mpjdev.AnyTag)
+		return req, buf, err
+	}
+	req, buf, err := post()
+	for {
+		var st mpjdev.Status
+		if err == nil {
+			st, err = req.Wait()
+		}
 		if err != nil {
 			devcore.PutBuffer(buf)
 			f.mu.Lock()
@@ -153,6 +165,7 @@ func (f *ftState) serve() {
 		var w [4]int64
 		_, rerr := buf.ReadLongs(w[:], 0, 4)
 		devcore.PutBuffer(buf)
+		req, buf, err = post()
 		if rerr != nil {
 			continue
 		}

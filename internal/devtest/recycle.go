@@ -148,7 +148,7 @@ func recvSeq(t *testing.T, d xdev.Device, src xdev.ProcessID, tag, n int) {
 // checks that every request comes back exactly once and that rank 1's
 // k-th posted receive holds message k.
 func waitAnySeq(t *testing.T, c *mpjdev.Comm, rank, tag, n, window int) {
-	reqs := make([]*mpjdev.Request, window)
+	vals, reqs := make([]mpjdev.Request, window), make([]*mpjdev.Request, window)
 	bufs := make([]*mpjbuf.Buffer, window)
 	seqOf := make([]int64, window)
 	post := func(slot, i int) bool {
@@ -161,15 +161,16 @@ func waitAnySeq(t *testing.T, c *mpjdev.Comm, rank, tag, n, window int) {
 		var err error
 		if rank == 0 {
 			if err = b.WriteLongs([]int64{int64(i)}, 0, 1); err == nil {
-				reqs[slot], err = c.Isend(b, 1, tag)
+				vals[slot], err = c.Isend(b, 1, tag)
 			}
 		} else {
-			reqs[slot], err = c.Irecv(b, 0, tag)
+			vals[slot], err = c.Irecv(b, 0, tag)
 		}
 		if err != nil {
 			t.Errorf("rank %d post %d: %v", rank, i, err)
 			return false
 		}
+		reqs[slot] = &vals[slot]
 		return true
 	}
 	posted, done := 0, 0

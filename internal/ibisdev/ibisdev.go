@@ -59,6 +59,7 @@ func init() {
 // style, delegating actual transport to an inner shared-memory device.
 type Device struct {
 	inner        *smpdev.Device
+	open         atomic.Bool // joined a job and not finished
 	maxThreads   int64
 	threads      atomic.Int64
 	pollInterval atomic.Int64 // nanoseconds; <0 selects busy polling
@@ -95,7 +96,9 @@ func (d *Device) Init(cfg xdev.Config) ([]xdev.ProcessID, error) {
 	if cfg.Group == "" {
 		cfg.Group = "ibis-default"
 	}
-	return d.inner.Init(cfg)
+	pids, err := d.inner.Init(cfg)
+	d.open.Store(err == nil)
+	return pids, err
 }
 
 // ID returns this process's ProcessID.
@@ -123,7 +126,20 @@ func (d *Device) Introspect() any { return d.inner.Introspect() }
 func (d *Device) PeerErr(p xdev.ProcessID) error { return d.inner.PeerErr(p) }
 
 // Finish shuts the device down.
-func (d *Device) Finish() error { return d.inner.Finish() }
+func (d *Device) Finish() error {
+	d.open.Store(false)
+	return d.inner.Finish()
+}
+
+// notOpen refuses an operation that would start a worker on a device
+// that never joined a job or has finished, as the inner device refuses
+// the calls it serves itself.
+func (d *Device) notOpen(op string) error {
+	if d.open.Load() {
+		return nil
+	}
+	return xdev.Errf(DeviceName, op, "device not ready: %w", xdev.ErrDeviceClosed)
+}
 
 // Abort tears the whole job down with the given code by delegating to
 // the inner transport device (xdev.Aborter). Receive workers blocked
@@ -144,7 +160,10 @@ func (d *Device) RecvOverhead() int { return d.inner.RecvOverhead() }
 
 // spawn accounts for one per-operation worker thread, failing like a
 // JVM that cannot create another native thread.
-func (d *Device) spawn() error {
+func (d *Device) spawn(op string) error {
+	if err := d.notOpen(op); err != nil {
+		return err
+	}
 	if d.threads.Add(1) > d.maxThreads {
 		d.threads.Add(-1)
 		return xdev.Errf(DeviceName, "spawn", "unable to create native thread: %d already running", d.maxThreads)
@@ -197,7 +216,7 @@ func (r *request) Attachment() any {
 
 // ISend starts a send on a fresh worker thread (the Ibis pattern).
 func (d *Device) ISend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.opThread(func() (xdev.Status, error) {
+	return d.opThread("isend", func() (xdev.Status, error) {
 		err := d.inner.Send(buf, dst, tag, context)
 		return xdev.Status{Source: d.ID(), Tag: tag, Bytes: buf.WireLen()}, err
 	})
@@ -210,7 +229,7 @@ func (d *Device) Send(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) 
 
 // ISsend starts a synchronous-mode send on a fresh worker thread.
 func (d *Device) ISsend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	return d.opThread(func() (xdev.Status, error) {
+	return d.opThread("issend", func() (xdev.Status, error) {
 		err := d.inner.Ssend(buf, dst, tag, context)
 		return xdev.Status{Source: d.ID(), Tag: tag, Bytes: buf.WireLen()}, err
 	})
@@ -225,8 +244,8 @@ func (d *Device) Ssend(buf *mpjbuf.Buffer, dst xdev.ProcessID, tag, context int)
 // worker is pinned to a dedicated OS thread (the thread exits with the
 // goroutine), so its scheduling cost is the kernel's, not the Go
 // runtime's — the interference §V-A measures.
-func (d *Device) opThread(op func() (xdev.Status, error)) (xdev.Request, error) {
-	if err := d.spawn(); err != nil {
+func (d *Device) opThread(name string, op func() (xdev.Status, error)) (xdev.Request, error) {
+	if err := d.spawn(name); err != nil {
 		return nil, err
 	}
 	r := &request{done: make(chan struct{})}
@@ -243,7 +262,7 @@ func (d *Device) opThread(op func() (xdev.Status, error)) (xdev.Request, error) 
 // matching message, sleeping briefly between probes — scheduler churn
 // and lock traffic that an application's compute threads pay for.
 func (d *Device) IRecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (xdev.Request, error) {
-	if err := d.spawn(); err != nil {
+	if err := d.spawn("irecv"); err != nil {
 		return nil, err
 	}
 	r := &request{done: make(chan struct{})}
@@ -290,6 +309,9 @@ func (d *Device) IProbe(src xdev.ProcessID, tag, context int) (xdev.Status, bool
 // is why Waitany over them must poll (paper §IV-E.1's "straightforward"
 // strategy). Callers needing Waitany over this device poll Test.
 func (d *Device) Peek() (xdev.Request, error) {
+	if err := d.notOpen("peek"); err != nil {
+		return nil, err
+	}
 	return nil, xdev.Errf(DeviceName, "peek", "not supported: device has no completion queue")
 }
 

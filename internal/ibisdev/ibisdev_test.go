@@ -26,6 +26,10 @@ func TestConformance(t *testing.T) {
 	devtest.RunConformance(t, runner, devtest.Options{HasPeek: false, RelaxedPostedOrder: true})
 }
 
+func TestOpsAfterFinish(t *testing.T) {
+	devtest.RunOpsAfterFinish(t, runner, func() xdev.Device { return New() })
+}
+
 // TestThreadCeiling reproduces the paper's §VI observation: MPJ/Ibis
 // fails with "cannot create native threads" when ~650 receives are
 // outstanding, because it starts a thread per operation.

@@ -138,23 +138,37 @@ func (c *Comm) status(st xdev.Status) Status {
 	return Status{Source: src, Tag: st.Tag, Bytes: st.Bytes}
 }
 
-// Request is a rank-level in-flight operation.
+// statusOf translates a finished call's status, or passes its error on.
+func (c *Comm) statusOf(st xdev.Status, err error) (Status, error) {
+	if err != nil {
+		return Status{}, err
+	}
+	return c.status(st), nil
+}
+
+// Request is a rank-level in-flight operation: the device's request and
+// the Comm that translates its status. It is a value, held by value in
+// the layer above, so a nonblocking operation allocates nothing here.
 type Request struct {
 	comm  *Comm
 	inner xdev.Request
 }
 
+// request wraps a device request the device just started.
+func (c *Comm) request(r xdev.Request, err error) (Request, error) {
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{comm: c, inner: r}, nil
+}
+
 // Isend starts a standard-mode non-blocking send to dst.
-func (c *Comm) Isend(buf *mpjbuf.Buffer, dst, tag int) (*Request, error) {
+func (c *Comm) Isend(buf *mpjbuf.Buffer, dst, tag int) (Request, error) {
 	pid, err := c.pidOf(dst)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	r, err := c.dev.ISend(buf, pid, tag, c.context)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{comm: c, inner: r}, nil
+	return c.request(c.dev.ISend(buf, pid, tag, c.context))
 }
 
 // Send is a blocking standard-mode send to dst.
@@ -167,16 +181,12 @@ func (c *Comm) Send(buf *mpjbuf.Buffer, dst, tag int) error {
 }
 
 // Issend starts a synchronous-mode non-blocking send to dst.
-func (c *Comm) Issend(buf *mpjbuf.Buffer, dst, tag int) (*Request, error) {
+func (c *Comm) Issend(buf *mpjbuf.Buffer, dst, tag int) (Request, error) {
 	pid, err := c.pidOf(dst)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	r, err := c.dev.ISsend(buf, pid, tag, c.context)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{comm: c, inner: r}, nil
+	return c.request(c.dev.ISsend(buf, pid, tag, c.context))
 }
 
 // Ssend is a blocking synchronous-mode send to dst.
@@ -189,16 +199,12 @@ func (c *Comm) Ssend(buf *mpjbuf.Buffer, dst, tag int) error {
 }
 
 // Irecv starts a non-blocking receive from src (or AnySource).
-func (c *Comm) Irecv(buf *mpjbuf.Buffer, src, tag int) (*Request, error) {
+func (c *Comm) Irecv(buf *mpjbuf.Buffer, src, tag int) (Request, error) {
 	pid, err := c.pidOf(src)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	r, err := c.dev.IRecv(buf, pid, c.xtag(tag), c.context)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{comm: c, inner: r}, nil
+	return c.request(c.dev.IRecv(buf, pid, c.xtag(tag), c.context))
 }
 
 // Recv blocks until a matching message is received from src.
@@ -207,11 +213,7 @@ func (c *Comm) Recv(buf *mpjbuf.Buffer, src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st, err := c.dev.Recv(buf, pid, c.xtag(tag), c.context)
-	if err != nil {
-		return Status{}, err
-	}
-	return c.status(st), nil
+	return c.statusOf(c.dev.Recv(buf, pid, c.xtag(tag), c.context))
 }
 
 // Probe blocks until a matching message is available.
@@ -220,11 +222,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	st, err := c.dev.Probe(pid, c.xtag(tag), c.context)
-	if err != nil {
-		return Status{}, err
-	}
-	return c.status(st), nil
+	return c.statusOf(c.dev.Probe(pid, c.xtag(tag), c.context))
 }
 
 // Iprobe reports whether a matching message is available.
@@ -241,13 +239,7 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 }
 
 // Wait blocks until the request completes.
-func (r *Request) Wait() (Status, error) {
-	st, err := r.inner.Wait()
-	if err != nil {
-		return Status{}, err
-	}
-	return r.comm.status(st), nil
-}
+func (r *Request) Wait() (Status, error) { return r.comm.statusOf(r.inner.Wait()) }
 
 // Test reports completion without blocking.
 func (r *Request) Test() (Status, bool, error) {
@@ -258,20 +250,20 @@ func (r *Request) Test() (Status, bool, error) {
 	return r.comm.status(st), true, nil
 }
 
-// TestAny polls the array once; if some request has completed it
-// returns its index and status.
-func TestAny(reqs []*Request) (int, Status, bool, error) {
+// TestAnyOf polls the array once; if some request has completed it
+// returns the lowest such index and its status. req returns an
+// element's Request, nil for an inactive one, so the layer above passes
+// its own array uncopied. It is the one scan of a caller's array,
+// WaitAny's included: one Test per request, up to the first complete.
+func TestAnyOf[R any](reqs []R, req func(R) *Request) (int, Status, bool, error) {
 	for i, r := range reqs {
-		if r == nil {
-			continue
-		}
-		st, ok, err := r.Test()
-		if err != nil {
-			return i, Status{}, false, err
-		}
-		if ok {
-			return i, st, true, nil
+		if x := req(r); x != nil {
+			if st, ok, err := x.Test(); ok || err != nil {
+				return i, st, err == nil, err
+			}
 		}
 	}
 	return -1, Status{}, false, nil
 }
+
+func self(r *Request) *Request { return r }

@@ -3,6 +3,7 @@ package mpjdev
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,7 +236,7 @@ func TestWaitAllTestAll(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				reqs[i] = r
+				reqs[i] = &r
 			}
 			for i, r := range reqs {
 				if _, err := r.Wait(); err != nil {
@@ -252,7 +253,7 @@ func TestWaitAllTestAll(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				reqs[i] = r
+				reqs[i] = &r
 			}
 			for i, r := range reqs {
 				st, err := r.Wait()
@@ -283,7 +284,7 @@ func TestWaitAnyAlreadyComplete(t *testing.T) {
 				return
 			}
 			req.Wait() // complete it fully first
-			idx, _, err := WaitAny([]*Request{nil, req})
+			idx, _, err := WaitAny([]*Request{nil, &req})
 			if err != nil {
 				t.Error(err)
 				return
@@ -315,7 +316,7 @@ func TestWaitAnyBlocksUntilCompletion(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			idx, st, err := WaitAny([]*Request{reqA, reqB})
+			idx, st, err := WaitAny([]*Request{&reqA, &reqB})
 			if err != nil {
 				t.Error(err)
 				return
@@ -358,7 +359,7 @@ func TestWaitAnyManyThreads(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					idx, st, err := WaitAny([]*Request{req})
+					idx, st, err := WaitAny([]*Request{&req})
 					if err != nil {
 						t.Error(err)
 						return
@@ -397,7 +398,7 @@ func TestWaitAnyMixedWithPlainWait(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			idx, _, err := WaitAny([]*Request{watched})
+			idx, _, err := WaitAny([]*Request{&watched})
 			if err != nil || idx != 0 {
 				t.Errorf("idx=%d err=%v", idx, err)
 			}
@@ -423,7 +424,7 @@ func TestTestAny(t *testing.T) {
 			req, _ := c.Irecv(buf, 0, 0)
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				idx, _, ok, err := TestAny([]*Request{req})
+				idx, _, ok, err := TestAnyOf([]*Request{&req}, self)
 				if err != nil {
 					t.Error(err)
 					return
@@ -524,7 +525,7 @@ func TestWaitAnyRejectsMixedDevices(t *testing.T) {
 			r.Wait()
 			dev.Finish()
 		}
-		return c, r, cleanup
+		return c, &r, cleanup
 	}
 	_, r1, c1 := mk()
 	_, r2, c2 := mk()
@@ -533,6 +534,65 @@ func TestWaitAnyRejectsMixedDevices(t *testing.T) {
 	}
 	c1()
 	c2()
+}
+
+// TestWaitAnySpanWithCompleteRequest pins where the one-device check
+// lives: on the blocking path. A WaitAny that finds a complete request
+// returns it, wherever it stands in an array that spans two devices;
+// one that would have to block over that array fails without blocking.
+func TestWaitAnySpanWithCompleteRequest(t *testing.T) {
+	comm := func() *Comm {
+		dev := smpdev.New()
+		pids, err := dev.Init(xdev.Config{Rank: 0, Size: 1, Group: fmt.Sprintf("mpjdev-span-%d", groupCounter.Add(1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Finish() })
+		c, err := NewComm(dev, pids, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := comm(), comm()
+	pending, err := b.Irecv(mpjbuf.New(0), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		done, err := a.Irecv(mpjbuf.New(0), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Send(packInt(t, 1), 0, 2); err != nil {
+			t.Fatal(err)
+		}
+		reqs, want := []*Request{&pending, &done}, 1
+		if round == 1 {
+			reqs, want = []*Request{&done, &pending}, 0
+		}
+		if idx, st, err := WaitAny(reqs); err != nil || idx != want || st.Tag != 2 {
+			t.Errorf("complete request at %d of a two-device array: idx=%d st=%+v err=%v", want, idx, st, err)
+		}
+	}
+	other, err := a.Irecv(mpjbuf.New(0), 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := WaitAny([]*Request{&other, &pending}); err == nil || !strings.Contains(err.Error(), "span devices") {
+		t.Errorf("nothing complete over two devices: err = %v, want the span error", err)
+	}
+	if err := a.Send(packInt(t, 0), 0, 3); err != nil {
+		t.Error(err)
+	}
+	if err := b.Send(packInt(t, 0), 0, 1); err != nil {
+		t.Error(err)
+	}
+	for _, r := range []*Request{&other, &pending} {
+		if _, err := r.Wait(); err != nil {
+			t.Error(err)
+		}
+	}
 }
 
 // TestWaitAnyChurnStress hammers the WaitanyQue with short-lived
@@ -559,7 +619,7 @@ func TestWaitAnyChurnStress(t *testing.T) {
 						t.Errorf("send: %v", err)
 						return
 					}
-					idx, _, err := WaitAny([]*Request{req})
+					idx, _, err := WaitAny([]*Request{&req})
 					if err != nil || idx != 0 {
 						t.Errorf("waitany: idx=%d err=%v", idx, err)
 						return

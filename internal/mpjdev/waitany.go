@@ -2,6 +2,7 @@ package mpjdev
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mpj/internal/mpe"
@@ -40,13 +41,13 @@ type replayActive interface {
 }
 
 // waitAnyRef is the attachment a Request carries while a WaitAny waits
-// on it: the WaitAny object, the request and its index in the array.
-// It names the request directly rather than through the caller's
-// array, which may be reused once the call returns while a peeker
-// still holds the reference.
+// on it: the WaitAny object, a copy of the request and its index in the
+// array. It holds the request by value rather than through the
+// caller's array, which may be reused once the call returns while a
+// peeker still holds the reference.
 type waitAnyRef struct {
 	w   *waitAny
-	req *Request
+	req Request
 	idx int
 }
 
@@ -65,16 +66,29 @@ type waitAny struct {
 	delivered bool // guarded by the owning queue's mutex
 }
 
-// attach makes every request of reqs point back at w, so a completion
-// popped by any peeker from now on reaches w.
-func (w *waitAny) attach(reqs []*Request) {
-	w.refs = make([]waitAnyRef, 0, len(reqs)) // never grows: the pointers stay valid
+// attach makes a waitAny for the non-nil requests of reqs and makes
+// each of them point back at it, so a completion popped by any peeker
+// from now on reaches it. Every request must be on dev: the span check
+// is made here, on the blocking path, where every request is visited
+// anyway, and before anything is attached.
+func attach[R any](reqs []R, req func(R) *Request, dev xdev.Device) (*waitAny, error) {
+	w := &waitAny{
+		refs:    make([]waitAnyRef, 0, len(reqs)), // never grows: the pointers stay valid
+		done:    make(chan struct{}),
+		promote: make(chan struct{}, 1),
+	}
 	for i, r := range reqs {
-		if r != nil {
-			w.refs = append(w.refs, waitAnyRef{w: w, req: r, idx: i})
-			r.inner.SetAttachment(&w.refs[len(w.refs)-1])
+		if x := req(r); x != nil {
+			if x.comm.dev != dev {
+				return nil, fmt.Errorf("mpjdev: Waitany requests span devices")
+			}
+			w.refs = append(w.refs, waitAnyRef{w: w, req: *x, idx: i})
 		}
 	}
+	for i := range w.refs {
+		w.refs[i].req.inner.SetAttachment(&w.refs[i])
+	}
+	return w, nil
 }
 
 // detach removes the attachments attach set.
@@ -164,22 +178,18 @@ func (q *waitQueue) promoteFront() {
 // returns its index and status. Unlike a polling implementation it
 // consumes no CPU while blocked, so computation in other goroutines
 // proceeds at full speed (the property §V-A measures).
-func WaitAny(reqs []*Request) (int, Status, error) {
-	var dev xdev.Device
-	for _, r := range reqs {
-		if r == nil {
-			continue
-		}
-		d := r.comm.dev
-		if dev == nil {
-			dev = d
-		} else if dev != d {
-			return -1, Status{}, fmt.Errorf("mpjdev: Waitany requests span devices")
-		}
-	}
-	if dev == nil {
+func WaitAny(reqs []*Request) (int, Status, error) { return WaitAnyOf(reqs, self) }
+
+// WaitAnyOf is WaitAny over an array of the layer above's requests, as
+// TestAnyOf. A request that has already completed comes back after one
+// Test per request up to it; the array is visited again, to check that
+// it stays on one device and to attach, only when the call must block.
+func WaitAnyOf[R any](reqs []R, req func(R) *Request) (int, Status, error) {
+	first := slices.IndexFunc(reqs, func(r R) bool { return req(r) != nil })
+	if first < 0 {
 		return -1, Status{}, ErrNoActiveRequests
 	}
+	dev := req(reqs[first]).comm.dev
 
 	// Test first: a request that has already completed comes back
 	// before anything is allocated or attached — the common case when
@@ -191,7 +201,7 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 	ra, ok := dev.(replayActive)
 	scan := !ok || !ra.ReplayActive()
 	if scan {
-		if i, st, ok, err := TestAny(reqs); ok || err != nil {
+		if i, st, ok, err := TestAnyOf(reqs, req); ok || err != nil {
 			return i, st, err
 		}
 	}
@@ -201,13 +211,12 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 	// that found nothing attached (scenario 3), so scan once more: from
 	// here on a completion is either seen by this scan or reaches us
 	// through peek.
-	w := &waitAny{
-		done:    make(chan struct{}),
-		promote: make(chan struct{}, 1),
+	w, err := attach(reqs, req, dev)
+	if err != nil {
+		return -1, Status{}, err
 	}
-	w.attach(reqs)
 	if scan {
-		if i, st, ok, err := TestAny(reqs); ok || err != nil {
+		if i, st, ok, err := TestAnyOf(reqs, req); ok || err != nil {
 			w.detach()
 			return i, st, err
 		}
@@ -260,8 +269,7 @@ func WaitAny(reqs []*Request) (int, Status, error) {
 		if !ok {
 			continue // scenario 3: nobody is waiting on this request
 		}
-		xst, _, terr := ref.req.inner.Test()
-		st := ref.req.comm.status(xst)
+		st, _, terr := ref.req.Test()
 		if !q.deliver(ref.w, ref.idx, st, terr) {
 			continue // stale: that WaitAny already returned
 		}

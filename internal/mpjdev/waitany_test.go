@@ -123,7 +123,7 @@ func TestWaitAnyRegistrationWindow(t *testing.T) {
 				}
 				keeper := make(chan error, 1)
 				go func() {
-					idx, _, err := WaitAny([]*Request{keep})
+					idx, _, err := WaitAny([]*Request{&keep})
 					if err == nil && idx != 0 {
 						err = fmt.Errorf("keeper idx %d", idx)
 					}
@@ -164,7 +164,7 @@ func TestWaitAnyRegistrationWindow(t *testing.T) {
 							}
 							got := make(chan error, 1)
 							go func() {
-								idx, st, err := WaitAny([]*Request{nil, req})
+								idx, st, err := WaitAny([]*Request{nil, &req})
 								if err == nil && (idx != 1 || st.Tag != g) {
 									err = fmt.Errorf("idx=%d st=%+v", idx, st)
 								}
@@ -211,13 +211,14 @@ func TestWaitAnyAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runJob(t, 1, func(c *Comm, rank int) {
 		const n = 64
-		reqs := make([]*Request, n)
+		vals, reqs := make([]Request, n), make([]*Request, n)
 		for i := range reqs {
 			var err error
-			if reqs[i], err = c.Irecv(mpjbuf.New(0), 0, i); err != nil {
+			if vals[i], err = c.Irecv(mpjbuf.New(0), 0, i); err != nil {
 				t.Error(err)
 				return
 			}
+			reqs[i] = &vals[i]
 		}
 		const done = 37
 		if err := c.Send(packInt(t, 1), 0, done); err != nil {
@@ -249,14 +250,14 @@ func TestWaitAnyAllocs(t *testing.T) {
 		}()
 		blocking := func(k int) float64 {
 			arr := append(make([]*Request, 0, k+1), reqs[:k]...)
-			arr = append(arr, nil)
+			var slot Request
+			arr = append(arr, &slot)
 			return testing.AllocsPerRun(50, func() {
-				r, err := c.Irecv(mpjbuf.New(0), 0, tag)
-				if err != nil {
+				var err error
+				if slot, err = c.Irecv(mpjbuf.New(0), 0, tag); err != nil {
 					t.Error(err)
 					return
 				}
-				arr[k] = r
 				kick <- struct{}{}
 				if idx, _, err := WaitAny(arr); err != nil || idx != k {
 					t.Errorf("idx=%d err=%v", idx, err)

@@ -13,7 +13,7 @@ import "fmt"
 // exactly one.
 type Window struct {
 	limit int
-	reqs  []*Request
+	reqs  []Request
 	head  int // index of the oldest live request in reqs
 }
 
@@ -36,7 +36,7 @@ func (w *Window) Full() bool { return w.Len() >= w.limit }
 // Add appends a request to the window. The caller must drain with
 // WaitOldest when Full; Add refuses to exceed the bound so a missing
 // drain surfaces as an error instead of unbounded growth.
-func (w *Window) Add(r *Request) error {
+func (w *Window) Add(r Request) error {
 	if w.Full() {
 		return fmt.Errorf("mpjdev: window full (%d in flight)", w.Len())
 	}
@@ -51,7 +51,7 @@ func (w *Window) WaitOldest() (Status, error) {
 		return Status{}, fmt.Errorf("mpjdev: WaitOldest on empty window")
 	}
 	r := w.reqs[w.head]
-	w.reqs[w.head] = nil
+	w.reqs[w.head] = Request{}
 	w.head++
 	if w.head == len(w.reqs) {
 		w.reqs = w.reqs[:0]

@@ -112,13 +112,13 @@ func TestWindowMisuse(t *testing.T) {
 	if _, err := w.WaitOldest(); err == nil {
 		t.Error("WaitOldest on empty window should fail")
 	}
-	if err := w.Add(nil); err != nil {
+	if err := w.Add(Request{}); err != nil {
 		t.Errorf("first Add: %v", err)
 	}
 	if !w.Full() {
 		t.Error("window of 1 should be full after one Add")
 	}
-	if err := w.Add(nil); err == nil {
+	if err := w.Add(Request{}); err == nil {
 		t.Error("Add past the bound should fail")
 	}
 }
