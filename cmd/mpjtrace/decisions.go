@@ -65,11 +65,6 @@ func formatDecision(r *replay.Record) string {
 			return fmt.Sprintf("wildcard %s #%d: posted, never matched", r.Key, r.Idx)
 		}
 		return fmt.Sprintf("wildcard %s #%d: matched src=%d tag=%d seq=%#x", r.Key, r.Idx, r.Src, r.Tag, r.Seq)
-	case "claim":
-		if r.Dev == "" {
-			return fmt.Sprintf("claim    #%d: dual-posted, never matched", r.Idx)
-		}
-		return fmt.Sprintf("claim    #%d: won by %s src=%d tag=%d seq=%#x", r.Idx, r.Dev, r.Src, r.Tag, r.Seq)
 	case "agree":
 		return fmt.Sprintf("agree    %s #%d: val=%#x", r.Key, r.Idx, r.Val)
 	case "pop":

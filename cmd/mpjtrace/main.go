@@ -24,8 +24,8 @@
 //
 // With -decisions it prints the per-rank decision logs a recorded run
 // (MPJ_RECORD / Options.RecordDir) wrote into -dir: every wildcard
-// match resolution, completion-pop, hybrid claim arbitration and
-// agreement outcome, in the deterministic log order. When decision
+// match resolution, completion-pop and agreement outcome, in the
+// deterministic log order. When decision
 // logs sit next to trace files, -chrome also injects them as instant
 // events, sorted by (rank, decision index) so repeated exports of
 // logs written by racing threads are byte-identical.

@@ -46,13 +46,6 @@ import (
 // device-agnostic errors.Is tests.
 var ErrClosed = errors.Join(errors.New("devcore: core closed"), xdev.ErrDeviceClosed)
 
-// ErrClaimed reports that a claim-armed request (one posted into more
-// than one core, hybriddev's ANY_SOURCE dual-posting) was won by the
-// other core before this call could act on it. The caller must treat
-// the request as already being delivered elsewhere: not an error of
-// the operation, just "this copy is stale".
-var ErrClaimed = errors.New("devcore: request claimed by another core")
-
 // Arrival is a message that reached this core: either a fully buffered
 // payload or a rendezvous announcement whose data is still remote. It
 // parks in the arrived set until a receive matches it. Devices take
@@ -169,13 +162,6 @@ type Core struct {
 	// closedErr shapes the error returned for operations finding the
 	// core closed; op is the operation name ("probe", "peek", ...).
 	closedErr func(op string) error
-
-	// notify, when set, fires after every state change that wakes
-	// blocked probes (arrival parked, peer failed, shutdown, revoke).
-	// A composing device (hybriddev) registers one so its own blocking
-	// calls, which span two cores with independent condition variables,
-	// learn to recheck. Called outside the core lock.
-	notify func()
 }
 
 // New returns a live core for the named device.
@@ -213,28 +199,6 @@ func (c *Core) Recorder() mpe.Recorder { return c.rec }
 // SetClosedErr overrides the closed-operation error shape (e.g. mxsim
 // returns its own ErrEndpointClosed sentinel).
 func (c *Core) SetClosedErr(f func(op string) error) { c.closedErr = f }
-
-// SetNotify installs a wake hook fired (outside the core lock) after
-// every state change that broadcasts to blocked probes. Install at
-// Init time, before traffic.
-func (c *Core) SetNotify(f func()) {
-	c.mu.Lock()
-	c.notify = f
-	c.mu.Unlock()
-}
-
-// Queue exposes the core's completion queue for composition.
-func (c *Core) Queue() *cqueue.Queue[*Request] { return c.cq }
-
-// SetQueue redirects completions into q, merging this core's
-// completion stream with another core's — the shared-queue half of the
-// multi-core composition seam (one Peek observing both transports).
-// Strictly Init-time: call before any request exists on this core.
-func (c *Core) SetQueue(q *cqueue.Queue[*Request]) {
-	c.mu.Lock()
-	c.cq = q
-	c.mu.Unlock()
-}
 
 // NextSeq returns a fresh nonzero sequence number for protocol
 // exchanges (rendezvous and sync-ACK matching).
@@ -304,7 +268,7 @@ func (c *Core) failErr() error {
 // device memory on a miss).
 func (c *Core) MatchPosted(env match.Concrete, seq uint64) (*Request, bool) {
 	c.mu.Lock()
-	req, ok := c.matchPostedLocked(env)
+	req, ok := c.posted.Match(env)
 	c.mu.Unlock()
 	if ok {
 		c.Counters.Matched.Add(1)
@@ -312,21 +276,6 @@ func (c *Core) MatchPosted(env match.Concrete, seq uint64) (*Request, bool) {
 		c.replayMatched(req, env.Src, env.Tag, env.Ctx, seq)
 	}
 	return req, ok
-}
-
-// matchPostedLocked removes and claims the earliest live posted receive
-// matching env. Stale entries — dual-posted requests the other core
-// already won — are discarded on the way. Caller holds c.mu.
-func (c *Core) matchPostedLocked(env match.Concrete) (*Request, bool) {
-	for {
-		req, ok := c.posted.Match(env)
-		if !ok {
-			return nil, false
-		}
-		if req.TryClaim() {
-			return req, true
-		}
-	}
 }
 
 // MatchOrPark is the arrival decision point: if a posted receive
@@ -351,7 +300,7 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 	// drains (RevokeContext) and trace events see it even on devices
 	// that deliver by match bits (mxsim).
 	a.Tag, a.Ctx = env.Tag, env.Ctx
-	if req, ok := c.matchPostedLocked(env); ok {
+	if req, ok := c.posted.Match(env); ok {
 		c.mu.Unlock()
 		c.Counters.Matched.Add(1)
 		req.stampMatch(a.Src, a.Seq)
@@ -359,16 +308,12 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 		return req, true, nil
 	}
 	rec := c.rec
-	notify := c.notify
 	// Once parked, a receive may take a and recycle it: the trace event
 	// reads a copy.
 	e := a.envelope()
 	c.arrived.Add(env, a)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 	c.Counters.Unexpected.Add(1)
 	if rec.Enabled() {
 		rec.EventSeq(mpe.RecvUnexpected, int32(e.Src), e.Tag, e.Ctx, int64(e.WireLen), e.Seq)
@@ -389,10 +334,6 @@ func (c *Core) MatchOrPark(env match.Concrete, a *Arrival) (*Request, bool, erro
 // pinAlive, when non-nil, is consulted under the core lock before
 // posting: devices whose peer liveness lives outside the core (mxsim's
 // fabric membership) close the post-vs-peer-death race through it.
-//
-// A claim-armed request (EnableClaim) may already belong to the other
-// core by the time it reaches here; then ErrClaimed comes back, the
-// parked arrival stays parked, and nothing is posted.
 func (c *Core) PostRecv(p match.Pattern, req *Request, pinAlive func() error) (*Arrival, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -408,21 +349,10 @@ func (c *Core) PostRecv(p match.Pattern, req *Request, pinAlive func() error) (*
 			return nil, err
 		}
 	}
-	// Peek-then-claim-then-remove: the arrival is only consumed once
-	// the request is won, so a lost claim race strands nothing.
-	// ItemSet.Peek and ItemSet.Match return the same earliest entry,
-	// and c.mu is held across all three steps.
-	if a, ok := c.arrived.Peek(p); ok {
-		if !req.TryClaim() {
-			return nil, ErrClaimed
-		}
-		c.arrived.Match(p)
+	if a, ok := c.arrived.Match(p); ok {
 		req.stampMatch(a.Src, a.Seq)
 		c.replayMatched(req, a.Src, a.Tag, a.Ctx, a.Seq)
 		return a, nil
-	}
-	if req.claimed() {
-		return nil, ErrClaimed
 	}
 	if err := c.revoked[p.Ctx]; err != nil {
 		return nil, err
@@ -538,12 +468,8 @@ func (c *Core) FailPeer(slot uint64, f PeerFail) bool {
 	}
 	c.arrived.TakeFunc(func(a *Arrival) bool { return a.Rndv && a.Src == slot })
 	rec := c.rec
-	notify := c.notify
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 
 	if !f.Graceful {
 		c.Counters.PeersLost.Add(1)
@@ -552,9 +478,7 @@ func (c *Core) FailPeer(slot uint64, f PeerFail) bool {
 		}
 	}
 	for _, r := range victims {
-		if r.TryClaim() {
-			r.Complete(xdev.Status{}, f.Err)
-		}
+		r.Complete(xdev.Status{}, f.Err)
 	}
 	return true
 }
@@ -582,25 +506,16 @@ func (c *Core) Shutdown(postedErr, parkedSyncErr error) bool {
 	for _, a := range c.arrived.TakeFunc(func(a *Arrival) bool { return a.SyncReq != nil }) {
 		syncs = append(syncs, a.SyncReq)
 	}
-	notify := c.notify
-	cq := c.cq
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 
 	for _, r := range victims {
-		if r.TryClaim() {
-			r.Complete(xdev.Status{}, postedErr)
-		}
+		r.Complete(xdev.Status{}, postedErr)
 	}
 	for _, r := range syncs {
-		if r.TryClaim() {
-			r.Complete(xdev.Status{}, parkedSyncErr)
-		}
+		r.Complete(xdev.Status{}, parkedSyncErr)
 	}
-	cq.Close()
+	c.cq.Close()
 	return true
 }
 
@@ -608,10 +523,6 @@ func (c *Core) Shutdown(postedErr, parkedSyncErr error) bool {
 // device changed outside the core.
 func (c *Core) Broadcast() {
 	c.mu.Lock()
-	notify := c.notify
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 }

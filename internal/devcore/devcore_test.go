@@ -461,19 +461,6 @@ func TestRecycleBlockingRequestSkipsQueue(t *testing.T) {
 	}
 }
 
-// A claim-armed request is never recycled: the other core's stale copy
-// still points at it.
-func TestRecycleSkipsClaimArmed(t *testing.T) {
-	c := New("test")
-	r := c.NewBlockingRequest(RecvReq, nil)
-	r.EnableClaim()
-	r.Complete(xdev.Status{}, nil)
-	r.Wait()
-	if r.c != c || !r.Done() {
-		t.Fatal("Wait reset a claim-armed request for reuse")
-	}
-}
-
 // Completer and waiter race on fresh pooled requests, the waiter
 // recycling each as soon as its Wait returns, parked or not. Under -race
 // a Complete that touched the request after publishing its completion

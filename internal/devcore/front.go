@@ -145,18 +145,6 @@ func (f *Front) pattern(src xdev.ProcessID, tag, context int) (match.Pattern, er
 	return p, nil
 }
 
-// post posts req under p, or hands a matching parked arrival to the
-// port. A nil return means the core or the port now owns the request's
-// completion; ErrClaimed means a dual-posted request was won by the
-// sibling core first (req untouched here).
-func (f *Front) post(req *Request, p match.Pattern) error {
-	a, err := f.core.PostRecv(p, req, nil)
-	if err == nil && a != nil {
-		f.port.Deliver(req, a)
-	}
-	return err
-}
-
 // irecv is IRecv, and with blocking the first half of Recv on a
 // pooled request.
 func (f *Front) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, blocking bool) (*Request, error) {
@@ -177,8 +165,15 @@ func (f *Front) irecv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int, 
 		req.Trace(peer, int32(tag), int32(context))
 		c.rec.Event(mpe.RecvPosted, peer, int32(tag), int32(context), 0)
 	}
-	if err := f.post(req, p); err != nil {
+	// PostRecv either posts req or hands back a matching parked arrival
+	// for the port to deliver; from here the core or the port owns the
+	// request's completion.
+	a, err := c.PostRecv(p, req, nil)
+	if err != nil {
 		return nil, err
+	}
+	if a != nil {
+		f.port.Deliver(req, a)
 	}
 	return req, nil
 }
@@ -199,23 +194,6 @@ func (f *Front) Recv(buf *mpjbuf.Buffer, src xdev.ProcessID, tag, context int) (
 		return xdev.Status{}, err
 	}
 	return r.Wait()
-}
-
-// PostRecvReq posts a receive on an externally created request — the
-// composition hook hybriddev uses to dual-post one ANY_SOURCE request
-// into two devices. The caller owns request creation and tracing;
-// delivery is IRecv's. Returns ErrClaimed when the sibling core won
-// the request before this device could act (req untouched).
-func (f *Front) PostRecvReq(req *Request, src xdev.ProcessID, tag, context int) error {
-	if f.core == nil {
-		return f.notReady("irecv")
-	}
-	p, err := f.pattern(src, tag, context)
-	if err != nil {
-		return err
-	}
-	req.OpCtx = int32(context)
-	return f.post(req, p)
 }
 
 // IProbe checks for a matching parked message without receiving it.
@@ -266,8 +244,8 @@ func (f *Front) Peek() (xdev.Request, error) {
 // (mpjdev's WaitAny skips its Test fast path while one is).
 func (f *Front) ReplayActive() bool { return f.core != nil && f.core.ReplayActive() }
 
-// Core exposes the device's progress core for composition (hybriddev's
-// shared completion queue and notification hooks). Nil until Init.
+// Core exposes the device's progress core: the one a composing device
+// (hybriddev) runs its transports on. Nil until Init.
 func (f *Front) Core() *Core { return f.core }
 
 // Stats returns a snapshot of the device's activity counters.

@@ -1,7 +1,6 @@
 // Record/replay integration: the core-side half of internal/replay.
-// Recording taps the three nondeterministic decision points the core
-// owns — wildcard match resolution, completion-pop order, and (via the
-// claim decisions hybriddev attaches) dual-post arbitration — and
+// Recording taps the two nondeterministic decision points the core
+// owns — wildcard match resolution and completion-pop order — and
 // replay enforces them: wildcard receives are narrowed to the recorded
 // (src,tag) and verified against the recorded seq at match, and Peek
 // reorders completions to the recorded pop sequence, parking early
@@ -17,9 +16,7 @@ import (
 )
 
 // SetReplay installs the rank's record/replay session. Strictly
-// Init-time, before traffic. Several cores may share one session
-// (hybriddev's halves), which also makes their merged completion
-// stream one enforced pop sequence.
+// Init-time, before traffic.
 func (c *Core) SetReplay(s *replay.Session) { c.session.Store(s) }
 
 // Replay returns the installed session, nil when record/replay is off.
@@ -48,15 +45,8 @@ func (c *Core) NextSeqSend(dst uint64, ctx, tag int32) uint64 {
 // or consumes (replay) the pattern stream's next decision. Under
 // enforcement the returned pattern is narrowed to the recorded
 // (src,tag) so the receive holds until the recorded message arrives.
-// Claim-armed requests are skipped: their nondeterminism is arbitrated
-// by the claim decision instead. Caller holds c.mu.
+// Caller holds c.mu.
 func (c *Core) replayPostLocked(s *replay.Session, p match.Pattern, req *Request) (match.Pattern, error) {
-	if req.claim != nil {
-		// Dual-posted: two cores run this under their own locks, and the
-		// winning core's match stamps the full identity — writing any of
-		// it here would race. The claim decision covers the arbitration.
-		return p, nil
-	}
 	src := int64(-1)
 	if p.Src != match.AnySource {
 		src = int64(p.Src)
@@ -99,9 +89,6 @@ func (c *Core) replayMatched(r *Request, src uint64, tag, ctx int32, seq uint64)
 	if w := r.wdec; w != nil {
 		w.Resolve(int64(src), tag, seq)
 	}
-	if cd := r.cdec; cd != nil {
-		cd.Resolve(c.dev, int64(src), tag, seq)
-	}
 }
 
 // peekErr maps a drained completion queue to the abort cause or the
@@ -125,9 +112,8 @@ func (c *Core) popObserved(s *replay.Session, k replay.PopKey) {
 }
 
 // peekSession is Peek with a record/replay session installed. The
-// session's pop lock serializes peekers across every core sharing the
-// session, so the recorded pop stream is totally ordered even for a
-// merged completion queue.
+// session's pop lock serializes peekers, so the recorded pop stream is
+// totally ordered.
 //
 // Recording: pops pass through, logged in the order performed.
 // Replaying: the next recorded pop identity is awaited; completions

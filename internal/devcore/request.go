@@ -90,18 +90,9 @@ type Request struct {
 	rCtx  int32
 	rSeq  uint64
 
-	// wdec is the open wildcard decision for a wildcard receive; cdec
-	// the dual-post arbitration decision hybriddev attached. Either is
+	// wdec is the open wildcard decision for a wildcard receive,
 	// resolved (record) or verified (replay) when the request matches.
 	wdec *replay.Wildcard
-	cdec *replay.Claim
-
-	// claim arbitrates ownership of a request posted into more than
-	// one core at once (hybriddev's ANY_SOURCE dual-posting): whichever
-	// side removes the request from a shared set must win TryClaim
-	// before delivering, and the loser discards its stale copy. Nil —
-	// the single-core case — means TryClaim always succeeds.
-	claim *atomic.Bool
 
 	mu         sync.Mutex
 	attachment any
@@ -146,8 +137,7 @@ var requestPool = sync.Pool{New: func() any { return new(Request) }}
 // request, so its completion skips the completion queue, and its Wait
 // hands it back to the pool: the caller must not touch it after Wait
 // returns, and anything else holding it must let go before completing
-// it. A claim-armed request (EnableClaim) is never recycled: the other
-// core's stale copy still points at it.
+// it.
 func (c *Core) NewBlockingRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 	r := requestPool.Get().(*Request)
 	r.c, r.kind, r.Buf, r.t0, r.Pin, r.OpCtx = c, kind, buf, -1, -1, NoCtx
@@ -157,9 +147,6 @@ func (c *Core) NewBlockingRequest(kind Kind, buf *mpjbuf.Buffer) *Request {
 
 // recycle resets a waited blocking request and returns it to the pool.
 func (r *Request) recycle() {
-	if r.claim != nil {
-		return
-	}
 	*r = Request{}
 	requestPool.Put(r)
 }
@@ -232,10 +219,6 @@ func (r *Request) SetReplayID(peer int64, tag, ctx int32, seq uint64) {
 // side posts reads it.
 func (r *Request) RndvStep() bool { return r.rndvSteps.Add(1) == 2 }
 
-// SetClaimDecision attaches a dual-post arbitration decision; the core
-// resolves (and under replay verifies) it when the request matches.
-func (r *Request) SetClaimDecision(c *replay.Claim) { r.cdec = c }
-
 // popKey is the request's completion identity in the recorded pop
 // order: creating core, direction, and replay envelope.
 func (r *Request) popKey() replay.PopKey {
@@ -247,28 +230,6 @@ func (r *Request) popKey() replay.PopKey {
 		Dev: r.c.dev, Op: op,
 		Src: r.rPeer, Tag: int64(r.rTag), Ctx: int64(r.rCtx), Seq: r.rSeq,
 	}
-}
-
-// EnableClaim arms the request for multi-core posting. Call before the
-// first PostRecv: from then on every match point and failure drain
-// takes the claim before completing or delivering into the request, so
-// two cores holding the same posted request complete it exactly once.
-func (r *Request) EnableClaim() { r.claim = new(atomic.Bool) }
-
-// TryClaim takes ownership of the request. It always succeeds on a
-// single-core request; on a claim-armed request only the first caller
-// wins, and the loser must not touch the request's buffer or complete
-// it.
-func (r *Request) TryClaim() bool {
-	if r.claim == nil {
-		return true
-	}
-	return r.claim.CompareAndSwap(false, true)
-}
-
-// claimed reports whether a claim-armed request has already been won.
-func (r *Request) claimed() bool {
-	return r.claim != nil && r.claim.Load()
 }
 
 // stampMatch rewrites a traced receive's envelope with the matched

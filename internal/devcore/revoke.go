@@ -61,17 +61,11 @@ func (c *Core) RevokeContext(ctx int32, err error) bool {
 			victims = append(victims, a.SyncReq)
 		}
 	}
-	notify := c.notify
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 
 	for _, r := range victims {
-		if r.TryClaim() {
-			r.Complete(xdev.Status{}, err)
-		}
+		r.Complete(xdev.Status{}, err)
 	}
 	return true
 }

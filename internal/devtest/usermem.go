@@ -348,7 +348,7 @@ func fallbackCases() []fallbackCase {
 				return ""
 			}})
 	}
-	{ // ANY_SOURCE / ANY_TAG (dual-posted into both inner devices on hybriddev)
+	{ // ANY_SOURCE / ANY_TAG
 		got := make([]float64, bigN)
 		cases = append(cases, fallbackCase{"wildcard receive", sendAll,
 			func(w *core.Intracomm) (*core.Request, error) {

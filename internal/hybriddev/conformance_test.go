@@ -23,8 +23,8 @@ func singleNode(n int) []int { return make([]int, n) }
 // interleaved places rank i on node i%2: every adjacent pair is
 // inter-"node", so ranks 0 and 1 — the pair the conformance suite
 // hammers — always exercise the niodev path, while same-parity pairs
-// and the ANY_SOURCE tests keep the smp path and the cross-core
-// arbitration busy.
+// keep the smp path busy and the ANY_SOURCE tests see both kinds of
+// arrival race in the rank's one core.
 func interleaved(n int) []int {
 	nodeOf := make([]int, n)
 	for i := range nodeOf {
@@ -64,7 +64,7 @@ func TestConformanceSingleNode(t *testing.T) {
 
 // TestConformanceTwoNodes: interleaved placement routes the suite's
 // rank-0↔rank-1 traffic over the wire inner (full eager/rendezvous
-// protocol) while wildcard receives dual-post across both cores.
+// protocol) while wildcard receives match both transports' arrivals.
 func TestConformanceTwoNodes(t *testing.T) {
 	devtest.RunConformance(t, conformanceRunner(interleaved),
 		devtest.Options{HasPeek: true, RendezvousAt: niodev.DefaultEagerLimit})
@@ -109,8 +109,7 @@ func TestNodeMapValidation(t *testing.T) {
 }
 
 // User memory: node-local peers move a posted message in smpdev's one
-// copy, remote ones in none; ANY_SOURCE receives are dual-posted with
-// the landing zone riding on the shared request's buffer.
+// copy, remote ones in none.
 func TestUserMemoryConformanceSingleNode(t *testing.T) {
 	devtest.RunUserMemory(t, conformanceRunner(singleNode),
 		devtest.UserMemOptions{PostedCopies: 1, StoreBalance: true})

@@ -1,11 +1,9 @@
 package hybriddev
 
 import (
-	"fmt"
 	"net"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,36 +56,7 @@ func TestWireUpOneConnectionPerPair(t *testing.T) {
 	const n = 4
 	before := niodevHandlers()
 	tr := &dialCounter{Transport: transport.NewInProc(0)}
-	job := jobCounter.Add(1)
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("hyb-wire-%d-rank-%d", job, i)
-	}
-	devs := make([]*Device, n)
-	var wg sync.WaitGroup
-	for rank := range devs {
-		devs[rank] = New()
-		cfg := xdev.Config{
-			Rank: rank, Size: n, Addrs: addrs, Dialer: tr,
-			Group: fmt.Sprintf("hyb-wire-%d", job), NodeOf: interleaved(n), Colocated: true,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := devs[rank].Init(cfg); err != nil {
-				t.Errorf("rank %d init: %v", rank, err)
-			}
-		}()
-	}
-	wg.Wait()
-	defer func() {
-		for _, d := range devs {
-			d.Finish()
-		}
-	}()
-	if t.Failed() {
-		return
-	}
+	initJob(t, interleaved(n), tr)
 	if got := tr.dials.Load(); got != n*(n-1)/2 {
 		t.Errorf("%d pipes dialed, want %d", got, n*(n-1)/2)
 	}

@@ -294,6 +294,12 @@ func NewItemSet[T any]() *ItemSet[T] {
 }
 
 // Add records an arrived envelope with its associated value.
+//
+// An item taken through one class's bucket stays queued, taken, in its
+// other buckets until something visits them, and a receiver that only
+// ever matches ANY_SOURCE never visits the exact bucket. So each bucket
+// the item joins is first cleared of taken entries at its front, which
+// frees them for the next arrival to reuse.
 func (s *ItemSet[T]) Add(c Concrete, v T) {
 	s.seq++
 	e := s.free.get(s.seq, v, s.nactive)
@@ -305,6 +311,8 @@ func (s *ItemSet[T]) Add(c Concrete, v T) {
 		if q == nil {
 			q = &fifo[T]{}
 			s.buckets[k] = q
+		} else {
+			q.head(&s.free)
 		}
 		q.push(e)
 	}

@@ -333,6 +333,22 @@ func TestEntriesRecycled(t *testing.T) {
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Errorf("post-then-match allocates %.1f times per cycle, want 0", n)
 	}
+	// An item only ever taken through its ANY_SOURCE bucket is freed
+	// from the exact bucket, which nothing visits, by the next arrival.
+	wild := Pattern{1, 5, AnySource}
+	wildCycle := func() {
+		is.Add(c, 3)
+		if _, ok := is.Match(wild); !ok {
+			t.Fatal("arrived item not matched by ANY_SOURCE")
+		}
+	}
+	wildCycle()
+	if n := testing.AllocsPerRun(100, wildCycle); n != 0 {
+		t.Errorf("arrive-then-ANY_SOURCE-match allocates %.1f times per cycle, want 0", n)
+	}
+	if n := len(is.buckets[p].items); n > 1 {
+		t.Errorf("exact bucket holds %d entries after ANY_SOURCE-only matching, want at most 1", n)
+	}
 }
 
 // An item indexed under several wildcard classes is freed only when the

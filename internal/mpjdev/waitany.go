@@ -53,6 +53,7 @@ type waitAnyRef struct {
 
 // waitAny is one blocked Waitany call.
 type waitAny struct {
+	dev  xdev.Device  // whose queue it joins
 	refs []waitAnyRef // one per non-nil request; the attachments
 
 	done    chan struct{} // closed on delivery
@@ -63,7 +64,7 @@ type waitAny struct {
 	st  Status
 	err error
 
-	delivered bool // guarded by the owning queue's mutex
+	delivered bool // guarded by waitQueues
 }
 
 // attach makes a waitAny for the non-nil requests of reqs and makes
@@ -73,6 +74,7 @@ type waitAny struct {
 // anyway, and before anything is attached.
 func attach[R any](reqs []R, req func(R) *Request, dev xdev.Device) (*waitAny, error) {
 	w := &waitAny{
+		dev:     dev,
 		refs:    make([]waitAnyRef, 0, len(reqs)), // never grows: the pointers stay valid
 		done:    make(chan struct{}),
 		promote: make(chan struct{}, 1),
@@ -98,74 +100,66 @@ func (w *waitAny) detach() {
 	}
 }
 
-// waitQueue is the per-device WaitanyQue of the paper.
-type waitQueue struct {
-	mu   sync.Mutex
-	list []*waitAny
-}
-
+// waitQueues holds the paper's WaitanyQue of each device: the blocked
+// WaitAny calls on it in arrival order, the front one holding peek
+// duty. A device has an entry only while a call is queued on it — the
+// first to block makes it, the last to leave drops it — so a finished
+// device, with its core and pools, is not kept reachable. One lock
+// guards every queue; only the blocking path takes it.
 var waitQueues = struct {
 	sync.Mutex
-	m map[xdev.Device]*waitQueue
-}{m: make(map[xdev.Device]*waitQueue)}
+	m map[xdev.Device][]*waitAny
+}{m: make(map[xdev.Device][]*waitAny)}
 
-func queueFor(dev xdev.Device) *waitQueue {
+// enqueue appends w to its device's queue and reports whether it is now
+// the front (and must take peek duty). If another Waitany's peek
+// already delivered to w — possible between attachment and enqueue — w
+// is not added and alreadyDone reports it, preserving the
+// one-peeker-per-device invariant.
+func enqueue(w *waitAny) (isPeeker, alreadyDone bool) {
 	waitQueues.Lock()
 	defer waitQueues.Unlock()
-	q := waitQueues.m[dev]
-	if q == nil {
-		q = &waitQueue{}
-		waitQueues.m[dev] = q
-	}
-	return q
-}
-
-// enqueue appends w and reports whether it is now the front (and must
-// take peek duty). If another Waitany's peek already delivered to w —
-// possible between attachment and enqueue — w is not added and
-// alreadyDone reports it, preserving the one-peeker-per-queue
-// invariant.
-func (q *waitQueue) enqueue(w *waitAny) (isPeeker, alreadyDone bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if w.delivered {
 		return false, true
 	}
-	q.list = append(q.list, w)
-	return len(q.list) == 1, false
+	q := append(waitQueues.m[w.dev], w)
+	waitQueues.m[w.dev] = q
+	return len(q) == 1, false
 }
 
-// deliver marks w complete with the given result, removes it from the
-// queue, and wakes its caller. It reports false if w had already been
-// delivered (stale completion; ignore).
-func (q *waitQueue) deliver(w *waitAny, idx int, st Status, err error) bool {
-	q.mu.Lock()
+// deliver marks w complete with the given result, removes it from its
+// device's queue, and wakes its caller. It reports false if w had
+// already been delivered (stale completion; ignore).
+func deliver(w *waitAny, idx int, st Status, err error) bool {
+	waitQueues.Lock()
 	if w.delivered {
-		q.mu.Unlock()
+		waitQueues.Unlock()
 		return false
 	}
 	w.delivered = true
-	for i, x := range q.list {
-		if x == w {
-			q.list = append(q.list[:i], q.list[i+1:]...)
-			break
+	q := waitQueues.m[w.dev]
+	if i := slices.Index(q, w); i >= 0 {
+		if q = slices.Delete(q, i, i+1); len(q) == 0 {
+			delete(waitQueues.m, w.dev)
+		} else {
+			waitQueues.m[w.dev] = q
 		}
 	}
-	q.mu.Unlock()
+	waitQueues.Unlock()
 	w.idx, w.st, w.err = idx, st, err
 	close(w.done)
 	return true
 }
 
-// promoteFront signals the current front of the queue to take over peek
-// duty.
-func (q *waitQueue) promoteFront() {
-	q.mu.Lock()
+// promoteFront signals the current front of dev's queue to take over
+// peek duty.
+func promoteFront(dev xdev.Device) {
+	waitQueues.Lock()
 	var front *waitAny
-	if len(q.list) > 0 {
-		front = q.list[0]
+	if q := waitQueues.m[dev]; len(q) > 0 {
+		front = q[0]
 	}
-	q.mu.Unlock()
+	waitQueues.Unlock()
 	if front != nil {
 		select {
 		case front.promote <- struct{}{}:
@@ -233,8 +227,7 @@ func WaitAnyOf[R any](reqs []R, req func(R) *Request) (int, Status, error) {
 		}()
 	}
 
-	q := queueFor(dev)
-	isPeeker, alreadyDone := q.enqueue(w)
+	isPeeker, alreadyDone := enqueue(w)
 	if alreadyDone {
 		// A racing peek delivered our completion before we joined the
 		// queue (the window between attach and enqueue). The results are
@@ -260,8 +253,8 @@ func WaitAnyOf[R any](reqs []R, req func(R) *Request) (int, Status, error) {
 		if err != nil {
 			// Device shut down, or it has no completion queue (ibisdev):
 			// fail ourselves and pass duty on.
-			q.deliver(w, -1, Status{}, err)
-			q.promoteFront()
+			deliver(w, -1, Status{}, err)
+			promoteFront(dev)
 			w.detach()
 			return w.idx, w.st, w.err
 		}
@@ -270,13 +263,13 @@ func WaitAnyOf[R any](reqs []R, req func(R) *Request) (int, Status, error) {
 			continue // scenario 3: nobody is waiting on this request
 		}
 		st, _, terr := ref.req.Test()
-		if !q.deliver(ref.w, ref.idx, st, terr) {
+		if !deliver(ref.w, ref.idx, st, terr) {
 			continue // stale: that WaitAny already returned
 		}
 		if ref.w == w {
 			// Scenario 1: our own request completed; wake the next
 			// WaitAny to take over peeking.
-			q.promoteFront()
+			promoteFront(dev)
 			w.detach()
 			return w.idx, w.st, w.err
 		}

@@ -1,6 +1,7 @@
 package mpjdev
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -66,14 +67,19 @@ func (r *windowReq) Attachment() any {
 	return v
 }
 
+// queued reports how many WaitAny calls are queued on dev, and whether
+// the table has an entry for it.
+func queued(dev xdev.Device) (int, bool) {
+	waitQueues.Lock()
+	defer waitQueues.Unlock()
+	q, ok := waitQueues.m[dev]
+	return len(q), ok
+}
+
 // waitQueued spins until n WaitAny calls are queued on dev.
 func waitQueued(dev xdev.Device, n int) {
-	q := queueFor(dev)
 	for {
-		q.mu.Lock()
-		k := len(q.list)
-		q.mu.Unlock()
-		if k == n {
+		if k, _ := queued(dev); k == n {
 			return
 		}
 		runtime.Gosched()
@@ -278,4 +284,63 @@ func TestWaitAnyAllocs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWaitAnyTableDropsFinishedDevices: twenty one-rank smpdev jobs,
+// each with one WaitAny that blocks until a send completes its request,
+// leave no entry in the queue table once their devices have finished;
+// and a WaitAny over a receive the Finish failed returns that failure
+// at once.
+func TestWaitAnyTableDropsFinishedDevices(t *testing.T) {
+	const jobs = 20
+	devs := make([]xdev.Device, 0, jobs)
+	unmatched := make([]Request, 0, jobs)
+	for j := 0; j < jobs; j++ {
+		runJob(t, 1, func(c *Comm, rank int) {
+			devs = append(devs, c.dev)
+			r, err := c.Irecv(mpjbuf.New(0), 0, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			u, err := c.Irecv(mpjbuf.New(0), 0, 2) // never sent
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			unmatched = append(unmatched, u)
+			go func() {
+				waitQueued(c.dev, 1)
+				if err := c.Send(packInt(t, 1), 0, 1); err != nil {
+					t.Error(err)
+				}
+			}()
+			if _, _, err := WaitAny([]*Request{&r}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	for j, dev := range devs {
+		if _, ok := queued(dev); ok {
+			t.Errorf("job %d: the queue table still holds its finished device", j)
+		}
+	}
+	for j := range unmatched {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := WaitAny([]*Request{&unmatched[j]})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, xdev.ErrDeviceClosed) {
+				t.Errorf("job %d: WaitAny after Finish = %v, want an error wrapping xdev.ErrDeviceClosed", j, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %d: WaitAny after Finish blocked", j)
+		}
+		if _, ok := queued(devs[j]); ok {
+			t.Errorf("job %d: WaitAny after Finish left an entry", j)
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mpj/internal/devcore"
+	"mpj/internal/match"
 	"mpj/internal/mpjbuf"
 	"mpj/internal/transport"
 	"mpj/internal/xdev"
@@ -278,7 +279,7 @@ func initPair(t *testing.T) (d0, d1 *Device, pids []xdev.ProcessID) {
 // unexpected, and a blocking Recv posted first that its message
 // completes before Wait has to park. A Recv that does park allocates its
 // wake channel, so the posted-first cycle is Recv in its two halves — a
-// pooled request posted through the front end, then Wait — and only
+// pooled request posted straight into the core, then Wait — and only
 // waits once the receive is done.
 func TestBlockingAllocs(t *testing.T) {
 	if raceEnabled {
@@ -311,8 +312,8 @@ func TestBlockingAllocs(t *testing.T) {
 		}},
 		{"posted recv, then send", func() {
 			r := d1.Core().NewBlockingRequest(devcore.RecvReq, rb)
-			if err := d1.PostRecvReq(r, pids[0], 1, 0); err != nil {
-				t.Fatal(err)
+			if a, err := d1.Core().PostRecv(match.Pattern{Ctx: 0, Tag: 1, Src: pids[0].UUID}, r, nil); err != nil || a != nil {
+				t.Fatalf("PostRecv = %v, %v; want the receive posted", a, err)
 			}
 			send()
 			for !r.Done() {

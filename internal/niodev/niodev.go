@@ -105,18 +105,24 @@ type Device struct {
 	rec mpe.Recorder
 }
 
-// New returns an uninitialized niodev device.
-func New() *Device {
-	d := &Device{
-		core: devcore.New(DeviceName),
-		rec:  mpe.Nop{},
-	}
-	d.pendingRndv = d.core.NewPendingSet("rndv-send")
-	d.pendingSync = d.core.NewPendingSet("sync-send")
-	d.rndvIncoming = d.core.NewPendingSet("rndv-recv")
+// New returns an uninitialized niodev device on a core of its own.
+func New() *Device { return NewOn(devcore.New(DeviceName)) }
+
+// NewOn returns an uninitialized niodev device that runs on c, a core
+// another transport shares (hybriddev's node-local mailbox); the
+// device's protocol pending sets register on it.
+func NewOn(c *devcore.Core) *Device {
+	d := &Device{core: c, rec: mpe.Nop{}}
+	d.pendingRndv = c.NewPendingSet("rndv-send")
+	d.pendingSync = c.NewPendingSet("sync-send")
+	d.rndvIncoming = c.NewPendingSet("rndv-recv")
 	d.Bind(DeviceName, wire{d})
 	return d
 }
+
+// Port returns the device's transport, the wire, for a composing
+// device to route through.
+func (d *Device) Port() devcore.Port { return wire{d} }
 
 // Init joins the job described by cfg: it listens on its own address,
 // dials the peers it should (dials), and waits until it has one

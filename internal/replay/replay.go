@@ -3,8 +3,7 @@
 // a failed chaos run"). A recording Session captures every
 // nondeterministic decision a rank makes — wildcard (ANY_SOURCE /
 // ANY_TAG) match resolutions keyed by the devcore (src,seq) stamps,
-// completion-queue pop order, hybriddev dual-post claim arbitration,
-// ULFM agreement outcomes and the chaos fault-plan seed — into a
+// completion-queue pop order, ULFM agreement outcomes and the chaos fault-plan seed — into a
 // compact per-rank decision log (rank-N.decisions, JSON lines). A
 // replaying Session loads such a log and hands the recorded outcomes
 // back to devcore, which *enforces* them: wildcard receives are
@@ -44,7 +43,7 @@ var ErrReplayDiverged = errors.New("replay: diverged from recording")
 // departed from its recording.
 type DivergenceError struct {
 	Rank     int    // rank that observed the divergence
-	Op       string // operation ("wildcard", "pop", "claim", "agree", "meta")
+	Op       string // operation ("wildcard", "pop", "agree", "meta")
 	Expected string // recorded outcome
 	Observed string // what this run did instead
 }
@@ -60,7 +59,6 @@ func (e *DivergenceError) Unwrap() error { return ErrReplayDiverged }
 //
 //	meta     — Dev=device, Src=rank, Tag=world size, Note=chaos seed
 //	wildcard — Key=pattern, Op="match"|"open", Src/Tag/Seq=resolution
-//	claim    — Idx=claim index, Dev=winning core, Src/Tag/Seq=resolution
 //	pop      — Idx=pop order, Dev/Op/Src/Tag/Ctx/Seq=request identity
 //	agree    — Key=context stream, Val=agreed flag word
 //	diverge  — Note=first-divergence report (never enforced, CI marker)
@@ -87,14 +85,12 @@ func kindRank(kind string) int {
 		return 0
 	case "wildcard":
 		return 1
-	case "claim":
-		return 2
 	case "agree":
-		return 3
+		return 2
 	case "pop":
-		return 4
+		return 3
 	default: // diverge last
-		return 5
+		return 4
 	}
 }
 
@@ -150,26 +146,8 @@ type Wildcard struct {
 	Seq     uint64
 }
 
-// Claim is one hybriddev dual-post arbitration decision. When Enforce
-// is set the replaying device single-posts into core Dev with the
-// pattern narrowed to (Src, Tag).
-type Claim struct {
-	s       *Session
-	out     *Record
-	in      *Record
-	Idx     int
-	Enforce bool
-	Dev     string
-	Src     int64
-	Tag     int32
-	Seq     uint64
-}
-
 // Session is one rank's record/replay state. A nil *Session is inert:
-// every query method reports inactive. The same Session may be
-// installed on several cores (hybriddev shares one across its smpdev
-// and niodev halves so their merged completion stream is enforced as
-// one pop sequence).
+// every query method reports inactive.
 type Session struct {
 	rank      int
 	dir       string
@@ -185,7 +163,6 @@ type Session struct {
 	// every send and must not contend with decision appends.
 	seqMu  sync.Mutex
 	seqs   map[seqKey]uint64
-	claimN int
 	div    *DivergenceError
 	closed bool
 
@@ -464,75 +441,10 @@ func (w *Wildcard) Resolve(src int64, tag int32, seq uint64) error {
 	return err
 }
 
-// ---- hybriddev claim decisions ----
-
-// OpenClaim opens the next dual-post arbitration decision. Claim
-// indices are assigned in IRecv posting order, which is deterministic
-// per rank thread.
-func (s *Session) OpenClaim() *Claim {
-	if s == nil {
-		return nil
-	}
-	c := &Claim{s: s}
-	s.mu.Lock()
-	c.Idx = s.claimN
-	s.claimN++
-	if s.replaying {
-		recs := s.in["claim"]
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].Idx >= c.Idx })
-		if i < len(recs) && recs[i].Idx == c.Idx && recs[i].Op == "match" {
-			rec := recs[i]
-			c.in = rec
-			c.Enforce = true
-			c.Dev = rec.Dev
-			c.Src = rec.Src
-			c.Tag = int32(rec.Tag)
-			c.Seq = rec.Seq
-			s.enforced.Add(1)
-		}
-	}
-	if s.dir != "" {
-		// Idx is the arbitration index (claimN), not the stream length:
-		// both advance together, and the explicit index is what replay
-		// binary-searches on.
-		c.out = &Record{Kind: "claim", Key: "claim", Op: "open", Idx: c.Idx, Src: -1, Tag: -1}
-		s.out["claim"] = append(s.out["claim"], c.out)
-		s.recorded.Add(1)
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// Resolve stamps the winning core and matched envelope onto the claim
-// decision, verifying against the recording when enforcing.
-func (c *Claim) Resolve(dev string, src int64, tag int32, seq uint64) error {
-	if c == nil {
-		return nil
-	}
-	s := c.s
-	s.mu.Lock()
-	if c.out != nil {
-		c.out.Op = "match"
-		c.out.Dev = dev
-		c.out.Src = src
-		c.out.Tag = int64(tag)
-		c.out.Seq = seq
-	}
-	var err error
-	if c.Enforce && (c.Dev != dev || c.Src != src || c.Seq != seq) {
-		err = s.divergeLocked("claim",
-			fmt.Sprintf("idx=%d dev=%s src=%d seq=%d", c.Idx, c.Dev, c.Src, c.Seq),
-			fmt.Sprintf("idx=%d dev=%s src=%d seq=%d", c.Idx, dev, src, seq))
-	}
-	s.mu.Unlock()
-	return err
-}
-
 // ---- completion-pop order ----
 
 // LockPops acquires the pop-enforcement mutex, serializing the
-// designated peeker across every core sharing this session. Returns
-// the unlock function.
+// designated peeker. Returns the unlock function.
 func (s *Session) LockPops() func() {
 	s.popMu.Lock()
 	return s.popMu.Unlock

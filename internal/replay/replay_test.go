@@ -20,9 +20,6 @@ func TestOpenOffReturnsNil(t *testing.T) {
 	if w := s.OpenWildcard("niodev", 0, -1, -1); w != nil {
 		t.Fatal("nil session returned a wildcard decision")
 	}
-	if c := s.OpenClaim(); c != nil {
-		t.Fatal("nil session returned a claim decision")
-	}
 	if err := s.Agree(1, 2); err != nil {
 		t.Fatalf("nil Agree: %v", err)
 	}
@@ -131,48 +128,6 @@ func TestWildcardDivergence(t *testing.T) {
 	}
 	if cerr := s.Close(); !errors.Is(cerr, ErrReplayDiverged) {
 		t.Fatalf("Close after divergence = %v, want ErrReplayDiverged", cerr)
-	}
-}
-
-// TestClaimRoundTrip guards the claim stream's load path: the recorded
-// placeholder is appended outside appendOut (to carry the arbitration
-// index), so it must still stamp the stream key or replay loads an
-// empty claim stream and silently never enforces.
-func TestClaimRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	record(t, dir, func(s *Session) {
-		a, b := s.OpenClaim(), s.OpenClaim()
-		if a.Idx != 0 || b.Idx != 1 {
-			t.Fatalf("claim indices = %d,%d, want 0,1", a.Idx, b.Idx)
-		}
-		// Resolve out of posting order: the log must still bind by Idx.
-		if err := b.Resolve("niodev", 2, 5, 0x20); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Resolve("smpdev", 1, 5, 0x10); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	s, err := Open(Config{ReplayDir: dir, Rank: 0, Size: 2, Device: "niodev", ChaosSeed: "42"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := s.OpenClaim(), s.OpenClaim()
-	if !a.Enforce || !b.Enforce {
-		t.Fatalf("replaying claims = %+v / %+v, want both enforcing", a, b)
-	}
-	if a.Dev != "smpdev" || a.Src != 1 || a.Seq != 0x10 {
-		t.Fatalf("claim 0 recorded winner = %s src=%d seq=%#x", a.Dev, a.Src, a.Seq)
-	}
-	if b.Dev != "niodev" || b.Src != 2 || b.Seq != 0x20 {
-		t.Fatalf("claim 1 recorded winner = %s src=%d seq=%#x", b.Dev, b.Src, b.Seq)
-	}
-	if err := a.Resolve("smpdev", 1, 5, 0x10); err != nil {
-		t.Fatalf("matching resolve: %v", err)
-	}
-	if err := b.Resolve("niodev", 3, 5, 0x20); !errors.Is(err, ErrReplayDiverged) {
-		t.Fatalf("mismatched resolve = %v, want ErrReplayDiverged", err)
 	}
 }
 

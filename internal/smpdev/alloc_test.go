@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpj/internal/devcore"
+	"mpj/internal/match"
 	"mpj/internal/mpjbuf"
 	"mpj/internal/xdev"
 )
@@ -39,7 +40,7 @@ func initPair(t *testing.T) (d0, d1 *Device, pids []xdev.ProcessID) {
 // (pooled request, wire copy, arrival and match entry), a blocking Recv
 // that finds it unexpected, and a blocking Recv posted first that the
 // Send completes before Wait could park — Recv in its two halves, a
-// pooled request posted through the front end, then Wait. A Recv that
+// pooled request posted straight into the core, then Wait. A Recv that
 // does park allocates its wake channel.
 func TestBlockingAllocs(t *testing.T) {
 	if raceEnabled {
@@ -68,8 +69,8 @@ func TestBlockingAllocs(t *testing.T) {
 		}},
 		{"posted recv, then send", func() {
 			r := d1.Core().NewBlockingRequest(devcore.RecvReq, rb)
-			if err := d1.PostRecvReq(r, pids[0], 1, 0); err != nil {
-				t.Fatal(err)
+			if a, err := d1.Core().PostRecv(match.Pattern{Ctx: 0, Tag: 1, Src: pids[0].UUID}, r, nil); err != nil || a != nil {
+				t.Fatalf("PostRecv = %v, %v; want the receive posted", a, err)
 			}
 			send()
 			if !r.Done() {

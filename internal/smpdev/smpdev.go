@@ -82,6 +82,10 @@ func New() *Device {
 	return d
 }
 
+// Port returns the device's transport, the mailbox, for a composing
+// device to route through.
+func (d *Device) Port() devcore.Port { return mailbox{d} }
+
 // Introspect snapshots this rank's mailbox core for the telemetry
 // /introspect endpoint.
 func (d *Device) Introspect() any {

@@ -128,10 +128,9 @@ type Config struct {
 	Colocated bool
 	// Replay is this rank's record/replay session (internal/replay):
 	// when non-nil the device records every nondeterministic decision
-	// it makes — wildcard match resolutions, completion-pop order,
-	// dual-post claim arbitration — into the session, and under replay
-	// enforces the recorded outcomes. Nil means record/replay is off.
-	// A composing device passes the same session to every inner device.
+	// it makes — wildcard match resolutions and completion-pop order —
+	// into the session, and under replay enforces the recorded outcomes.
+	// Nil means record/replay is off.
 	Replay *replay.Session
 }
 

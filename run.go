@@ -51,9 +51,9 @@ type Options struct {
 	TraceDir string
 	// RecordDir, when non-empty, records every nondeterministic decision
 	// each rank makes — wildcard match resolutions, completion-pop
-	// order, hybrid dual-post claims, agreement outcomes and the chaos
-	// seed — into per-rank `rank-N.decisions` logs in the directory
-	// (created if needed). Also set by MPJ_RECORD. Inspect the logs with
+	// order, agreement outcomes and the chaos seed — into per-rank
+	// `rank-N.decisions` logs in the directory (created if needed). Also
+	// set by MPJ_RECORD. Inspect the logs with
 	// `go run ./cmd/mpjtrace -decisions`.
 	RecordDir string
 	// ReplayDir, when non-empty, replays a previous run from the
