@@ -70,9 +70,9 @@ func TestConformanceTCP(t *testing.T) {
 	}
 	devtest.RunConformance(t, devtest.Runner(func() xdev.Device { return New() },
 		func(t *testing.T, n int) func(int) xdev.Config {
-			addrs := loopbackAddrs(t, n)
+			addrs, tr := loopbackTCP(t, n)
 			return func(rank int) xdev.Config {
-				return xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: transport.TCP{}}
+				return xdev.Config{Rank: rank, Size: n, Addrs: addrs, Dialer: tr}
 			}
 		}),
 		devtest.Options{HasPeek: true, LargeN: 60_000, RendezvousAt: DefaultEagerLimit})

@@ -2,6 +2,7 @@ package niodev
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -73,9 +74,15 @@ func runJob(t *testing.T, n int, opts xdev.Config, fn func(d *Device, rank int, 
 	}
 }
 
-// loopbackAddrs reserves n loopback TCP addresses by listening on :0
-// first, then closing; niodev's dial retry tolerates the small race.
-func loopbackAddrs(t *testing.T, n int) []string {
+// loopbackTCP reserves n loopback TCP listeners on port 0 and returns
+// their addresses with a transport that hands each one, still open, to
+// the rank that listens on its address. Nothing else can take a port
+// between the reservation and the rank's bind, as it could when the
+// reservation closed its listener and the rank bound the port again.
+// The listeners come from transport.TCP, so the connections they
+// accept are its own, as in a multi-process job.
+func loopbackTCP(t *testing.T, n int) ([]string, xdev.Transport) {
+	tr := &reservedTCP{ls: make(map[string]net.Listener, n)}
 	addrs := make([]string, n)
 	for i := range addrs {
 		l, err := transport.TCP{}.Listen("127.0.0.1:0")
@@ -83,9 +90,39 @@ func loopbackAddrs(t *testing.T, n int) []string {
 			t.Skipf("loopback unavailable: %v", err)
 		}
 		addrs[i] = l.Addr().String()
-		l.Close()
+		tr.ls[addrs[i]] = l
 	}
-	return addrs
+	t.Cleanup(tr.closeUnclaimed)
+	return addrs, tr
+}
+
+// reservedTCP is transport.TCP whose Listen returns the listener
+// reserved for the address; each is handed out once.
+type reservedTCP struct {
+	transport.TCP
+	mu sync.Mutex
+	ls map[string]net.Listener
+}
+
+func (r *reservedTCP) Listen(addr string) (net.Listener, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l, ok := r.ls[addr]
+	if !ok {
+		return nil, fmt.Errorf("no listener reserved on %s", addr)
+	}
+	delete(r.ls, addr)
+	return l, nil
+}
+
+// closeUnclaimed closes the listeners no rank took.
+func (r *reservedTCP) closeUnclaimed() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for addr, l := range r.ls {
+		l.Close()
+		delete(r.ls, addr)
+	}
 }
 
 func sendInts(t *testing.T, d *Device, dst xdev.ProcessID, tag int, vals []int32) {

@@ -670,7 +670,8 @@ func TestMutualFloodNoDeadlock(t *testing.T) {
 	}{
 		{"inproc", true, func(*testing.T) xdev.Config { return xdev.Config{Dialer: transport.NewInProc(0)} }},
 		{"tcp", false, func(t *testing.T) xdev.Config {
-			return xdev.Config{Dialer: transport.TCP{}, Addrs: loopbackAddrs(t, 2)}
+			addrs, tr := loopbackTCP(t, 2)
+			return xdev.Config{Dialer: tr, Addrs: addrs}
 		}},
 	}
 	floods := []struct {

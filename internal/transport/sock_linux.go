@@ -10,3 +10,10 @@ import "syscall"
 func setRcvLowat(fd uintptr, n int) error {
 	return syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVLOWAT, n)
 }
+
+// canPoll says whether readNow works here.
+const canPoll = true
+
+// readNow is one read(2) on the socket, which the runtime keeps in
+// non-blocking mode: EAGAIN means it is empty.
+func readNow(fd uintptr, p []byte) (int, error) { return syscall.Read(int(fd), p) }
